@@ -1,10 +1,20 @@
 // ovsx::obs coverage counters — the COVERAGE_DEFINE analogue.
 //
 // Counter names are interned once into dense CounterIds; the hot path
-// is a single array increment behind a function-local static, so there
-// is no string hashing per packet. Per-ExecContext counts (sim layer)
-// feed the same ids, and every per-context increment also bumps the
-// global aggregate read by `coverage/show`.
+// is one increment behind a function-local static, so there is no
+// string hashing per packet. Per-ExecContext counts (sim layer) feed
+// the same ids, and every per-context increment also bumps the global
+// aggregate read by `coverage/show`.
+//
+// The global aggregate lives in per-thread cells, as OVS keeps its
+// coverage counters. A thread's cells are allocated on its first
+// increment; from then on only that thread writes them, with a relaxed
+// load and a relaxed store (no locked read-modify-write). Readers sum
+// the live cells with relaxed loads under the registry mutex, plus the
+// retired total into which each thread's cells fold when it exits.
+// coverage_reset() zeroes every cell, but a writer that loaded its cell
+// before the reset stores its old count back, undoing the reset of its
+// own cell; reset quiescent threads only.
 //
 // Naming convention (docs/OBSERVABILITY.md): dotted lower-case
 // "<subsystem>.<event>", e.g. "emc.hit", "xdp.run", "xsk.rx_produce".
@@ -15,6 +25,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "sync/annotations.h"
 
 namespace ovsx::obs {
 
@@ -34,8 +46,9 @@ std::optional<CounterId> coverage_find(const std::string& name);
 const std::string& coverage_name(CounterId id);
 std::size_t coverage_registered();
 
-// Global aggregate. O(1), no locking on the increment path.
-void coverage_inc(CounterId id, std::uint64_t n = 1);
+// Global aggregate. The increment is O(1) and takes no lock after the
+// thread's first; reads take the registry mutex and walk the threads.
+OVSX_HOT void coverage_inc(CounterId id, std::uint64_t n = 1);
 std::uint64_t coverage_value(CounterId id);
 
 // (name, global count) rows sorted by name. By default only counters

@@ -1,6 +1,7 @@
 #include "obs/perf.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "obs/coverage.h"
@@ -45,6 +46,20 @@ std::uint64_t perf_counter(const char* name)
 {
     const auto id = coverage_find(name);
     return id ? coverage_value(*id) : 0;
+}
+
+// A quiet stretch decays an EWMA by (1 - alpha) per iteration. After
+// about 1,450 iterations it would reach the smallest subnormal double
+// and stay there (0.6 x 4.9e-324 rounds back to 4.9e-324), making every
+// later iteration pay for subnormal arithmetic. Flushing to zero keeps
+// every suspicion verdict: an upcall EWMA below 0.25 puts the threshold
+// 4 x EWMA + 4 in [4, 5), so an integer count trips it exactly when it
+// is 5 or more, subnormal EWMA or zero; and cycles/packet is either 0
+// or at least 1/packets, far above 4 x DBL_MIN, so it exceeds four
+// times a subnormal EWMA exactly when it exceeds zero.
+double flush_subnormal(double ewma)
+{
+    return ewma < std::numeric_limits<double>::min() ? 0.0 : ewma;
 }
 
 } // namespace
@@ -177,13 +192,13 @@ void PmdPerf::end_iteration(std::uint64_t packets)
     }
     if (packets > 0) {
         cycles_per_pkt_.record(static_cast<std::int64_t>(cpp));
-        ewma_cpp_ = ewma_cpp_primed_ ? kPerfEwmaAlpha * cpp + (1 - kPerfEwmaAlpha) * ewma_cpp_
-                                     : cpp;
+        ewma_cpp_ = flush_subnormal(
+            ewma_cpp_primed_ ? kPerfEwmaAlpha * cpp + (1 - kPerfEwmaAlpha) * ewma_cpp_ : cpp);
         ewma_cpp_primed_ = true;
     }
     const double up = static_cast<double>(rec.upcalls);
-    ewma_upcalls_ = ewma_up_primed_ ? kPerfEwmaAlpha * up + (1 - kPerfEwmaAlpha) * ewma_upcalls_
-                                    : up;
+    ewma_upcalls_ = flush_subnormal(
+        ewma_up_primed_ ? kPerfEwmaAlpha * up + (1 - kPerfEwmaAlpha) * ewma_upcalls_ : up);
     ewma_up_primed_ = true;
 
     ring_[ring_next_] = rec;

@@ -25,6 +25,7 @@
 
 #include "obs/histogram.h"
 #include "obs/value.h"
+#include "sync/annotations.h"
 
 namespace ovsx::obs {
 
@@ -97,7 +98,7 @@ public:
     // it touched). end_iteration() while not in an iteration is a
     // no-op, so cold call sites need no guards.
     void begin_iteration();
-    void end_iteration(std::uint64_t packets);
+    OVSX_HOT void end_iteration(std::uint64_t packets);
     bool in_iteration() const { return in_iteration_; }
 
     void note_upcall();

@@ -6,8 +6,11 @@
 // prints the divergent packet's per-provider trace.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/fuzz.h"
@@ -90,6 +93,62 @@ TEST(ObsCoverage, SnapshotFiltersZerosAndResetClears)
     EXPECT_EQ(find("test_obs.reset_me"), 0u); // zero entries are filtered
     // The name registration survives the reset.
     EXPECT_TRUE(obs::coverage_find("test_obs.reset_me").has_value());
+}
+
+TEST(ObsCoverage, PerThreadCellsSumExactlyAcrossLiveAndExitedThreads)
+{
+    constexpr std::uint64_t kPerThread = 100'000;
+    const auto id = obs::coverage_id("test_obs.threads");
+    const std::uint64_t before = obs::coverage_value(id);
+    const auto snapshot_value = [] {
+        for (const auto& [name, v] : obs::coverage_snapshot()) {
+            if (name == "test_obs.threads") return v;
+        }
+        return std::uint64_t{0};
+    };
+
+    // Each thread adds half through the global macro and half through
+    // a per-thread ExecContext, which feeds the same global cells.
+    const auto count = [id] {
+        sim::ExecContext ctx("counter", sim::CpuClass::User);
+        for (std::uint64_t i = 0; i < kPerThread / 2; ++i) {
+            OVSX_COVERAGE("test_obs.threads");
+            ctx.count(id);
+        }
+        EXPECT_EQ(ctx.counter(id), kPerThread / 2);
+    };
+    std::latch counted(2);
+    std::latch release(1);
+    std::vector<std::thread> exiting;
+    std::vector<std::thread> live;
+    for (int i = 0; i < 2; ++i) exiting.emplace_back(count);
+    for (int i = 0; i < 2; ++i) {
+        live.emplace_back([&] {
+            count();
+            counted.count_down();
+            release.wait(); // stay alive, cells registered, until released
+        });
+    }
+    for (auto& t : exiting) t.join();
+    counted.wait();
+
+    // Two threads have exited (their cells folded into the retired
+    // total), two are still running (their cells are live).
+    EXPECT_EQ(obs::coverage_value(id), before + 4 * kPerThread);
+    EXPECT_EQ(snapshot_value(), before + 4 * kPerThread);
+
+    obs::coverage_reset();
+    EXPECT_EQ(obs::coverage_value(id), 0u);
+    EXPECT_EQ(snapshot_value(), 0u);
+
+    release.count_down();
+    for (auto& t : live) t.join();
+    // The live threads' zeroed cells fold in as zero when they exit.
+    EXPECT_EQ(obs::coverage_value(id), 0u);
+
+    // Counting resumes on the zeroed totals, from a fresh thread too.
+    std::thread(count).join();
+    EXPECT_EQ(obs::coverage_value(id), kPerThread);
 }
 
 // ---- trace ring ---------------------------------------------------------
@@ -822,6 +881,44 @@ TEST(ObsPerf, SeededSuspiciousIterationDumpsFlightRecorderDeterministically)
         EXPECT_EQ(dump[i].packets, dump2[i].packets) << i;
         EXPECT_EQ(dump[i].upcalls, dump2[i].upcalls) << i;
         EXPECT_EQ(dump[i].suspicious, dump2[i].suspicious) << i;
+    }
+}
+
+TEST(ObsPerf, QuietStretchFlushesEwmasToZeroAndKeepsUpcallVerdicts)
+{
+    // 8 warm-up iterations with upcalls and cycles, then 5,000 quiet
+    // ones: no upcalls, and packets that cost no cycles, so both EWMAs
+    // decay toward zero. Unflushed, they would stick at the smallest
+    // subnormal double after about 1,450 iterations.
+    const auto drive_quiet = [](obs::PmdPerf& perf, sim::ExecContext& ctx) {
+        for (int i = 0; i < 8; ++i) {
+            perf.begin_iteration();
+            ctx.charge(100);
+            perf.note_upcall();
+            perf.note_upcall();
+            perf.end_iteration(1);
+        }
+        for (int i = 0; i < 5000; ++i) {
+            perf.begin_iteration();
+            perf.end_iteration(1);
+            ASSERT_NE(std::fpclassify(perf.ewma_upcalls()), FP_SUBNORMAL) << i;
+            ASSERT_NE(std::fpclassify(perf.ewma_cycles_per_pkt()), FP_SUBNORMAL) << i;
+        }
+        EXPECT_EQ(perf.ewma_upcalls(), 0.0);
+        EXPECT_EQ(perf.ewma_cycles_per_pkt(), 0.0);
+    };
+    // After the quiet stretch the upcall threshold is 4 x 0 + 4: five
+    // upcalls in one iteration trip it, four do not.
+    for (const std::uint32_t upcalls : {4u, 5u}) {
+        sim::ExecContext ctx("pmd-quiet", sim::CpuClass::User);
+        ctx.attach_perf("test_obs.perf_quiet");
+        obs::PmdPerf& perf = *ctx.perf();
+        ASSERT_NO_FATAL_FAILURE(drive_quiet(perf, ctx));
+        ASSERT_EQ(perf.suspicious(), 0u);
+        perf.begin_iteration();
+        for (std::uint32_t u = 0; u < upcalls; ++u) perf.note_upcall();
+        perf.end_iteration(1);
+        EXPECT_EQ(perf.suspicious(), upcalls >= 5 ? 1u : 0u) << upcalls << " upcalls";
     }
 }
 
