@@ -7,7 +7,10 @@
 // inversion aborts the process with the violation report (there is no
 // collector installed, deliberately). Doubles as the TSan workload —
 // the tier-1 suite is mostly single-threaded, so this binary is what
-// gives -fsanitize=thread actual interleavings to chew on.
+// gives -fsanitize=thread actual interleavings to chew on. The megaflow
+// table is big enough (2,048 flows per thread over two masks) that at
+// 8 shards every shard's slice regroups several times while the other
+// threads are epoch-pinned readers in lookup() and lookup_batch().
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -30,7 +33,8 @@ namespace {
 
 constexpr int kThreads = 4;
 constexpr int kItersPerThread = 20000;
-constexpr std::uint16_t kFlowsPerThread = 64;
+constexpr std::uint16_t kFlowsPerThread = 2048;
+constexpr std::size_t kBurst = 32; // lookup_batch burst, one per kBurst iterations
 
 net::Packet make_udp(std::uint16_t sport, std::uint16_t dport)
 {
@@ -58,6 +62,13 @@ int main(int argc, char** argv)
         argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 0)) : 4;
 
     ovs::MegaflowCache megaflow(shards);
+    // Odd source ports install under a second, sport-keyed mask, so a
+    // probe misses one subtable and hits the other.
+    net::FlowMask by_sport;
+    by_sport.bits.in_port = 0xffffffff;
+    by_sport.bits.nw_proto = 0xff;
+    by_sport.bits.tp_src = 0xffff;
+    by_sport.bits.tp_dst = 0xffff;
     ovs::Emc emc;
     ovs::UserspaceConntrack uct;
     uct.reshard(shards);
@@ -74,6 +85,12 @@ int main(int argc, char** argv)
             // (that is the point) but not the 5-tuples, so conntrack
             // state stays deterministic per thread.
             const std::uint16_t base = static_cast<std::uint16_t>(10000 + t * kFlowsPerThread);
+            std::vector<net::FlowKey> keys;
+            keys.reserve(kFlowsPerThread);
+            for (std::uint16_t f = 0; f < kFlowsPerThread; ++f) {
+                net::Packet pkt = make_udp(static_cast<std::uint16_t>(base + f), 2000);
+                keys.push_back(net::parse_flow(pkt));
+            }
             std::uint64_t local_ops = 0;
             for (int i = 0; i < kItersPerThread; ++i) {
                 const std::uint16_t sport = static_cast<std::uint16_t>(base + i % kFlowsPerThread);
@@ -86,9 +103,28 @@ int main(int argc, char** argv)
                 if (!res.flow) {
                     kern::OdpActions actions;
                     actions.push_back(kern::OdpAction::output(2));
-                    ovs::CachedFlowPtr flow =
-                        megaflow.insert(key, net::FlowMask::exact(), std::move(actions));
+                    const net::FlowMask mask = (sport & 1) ? by_sport : net::FlowMask::exact();
+                    ovs::CachedFlowPtr flow = megaflow.insert(key, mask, std::move(actions));
                     emc.insert(key, hash, std::move(flow));
+                }
+
+                // Batched classification over the thread's own flows.
+                if (i % kBurst == 0) {
+                    const net::FlowKey* burst[kBurst];
+                    ovs::MegaflowCache::LookupResult out[kBurst];
+                    for (std::size_t b = 0; b < kBurst; ++b) {
+                        burst[b] = &keys[(static_cast<std::size_t>(i) + b * 61) % kFlowsPerThread];
+                    }
+                    megaflow.lookup_batch(burst, kBurst, out);
+                    for (std::size_t b = 0; b < kBurst; ++b) {
+                        const ovs::CachedFlow* f = out[b].flow.get();
+                        if (f && !f->mask.same_masked(*burst[b], f->masked_key)) {
+                            std::fprintf(stderr, "bench_mt_smoke: lookup_batch returned a "
+                                                 "flow that does not match its key\n");
+                            std::abort();
+                        }
+                    }
+                    local_ops += kBurst;
                 }
 
                 // EMC: miss path re-probes the megaflow like the PMD does.

@@ -124,30 +124,55 @@ std::vector<const Vport*> OvsKernelDatapath::ports() const
     return out;
 }
 
+namespace {
+
+// Load factor: a subtable's bucket array doubles once it holds more
+// than kFlowsPerSlot flows per slot.
+constexpr std::size_t kMinSlots = 8;
+constexpr std::size_t kFlowsPerSlot = 1;
+
+} // namespace
+
+OvsKernelDatapath::Subtable::Subtable(const net::FlowMask& m)
+    : plan(m), slots(kMinSlots), mask(m)
+{
+}
+
+void OvsKernelDatapath::Subtable::add(std::uint64_t h, const net::FlowKey& masked,
+                                      ActionsRef actions)
+{
+    if (++size > slots.size() * kFlowsPerSlot) {
+        // Entries carry their hashes, so regrowing rehashes nothing.
+        std::vector<Bucket> grown(slots.size() * 2);
+        for (auto& b : slots) {
+            for (auto& e : b) grown[e.hash & (grown.size() - 1)].push_back(std::move(e));
+        }
+        slots = std::move(grown);
+    }
+    bucket(h).push_back(Entry{h, std::move(actions), masked});
+}
+
 void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
                                  OdpActions actions)
 {
     const net::FlowKey masked = mask.apply(key);
+    const std::uint64_t h = masked.hash();
     auto ref = std::make_shared<const OdpActions>(std::move(actions));
     for (auto& sub : subtables_) {
         if (sub.mask == mask) {
-            auto& bucket = sub.flows[masked.hash()];
-            for (auto& [k, a] : bucket) {
-                if (k == masked) {
-                    a = std::move(ref);
+            for (auto& e : sub.bucket(h)) {
+                if (e.hash == h && e.key == masked) {
+                    e.actions = std::move(ref);
                     return;
                 }
             }
-            bucket.emplace_back(masked, std::move(ref));
-            ++sub.size;
+            sub.add(h, masked, std::move(ref));
             san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
             return;
         }
     }
-    Subtable sub;
-    sub.mask = mask;
-    sub.flows[masked.hash()].emplace_back(masked, std::move(ref));
-    sub.size = 1;
+    Subtable sub(mask);
+    sub.add(h, masked, std::move(ref));
     subtables_.push_back(std::move(sub));
     san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
     // Keep the most specific masks first so probe order favours them.
@@ -159,14 +184,13 @@ void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& m
 bool OvsKernelDatapath::flow_del(const net::FlowKey& key, const net::FlowMask& mask)
 {
     const net::FlowKey masked = mask.apply(key);
+    const std::uint64_t h = masked.hash();
     for (auto& sub : subtables_) {
         if (!(sub.mask == mask)) continue;
-        auto it = sub.flows.find(masked.hash());
-        if (it == sub.flows.end()) return false;
-        auto& bucket = it->second;
-        for (auto bit = bucket.begin(); bit != bucket.end(); ++bit) {
-            if (bit->first == masked) {
-                bucket.erase(bit);
+        auto& bucket = sub.bucket(h);
+        for (auto it = bucket.begin(); it != bucket.end(); ++it) {
+            if (it->hash == h && it->key == masked) {
+                bucket.erase(it);
                 --sub.size;
                 san::audit_remove(san_scope_, "kdp.flow", flow_audit_key(masked, mask),
                                   OVSX_SITE);
@@ -193,13 +217,9 @@ std::size_t OvsKernelDatapath::flow_count() const
 std::vector<OdpFlowEntry> OvsKernelDatapath::flow_dump() const
 {
     std::vector<OdpFlowEntry> out;
-    for (const auto& sub : subtables_) {
-        for (const auto& [hash, bucket] : sub.flows) {
-            for (const auto& [k, actions] : bucket) {
-                out.push_back(OdpFlowEntry{k, sub.mask, *actions});
-            }
-        }
-    }
+    for_each_entry([&](const net::FlowKey& k, const net::FlowMask& m, const OdpActions& a) {
+        out.push_back(OdpFlowEntry{k, m, a});
+    });
     return out;
 }
 
@@ -212,14 +232,13 @@ OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& ke
                                                           sim::ExecContext& ctx)
 {
     LookupResult res;
-    for (auto& sub : subtables_) {
+    for (const auto& sub : subtables_) {
         ++res.probes;
         ctx.charge(kernel_.costs().kdp_flow_probe);
-        auto it = sub.flows.find(sub.mask.masked_hash(key));
-        if (it == sub.flows.end()) continue;
-        for (const auto& [k, actions] : it->second) {
-            if (sub.mask.matches(key, k)) {
-                res.actions = actions;
+        const std::uint64_t h = sub.plan.hash(key);
+        for (const auto& e : sub.bucket(h)) {
+            if (e.hash == h && sub.plan.matches(key, e.key)) {
+                res.actions = e.actions;
                 return res;
             }
         }

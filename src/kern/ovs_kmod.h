@@ -3,13 +3,21 @@
 // userspace, vports over kernel devices and tunnel endpoints, upcalls on
 // misses, and an action executor using kernel facilities (conntrack,
 // tunnels, devices).
+//
+// Flow table: one subtable per mask, each a power-of-two array of
+// buckets whose entries keep their masked hash next to the masked key.
+// A probe hashes the key through the subtable's net::MaskPlan, which
+// visits only the mask's non-zero lanes and is bit-identical to
+// FlowMask::masked_hash (a zero lane only multiplies the running hash
+// by a constant, folded per run of zero lanes). It then compares hashes
+// within one bucket and the key only on an equal hash, so a miss
+// touches the slot and one bucket.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "kern/device.h"
@@ -74,8 +82,8 @@ public:
     template <typename Fn> void for_each_entry(Fn&& fn) const
     {
         for (const auto& sub : subtables_) {
-            for (const auto& [hash, bucket] : sub.flows) {
-                for (const auto& [k, actions] : bucket) fn(k, sub.mask, *actions);
+            for (const auto& bucket : sub.slots) {
+                for (const auto& e : bucket) fn(e.key, sub.mask, *e.actions);
             }
         }
     }
@@ -142,10 +150,23 @@ private:
     using ActionsRef = std::shared_ptr<const OdpActions>;
 
     struct Subtable {
-        net::FlowMask mask;
-        std::unordered_map<std::uint64_t, std::vector<std::pair<net::FlowKey, ActionsRef>>>
-            flows; // hash(masked key) -> entries
+        struct Entry {
+            std::uint64_t hash = 0; // masked hash, compared before the key
+            ActionsRef actions;
+            net::FlowKey key; // masked
+        };
+        using Bucket = std::vector<Entry>;
+
+        explicit Subtable(const net::FlowMask& m);
+        Bucket& bucket(std::uint64_t h) { return slots[h & (slots.size() - 1)]; }
+        const Bucket& bucket(std::uint64_t h) const { return slots[h & (slots.size() - 1)]; }
+        // Appends a new entry; regrows the array past one flow per slot.
+        void add(std::uint64_t h, const net::FlowKey& masked, ActionsRef actions);
+
+        net::MaskPlan plan;
+        std::vector<Bucket> slots; // power of two, indexed by the low hash bits
         std::size_t size = 0;
+        net::FlowMask mask;
     };
 
     struct LookupResult {
@@ -153,7 +174,9 @@ private:
         int probes = 0;
     };
 
-    LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
+    // Returns an owning reference: executing the actions can re-enter
+    // flow_put and regrow the bucket array under the entry.
+    OVSX_HOT LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
     // receive() minus the profiler iteration bracket (receive_batch
     // opens one iteration for the whole burst; a solo receive() opens
     // its own around a single call).

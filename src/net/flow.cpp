@@ -9,21 +9,8 @@ namespace ovsx::net {
 
 namespace {
 
-// The key structs are laid out with explicit zeroed padding and a size
-// that is a multiple of 8, so they can be processed as 64-bit lanes
-// (via memcpy, which compiles to plain loads). The byte-at-a-time
-// versions of hash/apply/matches were the hottest functions of the
-// differential soak.
-constexpr std::size_t kKeyLanes = sizeof(FlowKey) / sizeof(std::uint64_t);
-static_assert(sizeof(FlowKey) % sizeof(std::uint64_t) == 0,
-              "FlowKey must be a whole number of 64-bit lanes");
-
-inline std::uint64_t lane(const void* base, std::size_t i)
-{
-    std::uint64_t w;
-    std::memcpy(&w, static_cast<const std::uint8_t*>(base) + i * sizeof w, sizeof w);
-    return w;
-}
+using detail::key_lane;
+using detail::kKeyLanes;
 
 } // namespace
 
@@ -32,13 +19,9 @@ std::uint64_t FlowKey::hash(std::uint64_t basis) const
     // Word-at-a-time hash with a splitmix64-style avalanche per lane;
     // all padding is explicitly zeroed by the constructor so hashing
     // raw memory is well-defined.
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ basis;
+    std::uint64_t h = detail::kHashSeed ^ basis;
     for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        std::uint64_t w = lane(this, i);
-        w *= 0xbf58476d1ce4e5b9ULL;
-        w ^= w >> 31;
-        w *= 0x94d049bb133111ebULL;
-        h = (h ^ w) * 0x2545f4914f6cdd1dULL;
+        h = (h ^ detail::mix_lane(key_lane(*this, i))) * detail::kLaneMul;
     }
     h ^= h >> 32;
     return h;
@@ -71,13 +54,9 @@ std::uint64_t FlowMask::masked_hash(const FlowKey& key, std::uint64_t basis) con
 {
     // Must stay bit-identical to apply(key).hash(basis): megaflow
     // buckets are keyed by the insert-time masked hash.
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ basis;
+    std::uint64_t h = detail::kHashSeed ^ basis;
     for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        std::uint64_t w = lane(&key, i) & lane(&bits, i);
-        w *= 0xbf58476d1ce4e5b9ULL;
-        w ^= w >> 31;
-        w *= 0x94d049bb133111ebULL;
-        h = (h ^ w) * 0x2545f4914f6cdd1dULL;
+        h = (h ^ detail::mix_lane(key_lane(key, i) & key_lane(bits, i))) * detail::kLaneMul;
     }
     h ^= h >> 32;
     return h;
@@ -88,7 +67,7 @@ FlowKey FlowMask::apply(const FlowKey& key) const
     FlowKey out;
     auto* o = reinterpret_cast<std::uint8_t*>(&out);
     for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        const std::uint64_t w = lane(&key, i) & lane(&bits, i);
+        const std::uint64_t w = key_lane(key, i) & key_lane(bits, i);
         std::memcpy(o + i * sizeof w, &w, sizeof w);
     }
     return out;
@@ -97,7 +76,7 @@ FlowKey FlowMask::apply(const FlowKey& key) const
 bool FlowMask::matches(const FlowKey& key, const FlowKey& masked_key) const
 {
     for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        if ((lane(&key, i) & lane(&bits, i)) != lane(&masked_key, i)) return false;
+        if ((key_lane(key, i) & key_lane(bits, i)) != key_lane(masked_key, i)) return false;
     }
     return true;
 }
@@ -105,8 +84,8 @@ bool FlowMask::matches(const FlowKey& key, const FlowKey& masked_key) const
 bool FlowMask::same_masked(const FlowKey& a, const FlowKey& b) const
 {
     for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        const std::uint64_t m = lane(&bits, i);
-        if ((lane(&a, i) & m) != (lane(&b, i) & m)) return false;
+        const std::uint64_t m = key_lane(bits, i);
+        if ((key_lane(a, i) & m) != (key_lane(b, i) & m)) return false;
     }
     return true;
 }
@@ -129,6 +108,26 @@ FlowMask FlowMask::exact()
 }
 
 FlowMask FlowMask::none() { return FlowMask{}; }
+
+MaskPlan::MaskPlan(const FlowMask& mask)
+{
+    // Each zero lane multiplies by kLaneMul: into the seed before the
+    // first listed lane, into the previous listed lane's mul after it.
+    seed_ = detail::kHashSeed;
+    std::uint64_t* mul = &seed_;
+    for (std::size_t i = 0; i < kKeyLanes; ++i) {
+        const std::uint64_t m = key_lane(mask.bits, i);
+        if (m == 0) {
+            *mul *= detail::kLaneMul;
+            continue;
+        }
+        Lane& l = lanes_[n_++];
+        l.bits = m;
+        l.mul = detail::kLaneMul;
+        l.index = static_cast<std::uint32_t>(i);
+        mul = &l.mul;
+    }
+}
 
 namespace {
 

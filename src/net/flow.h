@@ -16,6 +16,7 @@
 #include "net/addr.h"
 #include "net/packet.h"
 #include "net/tunnel_key.h"
+#include "sync/annotations.h"
 
 namespace ovsx::net {
 
@@ -82,6 +83,37 @@ struct FlowKey {
 // No implicit padding anywhere: raw-memory hash/equality are well-defined.
 static_assert(std::has_unique_object_representations_v<FlowKey>);
 
+namespace detail {
+
+// The key is processed as 64-bit lanes (memcpy compiles to plain
+// loads); its size is a whole number of lanes. Byte-at-a-time versions
+// of hash/apply/matches were the differential soak's hottest functions.
+constexpr std::size_t kKeyLanes = sizeof(FlowKey) / sizeof(std::uint64_t);
+static_assert(sizeof(FlowKey) % sizeof(std::uint64_t) == 0,
+              "FlowKey must be a whole number of 64-bit lanes");
+
+inline std::uint64_t key_lane(const FlowKey& key, std::size_t i)
+{
+    std::uint64_t w = 0;
+    std::memcpy(&w, reinterpret_cast<const std::uint8_t*>(&key) + i * sizeof w, sizeof w);
+    return w;
+}
+
+// FlowKey::hash, step by step: start from kHashSeed ^ basis, then for
+// each lane h = (h ^ mix_lane(lane)) * kLaneMul, then h ^= h >> 32.
+constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kLaneMul = 0x2545f4914f6cdd1dULL;
+
+// splitmix64-style avalanche of one lane; maps 0 to 0.
+inline std::uint64_t mix_lane(std::uint64_t w)
+{
+    w *= 0xbf58476d1ce4e5b9ULL;
+    w ^= w >> 31;
+    return w * 0x94d049bb133111ebULL;
+}
+
+} // namespace detail
+
 // Wildcard mask over FlowKey: a bit set to 1 means "match this bit".
 // Stored as a FlowKey whose field values are the masks themselves.
 struct FlowMask {
@@ -91,12 +123,12 @@ struct FlowMask {
     FlowKey apply(const FlowKey& key) const;
 
     // Hash of apply(key) without materializing the masked copy —
-    // identical to apply(key).hash(basis). The per-subtable probe of
-    // every megaflow/kernel lookup was the soak's hottest path.
+    // identical to apply(key).hash(basis). Ofproto's classifier probes
+    // with it; MaskPlan::hash is tested against it.
     std::uint64_t masked_hash(const FlowKey& key, std::uint64_t basis = 0) const;
 
     // True if `key` masked equals `masked_key` (which must already be
-    // masked by this mask).
+    // masked by this mask). The reference for MaskPlan::matches.
     bool matches(const FlowKey& key, const FlowKey& masked_key) const;
 
     // True if two unmasked keys agree on every bit this mask covers —
@@ -112,6 +144,57 @@ struct FlowMask {
 
     static FlowMask exact(); // all bits significant
     static FlowMask none();  // match-all (no bits significant)
+};
+
+// A FlowMask compiled for the per-packet probe of one tuple-space-search
+// subtable (megaflow cache, kernel flow table). It lists only the mask's
+// non-zero 64-bit lanes: a churn-workload mask covers 4-5 of the key's
+// 13. hash() is bit-identical to masked_hash(key) with basis 0, so
+// buckets, shard routes and everything keyed by that hash keep their
+// values. Why: in the key hash a lane whose masked value is zero mixes
+// to zero and only multiplies the running hash by kLaneMul, so a run of
+// all-zero mask lanes is one multiply by kLaneMul raised to the run's
+// length. The seed absorbs the leading run; each listed lane carries
+// kLaneMul to the power of one plus the run that follows it.
+class MaskPlan {
+public:
+    explicit MaskPlan(const FlowMask& mask);
+
+    // masked_hash(key) with basis 0.
+    OVSX_HOT std::uint64_t hash(const FlowKey& key) const
+    {
+        std::uint64_t h = seed_;
+        for (std::uint32_t j = 0; j < n_; ++j) {
+            const Lane& l = lanes_[j];
+            h = (h ^ detail::mix_lane(detail::key_lane(key, l.index) & l.bits)) * l.mul;
+        }
+        return h ^ (h >> 32);
+    }
+
+    // FlowMask::matches(key, masked_key) for a masked_key masked by the
+    // same mask: its unlisted lanes are zero on both sides of the test.
+    OVSX_HOT bool matches(const FlowKey& key, const FlowKey& masked_key) const
+    {
+        for (std::uint32_t j = 0; j < n_; ++j) {
+            const Lane& l = lanes_[j];
+            if ((detail::key_lane(key, l.index) & l.bits) !=
+                detail::key_lane(masked_key, l.index)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+private:
+    struct Lane {
+        std::uint64_t bits = 0;  // the mask's lane, non-zero
+        std::uint64_t mul = 0;   // kLaneMul^(1 + zero lanes after this one)
+        std::uint32_t index = 0; // lane number within FlowKey
+    };
+
+    std::uint64_t seed_ = 0; // kHashSeed * kLaneMul^(leading zero lanes)
+    std::uint32_t n_ = 0;    // listed lanes
+    Lane lanes_[detail::kKeyLanes];
 };
 
 // Parses `pkt` into a FlowKey, consuming metadata (in_port, tunnel, ct,

@@ -370,8 +370,8 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
         // Resolve the shadow under flow_mu_, then execute unlocked:
         // output actions can re-enter receive() through a veth peer, so
         // holding the lock across execute() would self-deadlock. The
-        // reference stays valid after unlock (map nodes are stable; see
-        // the flow_mu_ contract in the header).
+        // reference stays valid after unlock (map nodes are stable, even
+        // across a rehash; see the flow_mu_ contract in the header).
         const kern::OdpActions* actions = nullptr;
         {
             sync::LockGuard guard(flow_mu_);

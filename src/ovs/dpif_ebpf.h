@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "ebpf/map.h"
 #include "ebpf/program.h"
@@ -81,7 +82,7 @@ public:
     // and its userspace action shadow must stay consistent. Quiescent
     // use only — the returned references are unsynchronized views.
     const ebpf::Map& flow_map() const { return *flow_map_; }
-    const std::map<std::uint32_t, kern::OdpActions>& flows() const
+    const std::unordered_map<std::uint32_t, kern::OdpActions>& flows() const
         OVSX_NO_THREAD_SAFETY_ANALYSIS
     {
         return flows_;
@@ -123,11 +124,14 @@ private:
     // Guards the userspace action shadow + stats. Lock-order: acquired
     // before the flow map's own ebpf.map lock, never after it. Action
     // references handed to execute() stay valid across unlock because
-    // std::map nodes are stable; erasing a flow while packets for it
-    // are in flight is a control-plane quiescence bug, not a datapath
-    // one (same contract as the real kernel's RCU-deferred flow free).
+    // std::unordered_map nodes are stable, also across the rehash a
+    // re-entrant flow_put can trigger (a flat map would move them);
+    // erasing a flow while packets for it are in flight is a
+    // control-plane quiescence bug, not a datapath one (same contract as
+    // the real kernel's RCU-deferred flow free).
     mutable sync::Mutex flow_mu_{"ovs.dpif_ebpf.shadow"};
-    std::map<std::uint32_t, kern::OdpActions> flows_ OVSX_GUARDED_BY(flow_mu_); // id -> actions
+    std::unordered_map<std::uint32_t, kern::OdpActions> flows_
+        OVSX_GUARDED_BY(flow_mu_); // id -> actions
     std::uint32_t next_port_no_ = 1;
     std::uint32_t next_flow_id_ OVSX_GUARDED_BY(flow_mu_) = 1;
     UpcallHandler upcall_;

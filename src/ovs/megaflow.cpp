@@ -1,6 +1,8 @@
 #include "ovs/megaflow.h"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <utility>
 
@@ -18,11 +20,60 @@ struct MegaflowSubtableStats {
     std::atomic<std::size_t> size{0}; // flows under this mask, all shards
 };
 
-// An immutable snapshot of one hash bucket. Writers never mutate a
-// published Bucket: they copy, swap the slot pointer, and retire the
-// old one through the epoch domain.
+namespace {
+
+// A flow and its stored masked hash, as writers move them between
+// buckets (regroup, reshard). The hash is never recomputed.
+struct Tagged {
+    std::uint64_t hash = 0;
+    CachedFlowPtr flow;
+};
+
+} // namespace
+
+// An immutable snapshot of one hash bucket, in one allocation: the
+// entries' 64-bit masked hashes, then their flows. A probe compares the
+// hashes and dereferences a flow only on an equal hash, so a miss
+// touches the slot and this allocation and nothing else. Writers never
+// mutate a published Bucket: they build a new one (hashes included)
+// before the release store that publishes it, swap the slot pointer,
+// and retire the old one through the epoch domain.
 struct MegaflowCache::Bucket {
-    std::vector<CachedFlowPtr> flows;
+    static Bucket* create(std::size_t n)
+    {
+        static_assert(sizeof(Bucket) % alignof(CachedFlowPtr) == 0);
+        void* mem = ::operator new(sizeof(Bucket) +
+                                   n * (sizeof(std::uint64_t) + sizeof(CachedFlowPtr)));
+        auto* b = new (mem) Bucket{n};
+        std::uninitialized_value_construct_n(b->hashes(), n);
+        std::uninitialized_value_construct_n(b->flows(), n);
+        return b;
+    }
+    static void destroy(const Bucket* b)
+    {
+        if (!b) return;
+        auto* m = const_cast<Bucket*>(b);
+        std::destroy_n(m->flows(), m->size);
+        ::operator delete(m);
+    }
+
+    std::uint64_t* hashes() { return reinterpret_cast<std::uint64_t*>(this + 1); }
+    const std::uint64_t* hashes() const
+    {
+        return reinterpret_cast<const std::uint64_t*>(this + 1);
+    }
+    CachedFlowPtr* flows() { return reinterpret_cast<CachedFlowPtr*>(hashes() + size); }
+    const CachedFlowPtr* flows() const
+    {
+        return reinterpret_cast<const CachedFlowPtr*>(hashes() + size);
+    }
+    void set(std::size_t j, std::uint64_t hash, CachedFlowPtr flow)
+    {
+        hashes()[j] = hash;
+        flows()[j] = std::move(flow);
+    }
+
+    std::size_t size = 0;
 };
 
 // One shard's slot array for one subtable. The slot pointers are the
@@ -36,10 +87,50 @@ struct MegaflowCache::BucketArray {
     }
     ~BucketArray()
     {
-        for (std::size_t i = 0; i < cap; ++i) delete slots[i].load(std::memory_order_relaxed);
+        for (std::size_t i = 0; i < cap; ++i) {
+            Bucket::destroy(slots[i].load(std::memory_order_relaxed));
+        }
     }
     BucketArray(const BucketArray&) = delete;
     BucketArray& operator=(const BucketArray&) = delete;
+
+    std::size_t slot_of(std::uint64_t hash, std::uint32_t shard_shift) const
+    {
+        return (hash >> shard_shift) & (cap - 1);
+    }
+
+    // Appends every entry, in slot order.
+    void drain_into(std::vector<Tagged>& out) const
+    {
+        for (std::size_t i = 0; i < cap; ++i) {
+            const Bucket* b = slots[i].load(std::memory_order_relaxed);
+            if (!b) continue;
+            for (std::size_t j = 0; j < b->size; ++j) {
+                out.push_back({b->hashes()[j], b->flows()[j]});
+            }
+        }
+    }
+
+    // Fills an unpublished, empty array: one exact-size bucket per used
+    // slot, entries placed by their stored hashes.
+    void fill(std::vector<Tagged>& entries, std::uint32_t shard_shift)
+    {
+        std::vector<std::size_t> used(cap, 0);
+        for (const Tagged& e : entries) ++used[slot_of(e.hash, shard_shift)];
+        std::vector<Bucket*> built(cap, nullptr);
+        for (std::size_t i = 0; i < cap; ++i) {
+            if (used[i] > 0) built[i] = Bucket::create(used[i]);
+            used[i] = 0;
+        }
+        for (Tagged& e : entries) {
+            const std::size_t i = slot_of(e.hash, shard_shift);
+            built[i]->set(used[i]++, e.hash, std::move(e.flow));
+        }
+        for (std::size_t i = 0; i < cap; ++i) {
+            if (built[i]) slots[i].store(built[i], std::memory_order_release);
+        }
+        count = entries.size();
+    }
 
     std::size_t cap; // power of two
     std::unique_ptr<std::atomic<const Bucket*>[]> slots;
@@ -51,10 +142,14 @@ struct MegaflowCache::BucketArray {
 // order (structural ops republish all shards under every shard lock),
 // which is what lets shard 0's skeleton act as the probe-order oracle.
 struct MegaflowCache::ShardState {
+    // Probe-side members first: a probe reads the slice, the plan and,
+    // on a hit, the stats; the full mask is for writers and for the
+    // torn-skeleton check on a shard other than the oracle.
     struct Sub {
-        net::FlowMask mask;
-        std::shared_ptr<MegaflowSubtableStats> stats; // shared across shards
         std::shared_ptr<BucketArray> buckets;         // this shard's slice
+        std::shared_ptr<MegaflowSubtableStats> stats; // shared across shards
+        net::MaskPlan plan;                           // built once per subtable
+        net::FlowMask mask;
     };
     std::vector<Sub> subs;
 };
@@ -93,6 +188,12 @@ private:
 namespace {
 
 constexpr std::size_t kMinBuckets = 8;
+// Load factor: a slice regroups once it holds more than kFlowsPerSlot
+// flows per slot, into kGrowth times the slots. At one flow per slot a
+// probe's bucket holds about one entry, so a miss rarely compares more
+// than one hash.
+constexpr std::size_t kFlowsPerSlot = 1;
+constexpr std::size_t kGrowth = 4;
 
 std::uint64_t flow_audit_key(const net::FlowKey& masked, const net::FlowMask& mask)
 {
@@ -118,6 +219,12 @@ std::size_t pow2_at_least(std::size_t n)
     std::size_t p = kMinBuckets;
     while (p < n) p <<= 1;
     return p;
+}
+
+// Slots for a slice of `flows` flows at the load factor.
+std::size_t slots_for(std::size_t flows)
+{
+    return pow2_at_least((flows + kFlowsPerSlot - 1) / kFlowsPerSlot);
 }
 
 } // namespace
@@ -158,6 +265,32 @@ void MegaflowCache::publish_state(std::uint32_t s, const ShardState* next)
     epoch_domain_.retire([old] { delete old; });
 }
 
+const CachedFlowPtr* MegaflowCache::probe(const ShardState* oracle, const ShardState* st,
+                                          std::size_t r, std::uint64_t h,
+                                          const net::FlowKey& key) const
+{
+    const ShardState::Sub& sub = oracle->subs[r];
+    // The oracle's own slices need no check. Another shard caught
+    // mid-republish (different length or mask at this rank) is skipped:
+    // a transient safe miss, never a block.
+    if (st != oracle && (r >= st->subs.size() || !(st->subs[r].mask == sub.mask))) {
+        return nullptr;
+    }
+    const BucketArray* ba = st->subs[r].buckets.get();
+    const Bucket* b = ba->slots[ba->slot_of(h, shard_shift_)].load(std::memory_order_acquire);
+    if (!b) return nullptr;
+    const std::uint64_t* hashes = b->hashes();
+    for (std::size_t j = 0; j < b->size; ++j) {
+        if (hashes[j] != h) continue;
+        const CachedFlowPtr& flow = b->flows()[j];
+        if (!flow->dead.load(std::memory_order_relaxed) &&
+            sub.plan.matches(key, flow->masked_key)) {
+            return &flow;
+        }
+    }
+    return nullptr;
+}
+
 MegaflowCache::LookupResult MegaflowCache::lookup(const net::FlowKey& key)
 {
     // Lock-free: no shard lock and deliberately no lockset access —
@@ -167,27 +300,17 @@ MegaflowCache::LookupResult MegaflowCache::lookup(const net::FlowKey& key)
     sync::EpochGuard pin(epoch_domain_);
     const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
     for (std::size_t r = 0; r < oracle->subs.size(); ++r) {
-        const net::FlowMask& mask = oracle->subs[r].mask;
+        const ShardState::Sub& sub = oracle->subs[r];
         ++res.probes;
-        const std::uint64_t h = mask.masked_hash(key);
+        const std::uint64_t h = sub.plan.hash(key);
         const std::uint32_t s = shard_of_hash(h);
         const ShardState* st =
             s == 0 ? oracle : shards_[s]->state.load(std::memory_order_acquire);
-        // A shard caught mid-republish (different length or mask at
-        // this rank) is skipped: a transient safe miss, never a block.
-        if (r >= st->subs.size() || !(st->subs[r].mask == mask)) continue;
-        const BucketArray* ba = st->subs[r].buckets.get();
-        const Bucket* b =
-            ba->slots[(h >> shard_shift_) & (ba->cap - 1)].load(std::memory_order_acquire);
-        if (!b) continue;
-        for (const auto& flow : b->flows) {
-            if (!flow->dead.load(std::memory_order_relaxed) &&
-                mask.matches(key, flow->masked_key)) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                oracle->subs[r].stats->hit_count.fetch_add(1, std::memory_order_relaxed);
-                res.flow = flow;
-                return res;
-            }
+        if (const CachedFlowPtr* flow = probe(oracle, st, r, h, key)) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            sub.stats->hit_count.fetch_add(1, std::memory_order_relaxed);
+            res.flow = *flow;
+            return res;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -208,25 +331,16 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
     const ShardState* oracle = states[0];
     std::size_t unresolved = n;
     for (std::size_t r = 0; r < oracle->subs.size() && unresolved > 0; ++r) {
-        const net::FlowMask& mask = oracle->subs[r].mask;
+        const net::MaskPlan& plan = oracle->subs[r].plan;
         for (std::size_t i = 0; i < n; ++i) {
             if (out[i].flow) continue;
             ++out[i].probes;
-            const std::uint64_t h = mask.masked_hash(*keys[i]);
-            const ShardState* st = states[shard_of_hash(h)];
-            if (r >= st->subs.size() || !(st->subs[r].mask == mask)) continue;
-            const BucketArray* ba = st->subs[r].buckets.get();
-            const Bucket* b =
-                ba->slots[(h >> shard_shift_) & (ba->cap - 1)].load(std::memory_order_acquire);
-            if (!b) continue;
-            for (const auto& flow : b->flows) {
-                if (!flow->dead.load(std::memory_order_relaxed) &&
-                    mask.matches(*keys[i], flow->masked_key)) {
-                    out[i].flow = flow;
-                    out[i].subtable = static_cast<int>(r);
-                    --unresolved;
-                    break;
-                }
+            const std::uint64_t h = plan.hash(*keys[i]);
+            if (const CachedFlowPtr* flow =
+                    probe(oracle, states[shard_of_hash(h)], r, h, *keys[i])) {
+                out[i].flow = *flow;
+                out[i].subtable = static_cast<int>(r);
+                --unresolved;
             }
         }
     }
@@ -257,48 +371,40 @@ CachedFlowPtr MegaflowCache::insert_into(std::uint32_t s, std::size_t r,
     const ShardState* st = sh.state.load(std::memory_order_relaxed);
     const ShardState::Sub& sub = st->subs[r];
     BucketArray* ba = sub.buckets.get();
-    const std::size_t slot = (h >> shard_shift_) & (ba->cap - 1);
+    const std::size_t slot = ba->slot_of(h, shard_shift_);
     const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
+    const std::size_t n = old ? old->size : 0;
 
-    auto* next = new Bucket;
-    if (old) next->flows = old->flows;
-    bool replaced = false;
-    for (auto& existing : next->flows) {
-        if (existing->masked_key == masked) {
-            existing = flow; // identical masked entry: replace in place
-            replaced = true;
+    // An identical masked entry is replaced in place; otherwise the new
+    // flow is appended.
+    std::size_t at = n;
+    for (std::size_t j = 0; j < n; ++j) {
+        if (old->hashes()[j] == h && old->flows()[j]->masked_key == masked) {
+            at = j;
             break;
         }
     }
-    if (!replaced) next->flows.push_back(flow);
+    const bool replaced = at < n;
+    Bucket* next = Bucket::create(replaced ? n : n + 1);
+    for (std::size_t j = 0; j < n; ++j) next->set(j, old->hashes()[j], old->flows()[j]);
+    next->set(at, h, flow);
     ba->slots[slot].store(next, std::memory_order_release);
     if (old) {
-        epoch_domain_.retire([old] { delete old; });
+        epoch_domain_.retire([old] { Bucket::destroy(old); });
     }
     if (!replaced) {
         ++ba->count;
         sub.stats->size.fetch_add(1, std::memory_order_relaxed);
         san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
-        if (ba->count > ba->cap * 4) {
-            // Regroup this shard's slice at 4x the slots. The new array
-            // rides a fresh skeleton; the old one (and all its buckets)
-            // is reclaimed once no reader can still hold it.
-            auto grown = std::make_shared<BucketArray>(ba->cap * 4);
-            grown->count = ba->count;
-            std::vector<std::vector<CachedFlowPtr>> tmp(grown->cap);
-            for (std::size_t i = 0; i < ba->cap; ++i) {
-                const Bucket* b = ba->slots[i].load(std::memory_order_relaxed);
-                if (!b) continue;
-                for (const auto& f : b->flows) {
-                    tmp[(f->masked_key.hash() >> shard_shift_) & (grown->cap - 1)].push_back(f);
-                }
-            }
-            for (std::size_t i = 0; i < grown->cap; ++i) {
-                if (tmp[i].empty()) continue;
-                auto* b = new Bucket;
-                b->flows = std::move(tmp[i]);
-                grown->slots[i].store(b, std::memory_order_release);
-            }
+        if (ba->count > ba->cap * kFlowsPerSlot) {
+            // Regroup this shard's slice at kGrowth times the slots. The
+            // new array rides a fresh skeleton; the old one (and all its
+            // buckets) is reclaimed once no reader can still hold it.
+            std::vector<Tagged> entries;
+            entries.reserve(ba->count);
+            ba->drain_into(entries);
+            auto grown = std::make_shared<BucketArray>(ba->cap * kGrowth);
+            grown->fill(entries, shard_shift_);
             auto* next_state = new ShardState(*st);
             next_state->subs[r].buckets = std::move(grown);
             publish_state(s, next_state);
@@ -353,12 +459,13 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
         }
     }
     auto stats = std::make_shared<MegaflowSubtableStats>();
+    const net::MaskPlan plan(mask);
     const std::size_t r = st->subs.size();
     for (std::uint32_t i = 0; i < nshards_; ++i) {
         const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
         auto* next = new ShardState(*cur);
         next->subs.push_back(
-            ShardState::Sub{mask, stats, std::make_shared<BucketArray>(kMinBuckets)});
+            ShardState::Sub{std::make_shared<BucketArray>(kMinBuckets), stats, plan, mask});
         publish_state(i, next);
     }
     return insert_into(s, r, masked, h, mask, std::move(flow));
@@ -376,26 +483,26 @@ bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
         const ShardState::Sub& sub = st->subs[r];
         if (!(sub.mask == mask)) continue;
         BucketArray* ba = sub.buckets.get();
-        const std::size_t slot = (h >> shard_shift_) & (ba->cap - 1);
+        const std::size_t slot = ba->slot_of(h, shard_shift_);
         const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
         if (!old) return false;
-        for (std::size_t j = 0; j < old->flows.size(); ++j) {
-            if (!(old->flows[j]->masked_key == masked)) continue;
+        for (std::size_t j = 0; j < old->size; ++j) {
+            if (old->hashes()[j] != h || !(old->flows()[j]->masked_key == masked)) continue;
             epoch_.fetch_add(1, std::memory_order_release);
-            old->flows[j]->dead.store(true, std::memory_order_release);
+            old->flows()[j]->dead.store(true, std::memory_order_release);
             Bucket* next = nullptr;
-            if (old->flows.size() > 1) {
-                next = new Bucket;
-                next->flows.reserve(old->flows.size() - 1);
-                for (std::size_t k = 0; k < old->flows.size(); ++k) {
-                    if (k != j) next->flows.push_back(old->flows[k]);
+            if (old->size > 1) {
+                next = Bucket::create(old->size - 1);
+                std::size_t at = 0;
+                for (std::size_t k = 0; k < old->size; ++k) {
+                    if (k != j) next->set(at++, old->hashes()[k], old->flows()[k]);
                 }
             }
             ba->slots[slot].store(next, std::memory_order_release);
             --ba->count;
             sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
             san::audit_remove(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
-            epoch_domain_.retire([old] { delete old; });
+            epoch_domain_.retire([old] { Bucket::destroy(old); });
             epoch_domain_.try_advance();
             return true;
         }
@@ -415,8 +522,8 @@ void MegaflowCache::clear()
             for (std::size_t slot = 0; slot < sub.buckets->cap; ++slot) {
                 const Bucket* b = sub.buckets->slots[slot].load(std::memory_order_relaxed);
                 if (!b) continue;
-                for (const auto& flow : b->flows) {
-                    flow->dead.store(true, std::memory_order_release);
+                for (std::size_t j = 0; j < b->size; ++j) {
+                    b->flows()[j]->dead.store(true, std::memory_order_release);
                 }
             }
         }
@@ -475,30 +582,37 @@ std::size_t MegaflowCache::expire_idle()
             for (std::size_t slot = 0; slot < ba->cap; ++slot) {
                 const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
                 if (!old) continue;
-                std::vector<CachedFlowPtr> kept;
-                kept.reserve(old->flows.size());
-                for (const auto& flow : old->flows) {
-                    if (flow->hits == flow->hits_at_last_sweep) {
-                        flow->dead.store(true, std::memory_order_release);
-                        ++removed;
-                        --ba->count;
-                        sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
+                std::size_t expired = 0;
+                for (std::size_t j = 0; j < old->size; ++j) {
+                    CachedFlow& flow = *old->flows()[j];
+                    if (flow.hits == flow.hits_at_last_sweep) {
+                        flow.dead.store(true, std::memory_order_release);
+                        ++expired;
                         san::audit_remove(san_scope_, "mfc.flow",
-                                          flow_audit_key(flow->masked_key, sub.mask),
-                                          OVSX_SITE);
+                                          flow_audit_key(flow.masked_key, sub.mask), OVSX_SITE);
                     } else {
-                        flow->hits_at_last_sweep = flow->hits; // grace consumed
-                        kept.push_back(flow);
+                        flow.hits_at_last_sweep = flow.hits; // grace consumed
                     }
                 }
-                if (kept.size() == old->flows.size()) continue;
+                if (expired == 0) continue;
+                removed += expired;
+                ba->count -= expired;
+                sub.stats->size.fetch_sub(expired, std::memory_order_relaxed);
+                // A published bucket never holds a dead flow (every path
+                // that kills a flow also unlinks it), so the live entries
+                // are exactly the kept ones.
                 Bucket* next = nullptr;
-                if (!kept.empty()) {
-                    next = new Bucket;
-                    next->flows = std::move(kept);
+                if (expired < old->size) {
+                    next = Bucket::create(old->size - expired);
+                    std::size_t at = 0;
+                    for (std::size_t j = 0; j < old->size; ++j) {
+                        if (!old->flows()[j]->dead.load(std::memory_order_relaxed)) {
+                            next->set(at++, old->hashes()[j], old->flows()[j]);
+                        }
+                    }
                 }
                 ba->slots[slot].store(next, std::memory_order_release);
-                epoch_domain_.retire([old] { delete old; });
+                epoch_domain_.retire([old] { Bucket::destroy(old); });
             }
         }
     }
@@ -562,7 +676,7 @@ void MegaflowCache::for_each_entry(
             for (std::size_t slot = 0; slot < sub.buckets->cap; ++slot) {
                 const Bucket* b = sub.buckets->slots[slot].load(std::memory_order_relaxed);
                 if (!b) continue;
-                for (const auto& flow : b->flows) fn(*flow, sub.mask);
+                for (std::size_t j = 0; j < b->size; ++j) fn(*b->flows()[j], sub.mask);
             }
         }
     }
@@ -574,11 +688,12 @@ void MegaflowCache::reshard(std::uint32_t n)
     if (target == nshards_) return;
 
     // Drain: per subtable (probe order preserved), every resident flow
-    // in shard-major slot order.
+    // with its stored hash, in shard-major slot order.
     struct Drained {
         net::FlowMask mask;
+        net::MaskPlan plan;
         std::shared_ptr<MegaflowSubtableStats> stats;
-        std::vector<CachedFlowPtr> flows;
+        std::vector<Tagged> entries;
     };
     std::vector<Drained> rows;
     {
@@ -586,17 +701,12 @@ void MegaflowCache::reshard(std::uint32_t n)
         const ShardState* oracle = shards_[0]->state.load(std::memory_order_relaxed);
         rows.reserve(oracle->subs.size());
         for (const auto& sub : oracle->subs) {
-            rows.push_back(Drained{sub.mask, sub.stats, {}});
+            rows.push_back(Drained{sub.mask, sub.plan, sub.stats, {}});
         }
         for (std::uint32_t s = 0; s < nshards_; ++s) {
             const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
             for (std::size_t r = 0; r < st->subs.size(); ++r) {
-                const BucketArray* ba = st->subs[r].buckets.get();
-                for (std::size_t slot = 0; slot < ba->cap; ++slot) {
-                    const Bucket* b = ba->slots[slot].load(std::memory_order_relaxed);
-                    if (!b) continue;
-                    for (const auto& f : b->flows) rows[r].flows.push_back(f);
-                }
+                st->subs[r].buckets->drain_into(rows[r].entries);
             }
         }
     }
@@ -610,32 +720,22 @@ void MegaflowCache::reshard(std::uint32_t n)
     next.reserve(target);
     for (std::uint32_t i = 0; i < target; ++i) next.push_back(std::make_unique<Shard>(i));
     // Redistribute each subtable's flows by the new shard routing.
-    std::vector<std::vector<std::vector<CachedFlowPtr>>> per_shard(target);
+    std::vector<std::vector<std::vector<Tagged>>> per_shard(target);
     for (std::uint32_t i = 0; i < target; ++i) per_shard[i].resize(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (const auto& f : rows[r].flows) {
-            const std::uint64_t h = f->masked_key.hash();
-            per_shard[static_cast<std::uint32_t>(h) & (target - 1)][r].push_back(f);
+        for (auto& e : rows[r].entries) {
+            per_shard[static_cast<std::uint32_t>(e.hash) & (target - 1)][r].push_back(
+                std::move(e));
         }
     }
     for (std::uint32_t i = 0; i < target; ++i) {
         auto* st = new ShardState;
         st->subs.reserve(rows.size());
         for (std::size_t r = 0; r < rows.size(); ++r) {
-            auto ba = std::make_shared<BucketArray>(
-                pow2_at_least((per_shard[i][r].size() + 3) / 4));
-            ba->count = per_shard[i][r].size();
-            std::vector<std::vector<CachedFlowPtr>> tmp(ba->cap);
-            for (const auto& f : per_shard[i][r]) {
-                tmp[(f->masked_key.hash() >> shift) & (ba->cap - 1)].push_back(f);
-            }
-            for (std::size_t slot = 0; slot < ba->cap; ++slot) {
-                if (tmp[slot].empty()) continue;
-                auto* b = new Bucket;
-                b->flows = std::move(tmp[slot]);
-                ba->slots[slot].store(b, std::memory_order_release);
-            }
-            st->subs.push_back(ShardState::Sub{rows[r].mask, rows[r].stats, std::move(ba)});
+            auto ba = std::make_shared<BucketArray>(slots_for(per_shard[i][r].size()));
+            ba->fill(per_shard[i][r], shift);
+            st->subs.push_back(
+                ShardState::Sub{std::move(ba), rows[r].stats, rows[r].plan, rows[r].mask});
         }
         next[i]->state.store(st, std::memory_order_release);
     }

@@ -16,6 +16,20 @@
 // -order oracle: a reader that catches another shard mid-republish
 // skips the torn subtable (a safe miss) instead of blocking.
 //
+// Probe layout: each subtable carries a net::MaskPlan built once from
+// its mask. The plan hashes only the mask's non-zero 64-bit lanes and
+// is bit-identical to FlowMask::masked_hash (in the key hash a zero
+// lane only multiplies the running hash by a constant, so each run of
+// zero lanes folds into one precomputed power), so bucket slots and
+// shard routes are the masked-hash values they always were. A bucket
+// is one allocation holding its entries' 64-bit masked hashes and then
+// their flows; a probe compares hashes and dereferences a CachedFlow
+// only on an equal one, so a miss touches the slot and one bucket and
+// a hit touches one flow. A slice regroups at one flow per slot into
+// four times the slots, moving each flow with its stored hash. When
+// the key's shard is the oracle (always, with one shard), the probe
+// skips the torn-skeleton mask comparison.
+//
 // Determinism contract: at any shard count, single-threaded semantics
 // are bit-identical to the old single-mutex classifier — same probe
 // counts, same dedupe/replace behaviour, same rerank order, same
@@ -141,6 +155,12 @@ private:
         return static_cast<std::uint32_t>(h) & (nshards_ - 1);
     }
 
+    // The flow of subtable `r` matching `key`, whose masked hash is `h`,
+    // in `st`, the state of the shard `h` routes to; null on a miss. A
+    // miss touches the slot and one bucket, a hit one flow.
+    OVSX_HOT const CachedFlowPtr* probe(const ShardState* oracle, const ShardState* st,
+                                        std::size_t r, std::uint64_t h,
+                                        const net::FlowKey& key) const;
     CachedFlowPtr insert_into(std::uint32_t s, std::size_t r, const net::FlowKey& masked,
                               std::uint64_t h, const net::FlowMask& mask,
                               CachedFlowPtr flow) OVSX_NO_THREAD_SAFETY_ANALYSIS;

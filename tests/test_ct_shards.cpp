@@ -9,9 +9,12 @@
 // shard-count-invariant, catching a leak no matter which shard ate it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "churn_flows.h"
 #include "gen/fuzz.h"
 #include "kern/conntrack.h"
 #include "kern/odp.h"
@@ -324,35 +327,209 @@ net::FlowKey mf_key(std::uint16_t sport, std::uint32_t dst = ipv4(10, 0, 0, 2))
     return net::parse_flow(p);
 }
 
-// Installs the same two-subtable ruleset and probes the same keys;
-// returns the observable outcome vector (output port or -1 per probe).
-std::vector<int> megaflow_probe_outcomes(std::uint32_t shards, bool churn)
+// Reference model of the megaflow cache, independent of the key hash:
+// per mask a map from the masked key's bytes to the live flow, and the
+// probe order the cache documents — masks in first-insert order, and on
+// rerank a stable sort by hits since the last rerank with empty
+// subtables dropped. A lookup scans the masks in that order.
+class MegaflowModel {
+public:
+    struct Hit {
+        int port = -1;
+        int probes = 0;
+        std::size_t mask = 0;
+        net::FlowKey image;
+    };
+
+    explicit MegaflowModel(std::vector<net::FlowMask> masks)
+        : masks_(std::move(masks)), tables_(masks_.size()), hits_(masks_.size(), 0)
+    {
+    }
+
+    void insert(std::size_t m, const net::FlowKey& key, std::uint32_t port)
+    {
+        if (std::find(order_.begin(), order_.end(), m) == order_.end()) order_.push_back(m);
+        tables_[m][masks_[m].apply(key)] = Flow{port}; // a re-install is a fresh flow
+    }
+
+    // `count`: a lookup() (hit counts feed rerank), not a lookup_batch().
+    Hit lookup(const net::FlowKey& key, bool count)
+    {
+        Hit h;
+        for (const std::size_t m : order_) {
+            ++h.probes;
+            const net::FlowKey img = masks_[m].apply(key);
+            const auto it = tables_[m].find(img);
+            if (it == tables_[m].end()) continue;
+            if (count) ++hits_[m];
+            h.port = static_cast<int>(it->second.port);
+            h.mask = m;
+            h.image = img;
+            return h;
+        }
+        return h;
+    }
+
+    void bump(const Hit& h) { ++tables_[h.mask].at(h.image).hits; }
+
+    void rerank()
+    {
+        std::stable_sort(order_.begin(), order_.end(),
+                         [&](std::size_t a, std::size_t b) { return hits_[a] > hits_[b]; });
+        std::erase_if(order_, [&](std::size_t m) { return tables_[m].empty(); });
+        std::fill(hits_.begin(), hits_.end(), 0);
+    }
+
+    std::size_t expire_idle()
+    {
+        std::size_t removed = 0;
+        for (auto& table : tables_) {
+            for (auto it = table.begin(); it != table.end();) {
+                Flow& f = it->second;
+                if (f.hits == f.swept) {
+                    it = table.erase(it);
+                    ++removed;
+                } else {
+                    f.swept = f.hits; // grace consumed
+                    ++it;
+                }
+            }
+        }
+        return removed;
+    }
+
+    bool remove(std::size_t m, const net::FlowKey& key)
+    {
+        return tables_[m].erase(masks_[m].apply(key)) > 0;
+    }
+
+    std::size_t flow_count() const
+    {
+        std::size_t n = 0;
+        for (const auto& table : tables_) n += table.size();
+        return n;
+    }
+    std::size_t mask_count() const { return order_.size(); }
+
+private:
+    struct Flow {
+        std::uint32_t port = 0;
+        std::uint64_t hits = 0;
+        std::uint64_t swept = ~std::uint64_t{0}; // one sweep of grace
+    };
+
+    std::vector<net::FlowMask> masks_;
+    std::vector<std::unordered_map<net::FlowKey, Flow, churn::KeyBytesHash>> tables_;
+    std::vector<std::uint64_t> hits_;
+    std::vector<std::size_t> order_;
+};
+
+// Installs `draws` churn-shaped flows (churn_flows.h: eight masks, many
+// re-installs of one masked key) plus /8 flows over the destinations of
+// masks 1-3, so those keys match two subtables and the probe order
+// decides which flow answers. Checks every lookup() and every
+// lookup_batch() result — flow and probe count — against the reference
+// model. With `churn` it also reranks, sweeps idle flows twice (the
+// first sweep only consumes the fresh flows' grace; the second drops
+// the flows no lookup bumped), removes every third draw's flow,
+// installs more and reranks again. Returns the observable outcomes (port or -1
+// and probes per lookup, then flow and mask counts) for comparison
+// across shard counts.
+std::vector<int> megaflow_probe_outcomes(std::uint32_t shards, bool churn, std::size_t draws)
 {
+    const std::vector<net::FlowMask> masks = churn::masks();
+    const std::vector<churn::Flow> flows = churn::flows(77, draws);
+    const std::vector<churn::Flow> later = churn::flows(78, draws / 4);
     ovs::MegaflowCache cache(shards);
-    net::FlowMask wide;
-    wide.bits.in_port = 0xffffffff;
-    wide.bits.nw_dst = 0xffffff00; // /24: sport-independent
-    cache.insert(mf_key(1, ipv4(10, 0, 0, 9)), wide, {kern::OdpAction::output(9)});
-    for (std::uint16_t s = 0; s < 64; ++s) {
-        cache.insert(mf_key(static_cast<std::uint16_t>(100 + s)), net::FlowMask::exact(),
-                     {kern::OdpAction::output(static_cast<std::uint32_t>(s))});
-    }
-    if (churn) {
-        // Promote the wide subtable, sweep the never-hit exact flows.
-        for (int i = 0; i < 4; ++i) cache.lookup(mf_key(7, ipv4(10, 0, 0, 77)));
-        cache.rerank();
-        cache.expire_idle();
-        cache.remove(mf_key(105), net::FlowMask::exact());
-    }
+    MegaflowModel model(masks);
     std::vector<int> out;
-    for (std::uint16_t s = 90; s < 180; ++s) {
-        const auto res = cache.lookup(mf_key(s));
-        out.push_back(res.flow ? static_cast<int>(res.flow->actions[0].port) : -1);
+    std::size_t bad = 0;
+    std::string first_bad;
+    auto expect = [&](const ovs::MegaflowCache::LookupResult& res,
+                      const MegaflowModel::Hit& want, const char* what) {
+        const int port = res.flow ? static_cast<int>(res.flow->actions[0].port) : -1;
+        out.push_back(port);
+        out.push_back(res.probes);
+        if (port == want.port && res.probes == want.probes) return;
+        if (bad++ == 0) {
+            first_bad = std::string(what) + ": port " + std::to_string(port) + " probes " +
+                        std::to_string(res.probes) + ", model port " + std::to_string(want.port) +
+                        " probes " + std::to_string(want.probes);
+        }
+    };
+    std::uint32_t next_port = 1;
+    auto install = [&](const std::vector<churn::Flow>& fs) {
+        for (const churn::Flow& f : fs) {
+            cache.insert(f.key, masks[f.mask], {kern::OdpAction::output(next_port)});
+            model.insert(f.mask, f.key, next_port);
+            ++next_port;
+        }
+    };
+    // lookup() per key; `bump_every` > 0 bumps the hit flow's counter
+    // on every key but each bump_every-th, as the datapath would.
+    auto probe = [&](const std::vector<churn::Flow>& fs, std::size_t bump_every) {
+        for (std::size_t i = 0; i < fs.size(); ++i) {
+            const auto res = cache.lookup(fs[i].key);
+            const MegaflowModel::Hit want = model.lookup(fs[i].key, true);
+            expect(res, want, "lookup");
+            if (bump_every && i % bump_every != 0 && res.flow) {
+                ++res.flow->hits;
+                model.bump(want);
+            }
+        }
+    };
+    auto probe_batched = [&](const std::vector<churn::Flow>& fs) {
+        constexpr std::size_t kBurst = 32;
+        for (std::size_t base = 0; base < fs.size(); base += kBurst) {
+            const std::size_t n = std::min(kBurst, fs.size() - base);
+            const net::FlowKey* keys[kBurst];
+            ovs::MegaflowCache::LookupResult res[kBurst];
+            for (std::size_t i = 0; i < n; ++i) keys[i] = &fs[base + i].key;
+            cache.lookup_batch(keys, n, res);
+            for (std::size_t i = 0; i < n; ++i) {
+                expect(res[i], model.lookup(fs[base + i].key, false), "lookup_batch");
+            }
+        }
+    };
+
+    install(flows);
+    std::vector<churn::Flow> wide;
+    for (std::uint32_t t = 1; t < 4; ++t) {
+        churn::Flow f = flows.front();
+        f.key.nw_dst = (16 + t) << 24;
+        f.mask = 0; // the /8 mask
+        wide.push_back(f);
     }
-    for (std::uint16_t s = 0; s < 8; ++s) {
-        const auto res = cache.lookup(mf_key(s, ipv4(10, 0, 0, 200)));
-        out.push_back(res.flow ? static_cast<int>(res.flow->actions[0].port) : -1);
+    install(wide);
+    probe(flows, 0);
+    if (churn) {
+        cache.rerank();
+        model.rerank();
+        EXPECT_EQ(cache.expire_idle(), model.expire_idle()); // grace only
+        probe(flows, 3);
+        const std::size_t swept = cache.expire_idle();
+        EXPECT_EQ(swept, model.expire_idle());
+        EXPECT_GT(swept, 0u);
+        for (std::size_t i = 0; i < flows.size(); i += 3) {
+            const churn::Flow& f = flows[i];
+            EXPECT_EQ(cache.remove(f.key, masks[f.mask]), model.remove(f.mask, f.key));
+        }
+        install(later);
+        cache.rerank();
+        model.rerank();
     }
+    probe(flows, 0);
+    probe(later, 0);
+    probe_batched(flows);
+    probe_batched(later);
+    EXPECT_EQ(bad, 0u) << bad << " lookups disagree with the model at " << shards
+                       << " shards; first: " << first_bad;
+
+    EXPECT_EQ(cache.flow_count(), model.flow_count());
+    EXPECT_EQ(cache.mask_count(), model.mask_count());
+    std::size_t occupancy = 0;
+    for (std::uint32_t s = 0; s < cache.shard_count(); ++s) occupancy += cache.shard_flow_count(s);
+    EXPECT_EQ(occupancy, cache.flow_count());
     out.push_back(static_cast<int>(cache.flow_count()));
     out.push_back(static_cast<int>(cache.mask_count()));
     return out;
@@ -360,16 +537,25 @@ std::vector<int> megaflow_probe_outcomes(std::uint32_t shards, bool churn)
 
 TEST(MegaflowShards, LookupEquivalentAcrossShardCounts)
 {
-    const auto base = megaflow_probe_outcomes(1, false);
-    EXPECT_EQ(base, megaflow_probe_outcomes(4, false));
-    EXPECT_EQ(base, megaflow_probe_outcomes(16, false));
+    const auto base = megaflow_probe_outcomes(1, false, 256);
+    EXPECT_EQ(base, megaflow_probe_outcomes(4, false, 256));
+    EXPECT_EQ(base, megaflow_probe_outcomes(16, false, 256));
 }
 
 TEST(MegaflowShards, RerankExpireRemoveEquivalentAcrossShardCounts)
 {
-    const auto base = megaflow_probe_outcomes(1, true);
-    EXPECT_EQ(base, megaflow_probe_outcomes(4, true));
-    EXPECT_EQ(base, megaflow_probe_outcomes(16, true));
+    const auto base = megaflow_probe_outcomes(1, true, 256);
+    EXPECT_EQ(base, megaflow_probe_outcomes(4, true, 256));
+    EXPECT_EQ(base, megaflow_probe_outcomes(16, true, 256));
+}
+
+// The same at the churn benchmark's scale: ~20k live flows, so every
+// shard's slices regroup several times, before and after the removals.
+TEST(MegaflowShards, ChurnScaleTablesMatchModelAcrossShardCounts)
+{
+    const auto base = megaflow_probe_outcomes(1, true, 45000);
+    EXPECT_EQ(base, megaflow_probe_outcomes(4, true, 45000));
+    EXPECT_EQ(base, megaflow_probe_outcomes(16, true, 45000));
 }
 
 TEST(MegaflowShards, ReshardPreservesEntriesAndOccupancySums)

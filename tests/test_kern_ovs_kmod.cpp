@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
+#include "churn_flows.h"
 #include "kern/kernel.h"
 #include "kern/nic.h"
 #include "kern/ovs_kmod.h"
@@ -8,6 +13,7 @@
 #include "net/builder.h"
 #include "net/checksum.h"
 #include "net/headers.h"
+#include "san/report.h"
 
 namespace ovsx::kern {
 namespace {
@@ -374,6 +380,76 @@ TEST_F(KmodTest, ReceiveBatchMatchesScalarReceivePerPacket)
     dp->receive_batch(p0, {}, softirq);
     EXPECT_EQ(dp->hits(), 6u);
     EXPECT_EQ(dp->misses(), 4u);
+}
+
+// The churn benchmark's table shape at scale (churn_flows.h): ~20k
+// flows over eight masks, many masked keys installed more than once,
+// then every third draw's flow deleted (about 40 % of the flows, as
+// re-installed keys share one). The bucket arrays regrow many times.
+// Every kept key must forward without an upcall, every deleted key must
+// upcall, and the table's count, dump and san audit must agree with a
+// reference set.
+TEST_F(KmodTest, ChurnScaleTableAgreesWithReferenceSet)
+{
+    san::ScopedHardened hardened;
+    san::ScopedCollect collect;
+    const std::vector<net::FlowMask> masks = churn::masks();
+    std::vector<churn::Flow> flows = churn::flows(77, 45000);
+    for (auto& f : flows) f.key.in_port = p0;
+    std::vector<std::unordered_set<net::FlowKey, churn::KeyBytesHash>> ref(masks.size());
+    for (const auto& f : flows) {
+        dp->flow_put(f.key, masks[f.mask], {OdpAction::output(p1)});
+        ref[f.mask].insert(masks[f.mask].apply(f.key));
+    }
+    for (std::size_t i = 0; i < flows.size(); i += 3) {
+        const auto& f = flows[i];
+        const bool present = ref[f.mask].erase(masks[f.mask].apply(f.key)) > 0;
+        ASSERT_EQ(dp->flow_del(f.key, masks[f.mask]), present) << "flow " << i;
+    }
+    std::size_t expected = 0;
+    for (const auto& set : ref) expected += set.size();
+    ASSERT_GT(expected, 10000u);
+    EXPECT_EQ(dp->flow_count(), expected);
+    EXPECT_EQ(dp->mask_count(), masks.size());
+
+    // The dump holds exactly the reference set: every entry once.
+    std::size_t dumped = 0;
+    for (const OdpFlowEntry& e : dp->flow_dump()) {
+        const auto m = static_cast<std::size_t>(
+            std::find(masks.begin(), masks.end(), e.mask) - masks.begin());
+        ASSERT_LT(m, masks.size());
+        EXPECT_EQ(ref[m].count(e.key), 1u);
+        ++dumped;
+    }
+    EXPECT_EQ(dumped, expected);
+    dp->san_check(OVSX_SITE);
+    EXPECT_TRUE(collect.violations().empty());
+
+    std::size_t upcalls = 0;
+    dp->set_upcall_handler(
+        [&](std::uint32_t, net::Packet&&, const net::FlowKey&, sim::ExecContext&) { ++upcalls; });
+    std::size_t wrong = 0;
+    for (const auto& f : flows) {
+        net::UdpSpec spec;
+        spec.src_mac = net::MacAddr::from_id(1);
+        spec.dst_mac = net::MacAddr::from_id(2);
+        spec.src_ip = f.key.nw_src;
+        spec.dst_ip = f.key.nw_dst;
+        spec.src_port = f.key.tp_src;
+        spec.dst_port = f.key.tp_dst;
+        const bool kept = ref[f.mask].count(masks[f.mask].apply(f.key)) > 0;
+        const std::size_t up_before = upcalls;
+        out1.clear();
+        nic0->rx_from_wire(net::build_udp(spec));
+        const bool forwarded = out1.size() == 1 && upcalls == up_before;
+        const bool upcalled = out1.empty() && upcalls == up_before + 1;
+        if (kept ? !forwarded : !upcalled) ++wrong;
+    }
+    out1.clear();
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(dp->hits() + dp->misses(), flows.size());
+    EXPECT_EQ(dp->misses(), upcalls);
+    EXPECT_TRUE(collect.violations().empty());
 }
 
 } // namespace
