@@ -62,9 +62,10 @@ net::Packet make_conn_packet(std::size_t i)
 }
 
 // Drives one tracker through ramp + churn. Works for both
-// ovs::UserspaceConntrack and kern::Conntrack: the sharding refactor
-// deliberately kept their clocking surface (process/tick/size/
-// last_expire_visited) identical.
+// ovs::UserspaceConntrack and kern::Conntrack: each runs its own
+// process() state machine over the one connection table they share
+// (kern::CtTable), which provides the rest of the clocking surface
+// (tick/size/last_expire_visited).
 template <typename Tracker>
 RunStats run_churn(const char* domain, Tracker& ct, std::size_t target)
 {

@@ -1,215 +1,20 @@
 #include "ovs/ct.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "kern/timer_wheel.h"
 #include "net/flow.h"
 #include "net/headers.h"
 #include "net/rewrite.h"
-#include "obs/appctl.h"
 #include "obs/coverage.h"
 #include "obs/trace.h"
-#include "san/audit.h"
 
 namespace ovsx::ovs {
 
-// One shard: tuple-index slice, owned connections, and their timer
-// wheel, under one capability-annotated mutex with a stable name.
-struct UserspaceConntrack::Shard {
-    explicit Shard(std::uint32_t i) : mu(sync::shard_lock_name("ovs.uct.shard", i)) {}
-
-    sync::Mutex mu;
-    std::unordered_map<CtTuple, Ref, CtTuple::Hash> index OVSX_GUARDED_BY(mu);
-    std::unordered_map<std::uint64_t, UserCtEntry> conns OVSX_GUARDED_BY(mu);
-    kern::TimerWheel<std::uint64_t> wheel OVSX_GUARDED_BY(mu);
-};
-
-// Locks every shard in ascending index order (ascending lock ids, so
-// the ABBA DAG stays acyclic against single-shard holders).
-class UserspaceConntrack::AllShardsGuard {
-public:
-    explicit AllShardsGuard(const UserspaceConntrack& ct) OVSX_NO_THREAD_SAFETY_ANALYSIS
-        : ct_(ct)
-    {
-        for (const auto& s : ct_.shards_) s->mu.lock();
-    }
-    ~AllShardsGuard() OVSX_NO_THREAD_SAFETY_ANALYSIS
-    {
-        for (auto it = ct_.shards_.rbegin(); it != ct_.shards_.rend(); ++it) (*it)->mu.unlock();
-    }
-    AllShardsGuard(const AllShardsGuard&) = delete;
-    AllShardsGuard& operator=(const AllShardsGuard&) = delete;
-
-private:
-    const UserspaceConntrack& ct_;
-};
-
-namespace {
-
-std::uint32_t clamp_shards(std::uint32_t n)
-{
-    std::uint32_t p = 1;
-    while (p < n && p < UserspaceConntrack::kMaxShards) p <<= 1;
-    return p;
-}
-
-} // namespace
+using kern::CtEntry;
+using kern::NatBinding;
 
 UserspaceConntrack::UserspaceConntrack(const sim::CostModel& costs, std::uint32_t shards)
-    : costs_(costs)
+    : CtTable({"ovs.uct.shard", "ovs.uct.zones", "ovs.uct", "uct.entry", "uct.nat"}, shards),
+      costs_(costs)
 {
-    nshards_ = clamp_shards(shards);
-    shards_.reserve(nshards_);
-    for (std::uint32_t i = 0; i < nshards_; ++i) shards_.push_back(std::make_unique<Shard>(i));
-    obs_token_ = obs::memory_register("ovs.uct", [this] {
-        // Same rendered fields as the single-map reporter; per-shard
-        // sums taken one shard lock at a time (no global freeze).
-        std::size_t conns = 0, index = 0, nat = 0;
-        for (const auto& s : shards_) {
-            sync::LockGuard guard(s->mu);
-            conns += s->conns.size();
-            index += s->index.size();
-            for (const auto& [id, e] : s->conns) {
-                if (e.nat) ++nat;
-            }
-        }
-        obs::Value v = obs::Value::object();
-        v.set("connections", static_cast<std::uint64_t>(conns));
-        v.set("index_entries", static_cast<std::uint64_t>(index));
-        v.set("nat_bindings", static_cast<std::uint64_t>(nat));
-        return v;
-    });
-    shards_token_ = obs::shards_register("ovs.uct", [this] {
-        obs::Value v = obs::Value::object();
-        v.set("shard_count", static_cast<std::uint64_t>(nshards_));
-        obs::Value occ = obs::Value::array();
-        for (const auto& s : shards_) {
-            sync::LockGuard guard(s->mu);
-            occ.push(static_cast<std::uint64_t>(s->conns.size()));
-        }
-        v.set("occupancy", std::move(occ));
-        return v;
-    });
-}
-
-UserspaceConntrack::~UserspaceConntrack()
-{
-    obs::shards_unregister(shards_token_);
-    obs::memory_unregister(obs_token_);
-    san::audit_clear(san_scope_, "uct.entry");
-    san::audit_clear(san_scope_, "uct.nat");
-}
-
-void UserspaceConntrack::reshard(std::uint32_t n)
-{
-    const std::uint32_t target = clamp_shards(n);
-    if (target == nshards_) return;
-    // Drain sorted by id so rebuilt indices/wheels are filed in the
-    // original insertion order — deterministic across reshard histories.
-    std::vector<std::pair<std::uint64_t, UserCtEntry>> entries;
-    {
-        AllShardsGuard all(*this);
-        for (const auto& s : shards_) {
-            for (auto& [id, e] : s->conns) entries.emplace_back(id, e);
-            s->index.clear();
-            s->conns.clear();
-            s->wheel.clear();
-        }
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<std::unique_ptr<Shard>> next;
-    next.reserve(target);
-    for (std::uint32_t i = 0; i < target; ++i) next.push_back(std::make_unique<Shard>(i));
-    shards_ = std::move(next);
-    nshards_ = target;
-    for (auto& [id, e] : entries) {
-        const std::uint32_t owner = shard_of(e.orig);
-        Shard& osh = *shards_[owner];
-        e.wheel_bucket = osh.wheel.enqueue(id, e.last_seen);
-        osh.index.emplace(e.orig, Ref{owner, id});
-        if (!(e.reply == e.orig)) shards_[shard_of(e.reply)]->index.emplace(e.reply, Ref{owner, id});
-        osh.conns.emplace(id, std::move(e));
-    }
-}
-
-std::size_t UserspaceConntrack::shard_size(std::uint32_t s) const
-{
-    if (s >= nshards_) return 0;
-    sync::LockGuard guard(shards_[s]->mu);
-    return shards_[s]->conns.size();
-}
-
-std::size_t UserspaceConntrack::nat_binding_count() const
-{
-    std::size_t n = 0;
-    for (const auto& s : shards_) {
-        sync::LockGuard guard(s->mu);
-        for (const auto& [id, e] : s->conns) {
-            if (e.nat) ++n;
-        }
-    }
-    return n;
-}
-
-void UserspaceConntrack::set_zone_limit(std::uint16_t zone, std::size_t limit)
-{
-    sync::LockGuard guard(zones_mu_);
-    zone_limits_[zone] = limit;
-}
-
-std::size_t UserspaceConntrack::size() const
-{
-    std::size_t n = 0;
-    for (const auto& s : shards_) {
-        sync::LockGuard guard(s->mu);
-        n += s->conns.size();
-    }
-    return n;
-}
-
-void UserspaceConntrack::san_check(san::Site site) const
-{
-    // Walk every shard under one consistent global acquisition so the
-    // totals checked against the table-wide ledgers are coherent and
-    // shard-count-invariant.
-    AllShardsGuard all(*this);
-    std::size_t conns = 0, nat = 0;
-    for (const auto& s : shards_) {
-        conns += s->conns.size();
-        for (const auto& [id, e] : s->conns) {
-            if (e.nat) ++nat;
-        }
-    }
-    san::audit_expect_size(san_scope_, "uct.entry", conns, site);
-    san::audit_expect_size(san_scope_, "uct.nat", nat, site);
-}
-
-bool UserspaceConntrack::local_path_ok(const CtTuple& lookup, bool icmp_error,
-                                       const net::FlowKey& key, const kern::CtSpec& spec,
-                                       std::uint32_t home) const
-{
-    Shard& s = *shards_[home];
-    auto idx = s.index.find(lookup);
-    if (icmp_error) {
-        return idx == s.index.end() || idx->second.shard == home;
-    }
-    const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
-    if (idx != s.index.end()) {
-        const Ref ref = idx->second;
-        if (ref.shard != home) return false;
-        if (is_rst) {
-            const auto it = s.conns.find(ref.id);
-            if (it == s.conns.end()) return false;
-            if (shard_of(it->second.reply) != home) return false;
-        }
-        return true;
-    }
-    if (is_rst) return true; // miss + RST → INVALID, touches no state
-    if (!(spec.nat.enabled && spec.commit)) return true;
-    if (spec.nat.port_min != 0) return false;
-    return shard_of(kern::nat_reply_tuple(lookup, spec.nat, 0)) == home;
 }
 
 std::uint8_t UserspaceConntrack::process(net::Packet& pkt, const net::FlowKey& key,
@@ -251,26 +56,16 @@ std::uint8_t UserspaceConntrack::process(net::Packet& pkt, const net::FlowKey& k
     } else {
         lookup = CtTuple::from_key(key, spec.zone);
     }
-    const std::uint32_t home = shard_of(lookup);
-
-    if (nshards_ > 1) {
-        sync::LockGuard guard(shards_[home]->mu);
-        if (local_path_ok(lookup, icmp_error, key, spec, home)) {
-            OVSX_SAN_ACCESS_AT(shards_[home].get(), "ovs.uct", true);
-            return process_routed(pkt, key, spec, ctx, now, /*global=*/false, home);
-        }
-    }
-    if (nshards_ > 1) OVSX_COVERAGE("ct.cross_shard");
-    AllShardsGuard all(*this);
-    for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), "ovs.uct", true);
-    return process_routed(pkt, key, spec, ctx, now, /*global=*/true, home);
+    return routed(lookup, icmp_error, key, spec, [&](std::uint32_t home) {
+        return process_routed(pkt, key, spec, lookup, icmp_error, ctx, now, home);
+    });
 }
 
 std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::FlowKey& key,
-                                                const kern::CtSpec& spec, sim::ExecContext& ctx,
-                                                sim::Nanos now, bool global, std::uint32_t home)
+                                                const kern::CtSpec& spec, const CtTuple& tuple,
+                                                bool icmp_error, sim::ExecContext& ctx,
+                                                sim::Nanos now, std::uint32_t home)
 {
-    (void)global;
     std::uint8_t state = net::kCtStateTracked;
     auto finish = [&](std::uint8_t s) {
         pkt.meta().ct_state = s;
@@ -289,26 +84,18 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
     // ICMP errors are RELATED to the connection their payload cites;
     // errors citing nothing we track are invalid. Mirrors
     // kern::Conntrack::process so all datapaths classify identically.
-    if (key.nw_proto == 1 && net::icmp_type_is_error(key.icmp_type)) {
-        const net::IcmpInnerTuple inner = net::parse_icmp_inner(pkt);
-        if (!inner.valid) return finish(state | net::kCtStateInvalid);
-        const CtTuple cited{inner.src, inner.dst, inner.sport, inner.dport, inner.proto,
-                            spec.zone};
-        Shard& csh = *shards_[shard_of(cited)];
-        auto rel = csh.index.find(cited);
-        if (rel == csh.index.end()) return finish(state | net::kCtStateInvalid);
-        pkt.meta().ct_mark = shards_[rel->second.shard]->conns[rel->second.id].mark;
+    // `tuple` is the cited inner tuple.
+    Ref ref;
+    if (icmp_error) {
+        const CtEntry* rel = lookup_routed(tuple, home, ref);
+        if (!rel) return finish(state | net::kCtStateInvalid);
+        pkt.meta().ct_mark = rel->mark;
         return finish(state | net::kCtStateRelated);
     }
 
     const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
-    const CtTuple tuple = CtTuple::from_key(key, spec.zone);
-    Shard& tsh = *shards_[home];
-    auto idx = tsh.index.find(tuple);
-    if (idx != tsh.index.end()) {
-        const Ref ref = idx->second;
-        Shard& osh = *shards_[ref.shard];
-        UserCtEntry& e = osh.conns[ref.id];
+    if (CtEntry* hit = lookup_routed(tuple, home, ref)) {
+        CtEntry& e = *hit;
         const bool is_reply = (tuple == e.reply) && !(e.reply == e.orig);
         if (is_reply) {
             e.seen_reply = true;
@@ -319,13 +106,12 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
         if (spec.commit && spec.set_mark) e.mark = spec.mark;
         if (key.nw_proto == 6) e.tcp_flags_seen |= key.tcp_flags;
         e.packets++;
-        e.last_seen = now;
-        e.wheel_bucket = osh.wheel.touch(ref.id, e.wheel_bucket, now);
+        touch_routed(ref, e, now);
         pkt.meta().ct_mark = e.mark;
         if (e.nat) apply_nat(pkt, e, is_reply, ctx);
         if (is_rst) {
             // RST tears the connection down; the next SYN starts NEW.
-            erase_entry_routed(ref);
+            erase_routed(ref);
         }
         return finish(state);
     }
@@ -334,19 +120,12 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
         return finish(state | net::kCtStateInvalid);
     }
 
-    // New connection. Zone accounting is global, nested inside the
-    // shard lock(s).
-    {
-        sync::LockGuard zguard(zones_mu_);
-        const std::size_t count = zone_counts_[spec.zone];
-        const auto lim = zone_limits_.find(spec.zone);
-        if (lim != zone_limits_.end() && lim->second != 0 && count >= lim->second) {
-            return finish(state | net::kCtStateInvalid);
-        }
-    }
+    // New connection: its zone slot is reserved before anything is
+    // built, and released again if it cannot be tracked.
+    if (!reserve_zone_slot(spec.zone)) return finish(state | net::kCtStateInvalid);
 
     state |= net::kCtStateNew;
-    UserCtEntry entry;
+    CtEntry entry;
     entry.orig = tuple;
     entry.confirmed = spec.commit;
     if (spec.commit && spec.set_mark) entry.mark = spec.mark;
@@ -363,51 +142,29 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
         nat.snat = spec.nat.snat;
         nat.ip = spec.nat.ip;
         if (spec.nat.port_min != 0) {
-            const std::uint16_t lo = spec.nat.port_min;
-            const std::uint16_t hi = std::max(spec.nat.port_max, lo);
-            std::uint16_t chosen = 0;
-            for (std::uint32_t p = lo; p <= hi; ++p) {
-                const CtTuple cand =
-                    kern::nat_reply_tuple(tuple, spec.nat, static_cast<std::uint16_t>(p));
-                Shard& csh = *shards_[shard_of(cand)];
-                if (csh.index.find(cand) == csh.index.end()) {
-                    chosen = static_cast<std::uint16_t>(p);
-                    break;
-                }
-            }
-            if (chosen == 0) {
+            nat.port = alloc_nat_port_routed(tuple, spec.nat);
+            if (nat.port == 0) {
                 // Range exhausted: the connection is untrackable.
+                release_zone_slot(spec.zone);
                 OVSX_COVERAGE_CTX(ctx, "userspace_ct.nat_port_exhausted");
                 return finish(static_cast<std::uint8_t>((state & ~net::kCtStateNew) |
                                                         net::kCtStateInvalid));
             }
-            nat.port = chosen;
         }
         entry.nat = nat;
         reply = kern::nat_reply_tuple(tuple, spec.nat, nat.port);
     }
     entry.reply = reply;
 
-    const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    auto [it, ok] = tsh.conns.emplace(id, entry);
-    (void)ok;
-    it->second.wheel_bucket = tsh.wheel.enqueue(id, now);
-    san::audit_add(san_scope_, "uct.entry", id, OVSX_SITE);
-    if (it->second.nat) san::audit_add(san_scope_, "uct.nat", id, OVSX_SITE);
-    tsh.index.emplace(tuple, Ref{home, id});
-    if (!(reply == tuple)) shards_[shard_of(reply)]->index.emplace(reply, Ref{home, id});
-    {
-        sync::LockGuard zguard(zones_mu_);
-        ++zone_counts_[spec.zone];
-    }
+    const CtEntry& e = insert_routed(home, entry, now);
     ctx.charge(costs_.emc_hit); // insertion
 
-    pkt.meta().ct_mark = it->second.mark;
-    if (it->second.nat) apply_nat(pkt, it->second, /*is_reply=*/false, ctx);
+    pkt.meta().ct_mark = e.mark;
+    if (e.nat) apply_nat(pkt, e, /*is_reply=*/false, ctx);
     return finish(state);
 }
 
-void UserspaceConntrack::apply_nat(net::Packet& pkt, const UserCtEntry& entry, bool is_reply,
+void UserspaceConntrack::apply_nat(net::Packet& pkt, const CtEntry& entry, bool is_reply,
                                    sim::ExecContext& ctx)
 {
     const NatBinding& nat = *entry.nat;
@@ -444,212 +201,6 @@ void UserspaceConntrack::apply_nat(net::Packet& pkt, const UserCtEntry& entry, b
     if (fields > 0) {
         ctx.charge(costs_.csum(64)); // header checksum repair share
     }
-}
-
-std::size_t UserspaceConntrack::zone_count(std::uint16_t zone) const
-{
-    sync::LockGuard guard(zones_mu_);
-    auto it = zone_counts_.find(zone);
-    return it == zone_counts_.end() ? 0 : it->second;
-}
-
-std::size_t UserspaceConntrack::expire_idle(sim::Nanos cutoff)
-{
-    using Wheel = kern::TimerWheel<std::uint64_t>;
-    std::size_t removed = 0;
-    std::size_t visited = 0;
-    // Expired entries whose reply index lives in another shard need
-    // more than one shard lock: collected, then re-checked globally.
-    std::vector<Ref> cross;
-    for (std::uint32_t si = 0; si < nshards_; ++si) {
-        Shard& s = *shards_[si];
-        sync::LockGuard guard(s.mu);
-        OVSX_SAN_ACCESS_AT(&s, "ovs.uct", true);
-        const Wheel::ExpireStats st = s.wheel.expire(cutoff, [&](std::uint64_t id,
-                                                                 std::uint64_t bucket) {
-            auto it = s.conns.find(id);
-            if (it == s.conns.end()) return Wheel::Verdict::Stale; // entry already gone
-            UserCtEntry& e = it->second;
-            if (e.wheel_bucket != bucket) return Wheel::Verdict::Stale; // refiled since
-            if (e.last_seen >= cutoff) return Wheel::Verdict::Keep;     // boundary survivor
-            if (shard_of(e.reply) != si) {
-                cross.push_back(Ref{si, id});
-                return Wheel::Verdict::Stale; // node dropped; erased in pass 2
-            }
-            // Erase the NAT-translated reply tuple, not orig.reversed():
-            // a stale reply index entry would pin the allocated port.
-            s.index.erase(e.orig);
-            s.index.erase(e.reply);
-            {
-                sync::LockGuard zguard(zones_mu_);
-                auto& count = zone_counts_[e.orig.zone];
-                if (count > 0) --count;
-            }
-            san::audit_remove(san_scope_, "uct.entry", id, OVSX_SITE);
-            if (e.nat) san::audit_remove(san_scope_, "uct.nat", id, OVSX_SITE);
-            s.conns.erase(it);
-            ++removed;
-            return Wheel::Verdict::Expired;
-        });
-        visited += st.visited;
-    }
-    if (!cross.empty()) {
-        AllShardsGuard all(*this);
-        for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), "ovs.uct", true);
-        for (const Ref& ref : cross) {
-            Shard& osh = *shards_[ref.shard];
-            auto it = osh.conns.find(ref.id);
-            if (it == osh.conns.end()) continue;
-            UserCtEntry& e = it->second;
-            if (e.last_seen >= cutoff) {
-                // Refreshed between the passes; its node was dropped.
-                e.wheel_bucket = osh.wheel.enqueue(ref.id, e.last_seen);
-                continue;
-            }
-            erase_entry_routed(ref);
-            ++removed;
-        }
-    }
-    last_expire_visited_.store(visited, std::memory_order_relaxed);
-    if (visited > 0) OVSX_COVERAGE_N("ct.wheel.visited", visited);
-    if (removed > 0) OVSX_COVERAGE_N("ct.wheel.expired", removed);
-    return removed;
-}
-
-void UserspaceConntrack::tick(sim::Nanos now)
-{
-    const std::uint64_t bucket = static_cast<std::uint64_t>(now) >>
-                                 kern::TimerWheel<std::uint64_t>::kDefaultTickShift;
-    std::uint64_t prev = last_tick_bucket_.load(std::memory_order_relaxed);
-    if (prev == bucket) return;
-    if (!last_tick_bucket_.compare_exchange_strong(prev, bucket, std::memory_order_relaxed)) {
-        return;
-    }
-    OVSX_COVERAGE("ct.shard.ticks");
-    std::size_t total = 0;
-    for (const auto& s : shards_) {
-        sync::LockGuard guard(s->mu);
-        total += s->conns.size();
-    }
-    if (total > 0) OVSX_COVERAGE_N("ct.shard.occupancy", total);
-    const sim::Nanos timeout = idle_timeout_.load();
-    if (timeout > 0 && now >= timeout) expire_idle(now - timeout);
-}
-
-void UserspaceConntrack::flush()
-{
-    AllShardsGuard all(*this);
-    for (const auto& s : shards_) {
-        OVSX_SAN_ACCESS_AT(s.get(), "ovs.uct", true);
-        s->index.clear();
-        s->conns.clear();
-        s->wheel.clear();
-    }
-    {
-        sync::LockGuard zguard(zones_mu_);
-        zone_counts_.clear();
-    }
-    san::audit_clear(san_scope_, "uct.entry");
-    san::audit_clear(san_scope_, "uct.nat");
-}
-
-const UserCtEntry* UserspaceConntrack::find(const CtTuple& tuple) const
-{
-    const std::uint32_t s = shard_of(tuple);
-    {
-        sync::LockGuard guard(shards_[s]->mu);
-        OVSX_SAN_ACCESS_AT(shards_[s].get(), "ovs.uct", false);
-        auto idx = shards_[s]->index.find(tuple);
-        if (idx == shards_[s]->index.end()) return nullptr;
-        if (idx->second.shard == s) {
-            auto it = shards_[s]->conns.find(idx->second.id);
-            return it == shards_[s]->conns.end() ? nullptr : &it->second;
-        }
-    }
-    // Foreign-owned (NAT-translated reply direction): resolve the ref
-    // under a consistent global acquisition.
-    AllShardsGuard all(*this);
-    auto idx = shards_[s]->index.find(tuple);
-    if (idx == shards_[s]->index.end()) return nullptr;
-    Shard& osh = *shards_[idx->second.shard];
-    auto it = osh.conns.find(idx->second.id);
-    return it == osh.conns.end() ? nullptr : &it->second;
-}
-
-bool UserspaceConntrack::set_mark(const CtTuple& tuple, std::uint32_t mark)
-{
-    const std::uint32_t s = shard_of(tuple);
-    {
-        sync::LockGuard guard(shards_[s]->mu);
-        auto idx = shards_[s]->index.find(tuple);
-        if (idx == shards_[s]->index.end()) return false;
-        if (idx->second.shard == s) {
-            OVSX_SAN_ACCESS_AT(shards_[s].get(), "ovs.uct", true);
-            shards_[s]->conns[idx->second.id].mark = mark;
-            return true;
-        }
-    }
-    AllShardsGuard all(*this);
-    auto idx = shards_[s]->index.find(tuple);
-    if (idx == shards_[s]->index.end()) return false;
-    OVSX_SAN_ACCESS_AT(shards_[idx->second.shard].get(), "ovs.uct", true);
-    shards_[idx->second.shard]->conns[idx->second.id].mark = mark;
-    return true;
-}
-
-void UserspaceConntrack::erase_entry_routed(const Ref& ref)
-{
-    Shard& osh = *shards_[ref.shard];
-    auto it = osh.conns.find(ref.id);
-    if (it == osh.conns.end()) return;
-    shards_[shard_of(it->second.orig)]->index.erase(it->second.orig);
-    shards_[shard_of(it->second.reply)]->index.erase(it->second.reply);
-    {
-        sync::LockGuard zguard(zones_mu_);
-        auto& count = zone_counts_[it->second.orig.zone];
-        if (count > 0) --count;
-    }
-    san::audit_remove(san_scope_, "uct.entry", ref.id, OVSX_SITE);
-    if (it->second.nat) san::audit_remove(san_scope_, "uct.nat", ref.id, OVSX_SITE);
-    osh.conns.erase(it);
-    // The wheel node stays behind as a stale tombstone; the expiry
-    // liveness check drops it.
-}
-
-bool UserspaceConntrack::test_seam_leak_entry(const CtTuple& tuple)
-{
-    AllShardsGuard all(*this);
-    Shard& tsh = *shards_[shard_of(tuple)];
-    auto idx = tsh.index.find(tuple);
-    if (idx == tsh.index.end()) return false;
-    const Ref ref = idx->second;
-    Shard& osh = *shards_[ref.shard];
-    auto it = osh.conns.find(ref.id);
-    if (it == osh.conns.end()) return false;
-    // Deliberately skip audit_remove: the table and the ledgers must
-    // disagree afterwards, whichever shard held the entry.
-    shards_[shard_of(it->second.orig)]->index.erase(it->second.orig);
-    shards_[shard_of(it->second.reply)]->index.erase(it->second.reply);
-    osh.conns.erase(it);
-    return true;
-}
-
-std::vector<kern::CtSnapshotEntry> UserspaceConntrack::snapshot() const
-{
-    // One shard lock at a time — a dump under churn never freezes the
-    // whole table; sorting merges shards into the single-map order.
-    std::vector<kern::CtSnapshotEntry> out;
-    for (const auto& s : shards_) {
-        sync::LockGuard guard(s->mu);
-        OVSX_SAN_ACCESS_AT(s.get(), "ovs.uct", false);
-        out.reserve(out.size() + s->conns.size());
-        for (const auto& [id, e] : s->conns) {
-            out.push_back(
-                {e.orig, e.reply, e.confirmed, e.seen_reply, e.nat.has_value(), e.mark, e.packets});
-        }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 } // namespace ovsx::ovs

@@ -1,70 +1,41 @@
 // Userspace connection tracking with NAT.
 //
 // The paper's §4/§6: once the datapath moved to userspace, OVS had to
-// reimplement the kernel's conntrack/NAT. This implementation is richer
-// than the kernel model in kern/conntrack.h: it adds source/destination
-// NAT with reverse mappings, per-zone limits, TCP-state awareness, and
-// idle expiry — the feature set dpif-netdev needs for the NSX firewall.
+// reimplement the kernel's conntrack/NAT. What is written twice here is
+// the state machine: this process() and apply_nat() classify, commit,
+// mark, tear down on RST, relate ICMP errors and NAT exactly as
+// kern::Conntrack does, but as independent code with its own virtual
+// charges, coverage names and trace hops, and it also records the TCP
+// flags each connection has seen. The connection table underneath —
+// shards, timer-wheel idle expiry, zone limits, NAT-port allocation,
+// snapshots and the san walk — is the one kern::CtTable both trackers
+// share.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <unordered_map>
-#include <vector>
 
-#include "kern/conntrack.h" // CtTuple, CtSnapshotEntry
-#include "kern/odp.h"       // CtSpec
+#include "kern/conntrack.h" // the kernel tracker this one is diffed against
+#include "kern/ct_table.h"
+#include "kern/odp.h" // CtSpec
 #include "net/packet.h"
-#include "san/lockset.h"
 #include "sim/context.h"
 #include "sim/costs.h"
-#include "sync/mutex.h"
+#include "sim/time.h"
+#include "sync/annotations.h"
 
 namespace ovsx::ovs {
 
 using kern::CtTuple;
 
-struct NatBinding {
-    bool snat = false;
-    std::uint32_t ip = 0;
-    std::uint16_t port = 0;
-};
-
-struct UserCtEntry {
-    CtTuple orig;
-    CtTuple reply; // reversed orig with NAT applied
-    bool confirmed = false;
-    bool seen_reply = false;
-    std::uint8_t tcp_flags_seen = 0;
-    std::uint32_t mark = 0;
-    std::optional<NatBinding> nat;
-    std::uint64_t packets = 0;
-    sim::Nanos last_seen = 0;
-    // Timer-wheel bucket this entry was last filed into (expiry
-    // liveness check; TimerWheel::kNoBucket before the first filing).
-    std::uint64_t wheel_bucket = ~std::uint64_t{0};
-};
-
-// Concurrency: the same sharded design as kern::Conntrack (see the
-// class comment there): a symmetric RSS-style hash of the tuple picks
-// the shard, each shard's index/conns/timer-wheel triplet moves under
-// one capability-annotated mutex ("ovs.uct.shard.<i>"), and anything
-// that crosses shards (NAT-translated replies, port-range allocation)
-// locks every shard in ascending order. Zone accounting is global
-// under "ovs.uct.zones", nested inside shard locks. The shard routing
-// and the slow-path algorithm are bit-for-bit the single-map semantics
-// — the differential harness diffs this table against the kernel one
-// at any shard-count combination. find() returns an interior pointer
-// stable only until the next mutating call; snapshot() copies.
-class UserspaceConntrack {
+// The userspace state machine over the shared connection table. Its
+// locks read "ovs.uct.shard.<i>" and "ovs.uct.zones", its table
+// "ovs.uct". find() returns an interior pointer stable only until the
+// next mutating call, the same contract as kern::Conntrack; snapshot()
+// copies.
+class UserspaceConntrack : public kern::CtTable {
 public:
-    static constexpr std::uint32_t kMaxShards = kern::Conntrack::kMaxShards;
-
     explicit UserspaceConntrack(const sim::CostModel& costs = sim::CostModel::baseline(),
                                 std::uint32_t shards = 1);
-    ~UserspaceConntrack();
 
     // Runs a packet through conntrack per `spec`. When spec.nat is set
     // and the connection is committed, applies (and remembers) the NAT
@@ -78,90 +49,17 @@ public:
                                   const kern::CtSpec& spec, sim::ExecContext& ctx,
                                   sim::Nanos now = 0);
 
-    void set_zone_limit(std::uint16_t zone, std::size_t limit) OVSX_EXCLUDES(zones_mu_);
-    std::size_t zone_count(std::uint16_t zone) const OVSX_EXCLUDES(zones_mu_);
-    std::size_t size() const;
-    std::size_t nat_binding_count() const;
-    // Timer-wheel idle expiry: visits only due wheel buckets, never the
-    // whole table; NAT ports are released on this path.
-    std::size_t expire_idle(sim::Nanos cutoff);
-    void flush();
-
-    // Cross-checks the san entry audit against the real table, walking
-    // every shard so the totals are shard-count-invariant.
-    void san_check(san::Site site) const;
-
-    const UserCtEntry* find(const CtTuple& tuple) const;
-
-    // Sets the mark on the connection matching `tuple` (ct_mark action).
-    bool set_mark(const CtTuple& tuple, std::uint32_t mark);
-
-    // Deterministically ordered view of every tracked connection, shaped
-    // identically to kern::Conntrack::snapshot() so the differential
-    // harness can diff the two tables directly. Per-shard locks, merged
-    // — never one global freeze across the dump.
-    std::vector<kern::CtSnapshotEntry> snapshot() const;
-
-    // ---- sharding / expiry configuration --------------------------------
-    // Same contracts as kern::Conntrack: power-of-two shard count,
-    // config-time rebuild, symmetric shard routing shared with the
-    // kernel tracker so both land identical tuples in matching shards.
-    void reshard(std::uint32_t n);
-    std::uint32_t shard_count() const { return nshards_; }
-    std::size_t shard_size(std::uint32_t s) const;
-
-    void set_idle_timeout(sim::Nanos timeout) { idle_timeout_.store(timeout); }
-    sim::Nanos idle_timeout() const { return idle_timeout_.load(); }
-
-    // Datapath clock hook: occupancy counters once per wheel quantum
-    // plus (when an idle timeout is set) amortized wheel expiry.
-    void tick(sim::Nanos now);
-    std::size_t last_expire_visited() const { return last_expire_visited_.load(); }
-
-    // Test seam (negative san tests only): drops the entry for `tuple`
-    // without updating the audit ledgers.
-    bool test_seam_leak_entry(const CtTuple& tuple);
-
 private:
-    struct Shard;
-    struct Ref {
-        std::uint32_t shard = 0;
-        std::uint64_t id = 0;
-    };
-    class AllShardsGuard;
-
-    std::uint32_t shard_of(const CtTuple& tuple) const
-    {
-        return kern::Conntrack::shard_of_tuple(tuple, nshards_);
-    }
-
+    // The state machine proper, under the locks CtTable::routed took
+    // for `tuple` (the ICMP-cited inner tuple for ICMP errors, the
+    // packet's own otherwise), routed to shard `home`.
     std::uint8_t process_routed(net::Packet& pkt, const net::FlowKey& key,
-                                const kern::CtSpec& spec, sim::ExecContext& ctx, sim::Nanos now,
-                                bool global, std::uint32_t home) OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    bool local_path_ok(const CtTuple& lookup, bool icmp_error, const net::FlowKey& key,
-                       const kern::CtSpec& spec, std::uint32_t home) const
-        OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    void erase_entry_routed(const Ref& ref) OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    void apply_nat(net::Packet& pkt, const UserCtEntry& entry, bool is_reply,
+                                const kern::CtSpec& spec, const CtTuple& tuple, bool icmp_error,
+                                sim::ExecContext& ctx, sim::Nanos now, std::uint32_t home);
+    void apply_nat(net::Packet& pkt, const kern::CtEntry& entry, bool is_reply,
                    sim::ExecContext& ctx);
 
     const sim::CostModel& costs_;
-    // Immutable while the datapath runs: built at construction,
-    // replaced only by config-time reshard() (single-threaded by
-    // contract). Per-shard state is guarded by each Shard's mutex.
-    using ShardArray = std::vector<std::unique_ptr<Shard>>;
-    std::uint32_t nshards_ = 1;
-    ShardArray shards_;
-    mutable sync::Mutex zones_mu_{"ovs.uct.zones"};
-    std::unordered_map<std::uint16_t, std::size_t> zone_counts_ OVSX_GUARDED_BY(zones_mu_);
-    std::unordered_map<std::uint16_t, std::size_t> zone_limits_ OVSX_GUARDED_BY(zones_mu_);
-    std::atomic<std::uint64_t> next_id_{1};
-    std::atomic<sim::Nanos> idle_timeout_{0};
-    std::atomic<std::uint64_t> last_tick_bucket_{~std::uint64_t{0}};
-    std::atomic<std::size_t> last_expire_visited_{0};
-    std::uint64_t san_scope_ = san::new_scope();
-    std::uint64_t obs_token_ = 0;
-    std::uint64_t shards_token_ = 0;
 };
 
 } // namespace ovsx::ovs

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "ovs/ct.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/megaflow.h"
+#include "san/lockset.h"
 #include "san/report.h"
 #include "sim/context.h"
 #include "sim/rng.h"
@@ -47,6 +50,20 @@ net::Packet udp_packet(std::uint32_t src, std::uint32_t dst, std::uint16_t sport
     p.meta().in_port = 1;
     return p;
 }
+
+// Each tracker's own observable names. The shared table core receives
+// them as arguments, so the tests pin which tracker carries which.
+template <typename Tracker> struct TrackerNames;
+template <> struct TrackerNames<kern::Conntrack> {
+    static constexpr const char* table = "kern.ct";
+    static constexpr const char* other_table = "ovs.uct";
+    static constexpr const char* entry_ledger = "ct.entry";
+};
+template <> struct TrackerNames<ovs::UserspaceConntrack> {
+    static constexpr const char* table = "ovs.uct";
+    static constexpr const char* other_table = "kern.ct";
+    static constexpr const char* entry_ledger = "uct.entry";
+};
 
 // Seeded ct+NAT corpus: a small tuple pool (so replays refile wheel
 // nodes), mixed zones/commit/NAT, continuous tick-driven expiry. All
@@ -248,15 +265,33 @@ TEST(CtSharding, TickDrivesWheelExpiry)
 
 // ---- rendered dumps: per-shard snapshot + merge, shape unchanged -------
 
+struct Dumps {
+    std::string ct;     // conntrack/show
+    std::string memory; // memory/show
+    std::string shards; // shards/show (occupancy differs by shard count)
+};
+
 // conntrack/show and memory/show render from per-shard snapshots
 // merged outside the locks; the rendered text must be byte-identical
 // at any shard count.
-template <typename Tracker> std::pair<std::string, std::string> rendered_dumps(std::uint32_t shards)
+template <typename Tracker> Dumps rendered_dumps(std::uint32_t shards)
 {
     Tracker ct{};
     ct.reshard(shards);
     drive_corpus(ct, 99, 800);
-    return {ovs::render_ct_snapshot(ct.snapshot()).to_json(), obs::memory_show().to_json()};
+    return {ovs::render_ct_snapshot(ct.snapshot()).to_json(), obs::memory_show().to_json(),
+            obs::shards_show().to_json()};
+}
+
+// memory/show and shards/show name the tracker's own table, never the
+// other tracker's.
+template <typename Tracker> void expect_own_table_name(const Dumps& d)
+{
+    using Names = TrackerNames<Tracker>;
+    for (const std::string* doc : {&d.memory, &d.shards}) {
+        EXPECT_NE(doc->find(Names::table), std::string::npos) << *doc;
+        EXPECT_EQ(doc->find(Names::other_table), std::string::npos) << *doc;
+    }
 }
 
 TEST(CtSharding, RenderedShowOutputsIdenticalAcrossShardCounts)
@@ -265,13 +300,67 @@ TEST(CtSharding, RenderedShowOutputsIdenticalAcrossShardCounts)
     // so the memory/show document has one deterministic table name.
     const auto kern1 = rendered_dumps<kern::Conntrack>(1);
     const auto kern4 = rendered_dumps<kern::Conntrack>(4);
-    EXPECT_EQ(kern1.first, kern4.first) << "conntrack/show shape changed with sharding";
-    EXPECT_EQ(kern1.second, kern4.second) << "memory/show shape changed with sharding";
+    EXPECT_EQ(kern1.ct, kern4.ct) << "conntrack/show shape changed with sharding";
+    EXPECT_EQ(kern1.memory, kern4.memory) << "memory/show shape changed with sharding";
+    expect_own_table_name<kern::Conntrack>(kern1);
+    expect_own_table_name<kern::Conntrack>(kern4);
 
     const auto uct1 = rendered_dumps<ovs::UserspaceConntrack>(1);
     const auto uct4 = rendered_dumps<ovs::UserspaceConntrack>(4);
-    EXPECT_EQ(uct1.first, uct4.first);
-    EXPECT_EQ(uct1.second, uct4.second);
+    EXPECT_EQ(uct1.ct, uct4.ct);
+    EXPECT_EQ(uct1.memory, uct4.memory);
+    expect_own_table_name<ovs::UserspaceConntrack>(uct1);
+    expect_own_table_name<ovs::UserspaceConntrack>(uct4);
+}
+
+// ---- zone limits under concurrent creates ------------------------------
+
+// Four threads open distinct UDP connections into one zone at once, on
+// a table sharded so that they mostly hold different shard locks. The
+// zone-limit check and the count it guards must be one step: a check
+// that drops the zone lock before counting lets two creators both pass
+// at limit - 1, and the zone ends over its limit. The lockset checker
+// (hardened builds) keys shared state by address, so its state is
+// reset around each round: a fresh tracker may reuse a freed one's.
+template <typename Tracker> void zone_limit_holds_under_concurrent_creates()
+{
+    constexpr std::size_t kLimit = 16;
+    constexpr int kThreads = 4;
+    constexpr std::uint16_t kConnsPerThread = 4000;
+    for (int round = 0; round < 10; ++round) {
+        san::lockset::reset();
+        Tracker ct{};
+        ct.reshard(8);
+        ct.set_zone_limit(1, kLimit);
+        std::atomic<bool> go{false};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&ct, &go, t] {
+                sim::ExecContext ctx{"pmd", sim::CpuClass::User};
+                kern::CtSpec spec;
+                spec.zone = 1;
+                spec.commit = true;
+                while (!go.load()) std::this_thread::yield();
+                for (std::uint16_t i = 0; i < kConnsPerThread; ++i) {
+                    net::Packet p = udp_packet(ipv4(10, 1, static_cast<std::uint8_t>(t), 1),
+                                               ipv4(10, 2, 0, 1),
+                                               static_cast<std::uint16_t>(1024 + i), 53);
+                    ct.process(p, net::parse_flow(p), spec, ctx, 0);
+                }
+            });
+        }
+        go.store(true);
+        for (auto& th : threads) th.join();
+        ASSERT_EQ(ct.size(), kLimit) << "round " << round;
+        ASSERT_EQ(ct.zone_count(1), kLimit) << "round " << round;
+    }
+    san::lockset::reset();
+}
+
+TEST(CtSharding, ZoneLimitHoldsUnderConcurrentCreates)
+{
+    zone_limit_holds_under_concurrent_creates<kern::Conntrack>();
+    zone_limit_holds_under_concurrent_creates<ovs::UserspaceConntrack>();
 }
 
 // ---- san audit: shard-count-invariant totals, leaks caught -------------
@@ -299,8 +388,11 @@ template <typename Tracker> void leaked_entry_is_caught(std::uint32_t shards)
     ASSERT_TRUE(ct.test_seam_leak_entry(kern::CtTuple::from_key(keys[7], 0)));
     ct.san_check(OVSX_SITE);
     bool flagged = false;
+    const std::string ledger = std::string(TrackerNames<Tracker>::entry_ledger) + " (";
     for (const auto& v : collect.violations()) {
-        if (v.checker == "audit-size-mismatch") flagged = true;
+        if (v.checker != "audit-size-mismatch") continue;
+        flagged = true;
+        EXPECT_EQ(v.message.rfind(ledger, 0), 0u) << "not the tracker's own ledger: " << v.message;
     }
     EXPECT_TRUE(flagged) << "leaked entry in shard escaped san_check at " << shards << " shards";
     (void)collect.take(); // teardown with the drifted ledger re-fires

@@ -270,6 +270,7 @@ TEST_F(UserCtTest, NatSnapshotAndBytesMatchKernelTracker)
     }
     auto p3 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1002, 80, net::kTcpSyn);
     EXPECT_TRUE(run_both(p3, nat) & net::kCtStateInvalid);
+    EXPECT_EQ(ct.zone_count(0), kct.zone_count(0));
 
     // Replies to each allocated port de-NAT back to the right client.
     auto r1 = tcp(ipv4(2, 2, 2, 2), ipv4(5, 5, 5, 5), 80, 40000, net::kTcpSyn | net::kTcpAck);

@@ -10,8 +10,9 @@
 //                       be an ovsx::sync wrapper or the lockset checker
 //                       and the capability annotations are blind to it.
 //   guarded-by-missing  container members of the shared-table headers
-//                       (megaflow, emc, both conntracks, ebpf map,
-//                       netlink cache, dpif_ebpf shadow) that lack an
+//                       (megaflow, emc, the connection-table core and
+//                       both conntracks over it, ebpf map, netlink
+//                       cache, dpif_ebpf shadow) that lack an
 //                       OVSX_GUARDED_BY annotation.
 //   unchecked-accessor  raw header_at<> packet accessors outside
 //                       src/net/ and src/san/ — everything above the
@@ -207,9 +208,9 @@ void rule_raw_mutex(const SourceFile& f, const std::string& code, std::vector<Fi
 // must carry OVSX_GUARDED_BY (or a reviewed suppression explaining why
 // it is immutable after setup).
 const char* const kSharedTableHeaders[] = {
-    "src/ovs/megaflow.h", "src/ovs/emc.h",           "src/ovs/ct.h",
-    "src/kern/conntrack.h", "src/ebpf/map.h",        "src/ovs/netlink_cache.h",
-    "src/ovs/dpif_ebpf.h",
+    "src/ovs/megaflow.h",   "src/ovs/emc.h",  "src/ovs/ct.h",
+    "src/kern/conntrack.h", "src/kern/ct_table.h", "src/ebpf/map.h",
+    "src/ovs/netlink_cache.h", "src/ovs/dpif_ebpf.h",
 };
 
 const char* const kContainerTokens[] = {
