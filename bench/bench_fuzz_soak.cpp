@@ -204,8 +204,8 @@ int main(int argc, char** argv)
         cfg.use_fragments = (iterations % 3) == 2;
         cfg.use_extra_encaps = (iterations % 5) >= 3;
         cfg.use_int = (iterations % 2) == 0; // pre-attached INT headers in the mix
-        // Rotate the batch-vs-scalar chunk size so the vector spine is
-        // soaked at degenerate (1), partial (8) and full (32) occupancy.
+        // Rotate the burst-twin chunk size so the netdev rx path is
+        // soaked at degenerate (1), partial (8) and full (32) bursts.
         static constexpr std::size_t kBatchSizes[] = {1, 8, 32};
         cfg.batch_size = kBatchSizes[iterations % 3];
         // Rotate shard counts so the soak continuously proves sharding
@@ -251,14 +251,14 @@ int main(int argc, char** argv)
                 "%zu fabric frames, %.1fs (%.0f pkt/s across 3 datapaths)\n",
                 iterations, packets, explained, fabric_frames, elapsed, pkt_per_s);
 
-    // Obs evidence that the vector spine actually ran batched: the
-    // occupancy counter sums packets per flush, so occupancy/flush is
-    // the average burst the spine processed (the cross-provider legs
-    // inject per-step, pinning their bursts at 1; the batch-vs-scalar
-    // legs contribute the rotated chunk sizes).
+    // Obs evidence that the netdev datapath saw multi-packet rx bursts:
+    // the occupancy counter sums packets per flush (one flush per rx
+    // burst), so occupancy/flush is the average burst size (the
+    // cross-provider legs inject per-step, pinning their bursts at 1;
+    // the burst-twin legs contribute the rotated chunk sizes).
     const std::uint64_t occupancy = coverage_count("batch.occupancy");
     const std::uint64_t flushes = coverage_count("batch.flush");
-    std::printf("vector spine: %llu packets over %llu flushes (avg occupancy %.2f)\n",
+    std::printf("rx bursts: %llu packets over %llu flushes (avg occupancy %.2f)\n",
                 static_cast<unsigned long long>(occupancy),
                 static_cast<unsigned long long>(flushes),
                 flushes ? static_cast<double>(occupancy) / static_cast<double>(flushes) : 0.0);

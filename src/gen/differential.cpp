@@ -812,39 +812,36 @@ DiffReport DifferentialHarness::run(const std::vector<DiffPacket>& seq)
     return report;
 }
 
-DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket>& seq,
-                                                    DpKind kind, std::size_t batch_size)
+DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& seq,
+                                                DpKind kind, std::size_t batch_size)
 {
     if (batch_size == 0) batch_size = 1;
     DiffReport report;
     report.packets_run = seq.size();
 
-    // One side runs the default (vector) configuration, the other is
-    // forced onto the packet-at-a-time spine. For the kernel and eBPF
-    // datapaths both sides are structurally identical — there is no
-    // compute batching there, which is the paper's Table 4 story — so
-    // the mode degenerates to a burst-arrival determinism check.
-    std::unique_ptr<Instance> batch = make_instance(kind);
-    std::unique_ptr<Instance> scalar = make_instance(kind);
+    // Two fresh, identically configured instances of one provider: any
+    // state that leaks between instances, or depends on anything but
+    // the packets and the schedule, shows up as a divergence.
+    std::unique_ptr<Instance> a = make_instance(kind);
+    std::unique_ptr<Instance> b = make_instance(kind);
     if (kind == DpKind::Netdev) {
-        scalar->netdev->set_scalar_spine(true);
         // Windowed telemetry stays with the cross-provider instances
         // (whose windows feed the run artifacts); publishing a snapshot
         // per window close on this pair would only burn time.
-        batch->netdev->set_window_interval(0);
-        scalar->netdev->set_window_interval(0);
+        a->netdev->set_window_interval(0);
+        b->netdev->set_window_interval(0);
     }
-    Instance* sides[2] = {batch.get(), scalar.get()};
+    Instance* sides[2] = {a.get(), b.get()};
 
     for (std::size_t base = 0; base < seq.size(); base += batch_size) {
         const std::size_t n = std::min(batch_size, seq.size() - base);
         // Enqueue the whole chunk before either side drains, so the
-        // vector spine sees real bursts. Both sides share the identical
-        // schedule (and the netdev PMD drains its rxqs in the same
-        // port-major order on both), so processing order is equal even
-        // when it differs from injection order — which is exactly why
-        // the cross-provider mode above must stay per-step while this
-        // same-provider mode may burst.
+        // netdev PMD sees multi-packet rx bursts. Both sides share the
+        // identical schedule (and the netdev PMD drains its rxqs in the
+        // same port-major order on both), so processing order is equal
+        // even when it differs from injection order — which is exactly
+        // why the cross-provider mode above must stay per-step while
+        // this same-provider mode may burst.
         for (Instance* inst : sides) {
             for (std::size_t k = 0; k < n; ++k) {
                 const std::size_t step = base + k;
@@ -853,29 +850,26 @@ DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket
             }
             inst->drain();
         }
-        auto bv = batch->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
-        auto sv = scalar->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
+        auto av = a->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
+        auto bv = b->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
         for (std::size_t k = 0; k < n; ++k) {
-            if (bv[k] == sv[k]) continue;
-            report.unexplained.push_back({base + k,
-                                          "batch=" + bv[k].to_string() +
-                                              " scalar=" + sv[k].to_string(),
-                                          ""});
+            if (av[k] == bv[k]) continue;
+            report.unexplained.push_back(
+                {base + k, "a=" + av[k].to_string() + " b=" + bv[k].to_string(), ""});
         }
     }
 
     // End state: same provider on both sides, so flow tables (eBPF
     // included), conntrack, and the semantic pipeline counters must all
     // match exactly. Transport telemetry (batch.occupancy/flush,
-    // doorbells, lock counts) is deliberately excluded: batching may
-    // change how packets are moved, never what they did.
+    // doorbells, lock counts) is deliberately excluded: it records how
+    // packets were moved, not what they did.
     const std::size_t end_step = seq.size();
-    auto diff_scalar = [&](const char* what, std::uint64_t b, std::uint64_t s) {
-        if (b == s) return;
+    auto diff_count = [&](const char* what, std::uint64_t x, std::uint64_t y) {
+        if (x == y) return;
         report.unexplained.push_back({end_step,
-                                      std::string(what) + " differs: batch=" +
-                                          std::to_string(b) +
-                                          " scalar=" + std::to_string(s),
+                                      std::string(what) + " differs: a=" + std::to_string(x) +
+                                          " b=" + std::to_string(y),
                                       ""});
     };
     auto joined = [](std::vector<std::string> v) {
@@ -914,13 +908,13 @@ DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket
                     });
                 return std::pair<std::uint64_t, std::size_t>{d, n};
             };
-            flows_match_cheaply = digest(*batch) == digest(*scalar);
+            flows_match_cheaply = digest(*a) == digest(*b);
         }
         if (!flows_match_cheaply) {
-            const std::string bf = flows(*batch), sf = flows(*scalar);
-            if (bf != sf) {
+            const std::string af = flows(*a), bf = flows(*b);
+            if (af != bf) {
                 report.unexplained.push_back(
-                    {end_step, "flow tables differ: batch={" + bf + "} scalar={" + sf + "}", ""});
+                    {end_step, "flow tables differ: a={" + af + "} b={" + bf + "}", ""});
             }
         }
         auto snap_sorted = [](const Instance& inst) {
@@ -928,10 +922,10 @@ DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket
             std::sort(v.begin(), v.end());
             return v;
         };
-        if (snap_sorted(*batch) != snap_sorted(*scalar)) {
-            const std::string bc = ct(*batch), sc = ct(*scalar);
+        if (snap_sorted(*a) != snap_sorted(*b)) {
+            const std::string ac = ct(*a), bc = ct(*b);
             report.unexplained.push_back(
-                {end_step, "conntrack differs: batch={" + bc + "} scalar={" + sc + "}", ""});
+                {end_step, "conntrack differs: a={" + ac + "} b={" + bc + "}", ""});
         }
     }
     switch (kind) {
@@ -939,21 +933,21 @@ DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket
         static const char* const kSemantic[] = {"emc.hit",       "emc.miss",
                                                 "megaflow.hit",  "megaflow.miss",
                                                 "dpif_netdev.upcall", "meter.drop"};
-        sim::ExecContext& bc = batch->netdev->pmd_ctx(batch->pmd);
-        sim::ExecContext& sc = scalar->netdev->pmd_ctx(scalar->pmd);
-        for (const char* name : kSemantic) diff_scalar(name, bc.counter(name), sc.counter(name));
-        diff_scalar("upcalls", batch->netdev->upcalls(), scalar->netdev->upcalls());
-        diff_scalar("dropped", batch->netdev->dropped(), scalar->netdev->dropped());
+        sim::ExecContext& ac = a->netdev->pmd_ctx(a->pmd);
+        sim::ExecContext& bc = b->netdev->pmd_ctx(b->pmd);
+        for (const char* name : kSemantic) diff_count(name, ac.counter(name), bc.counter(name));
+        diff_count("upcalls", a->netdev->upcalls(), b->netdev->upcalls());
+        diff_count("dropped", a->netdev->dropped(), b->netdev->dropped());
         break;
     }
     case DpKind::Kernel:
-        diff_scalar("kdp.hits", batch->kdp->hits(), scalar->kdp->hits());
-        diff_scalar("kdp.misses", batch->kdp->misses(), scalar->kdp->misses());
-        diff_scalar("kdp.lost", batch->kdp->lost(), scalar->kdp->lost());
+        diff_count("kdp.hits", a->kdp->hits(), b->kdp->hits());
+        diff_count("kdp.misses", a->kdp->misses(), b->kdp->misses());
+        diff_count("kdp.lost", a->kdp->lost(), b->kdp->lost());
         break;
     case DpKind::Ebpf:
-        diff_scalar("ebpf.hits", batch->ebpf->hits(), scalar->ebpf->hits());
-        diff_scalar("ebpf.misses", batch->ebpf->misses(), scalar->ebpf->misses());
+        diff_count("ebpf.hits", a->ebpf->hits(), b->ebpf->hits());
+        diff_count("ebpf.misses", a->ebpf->misses(), b->ebpf->misses());
         break;
     }
 

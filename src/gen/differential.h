@@ -140,20 +140,19 @@ public:
     // Each call starts from fresh datapath instances.
     DiffReport run(const std::vector<DiffPacket>& seq);
 
-    // Batch-vs-scalar self-check for the vector spine: two instances of
-    // the SAME datapath kind — one processing full bursts, one forced
-    // onto the packet-at-a-time spine — share an identical injection
-    // schedule (`batch_size` packets are enqueued before either side
-    // drains, so both sides see the same arrival order AND the batch
-    // side sees real bursts). Per-step verdicts are re-attributed by
-    // trace id, then verdict vectors, end state (flow table + ct), and
-    // semantic counters (EMC/megaflow/upcall/meter — not transport
-    // counters like doorbells or batch.occupancy) are diffed. There is
-    // no allowlist and no minimizer here: the two sides run identical
-    // rulesets on one provider, so ANY divergence is an unexplained bug
-    // in the batch path.
-    DiffReport run_batch_vs_scalar(const std::vector<DiffPacket>& seq, DpKind kind,
-                                   std::size_t batch_size);
+    // Burst twins: two fresh, identically configured instances of the
+    // SAME datapath kind share one chunked injection schedule
+    // (`batch_size` packets are enqueued before either side drains, so
+    // the netdev PMD classifies multi-packet rx bursts). Per-step
+    // verdicts are re-attributed by trace id, then verdict vectors, end
+    // state (flow table + ct), and semantic counters (EMC/megaflow/
+    // upcall/meter — not transport counters like doorbells or
+    // batch.occupancy) are diffed. There is no allowlist and no
+    // minimizer here: the two sides run identical rulesets on one
+    // provider, so ANY divergence is an unexplained bug — state carried
+    // between instances or nondeterminism in the burst path.
+    DiffReport run_burst_twins(const std::vector<DiffPacket>& seq, DpKind kind,
+                               std::size_t batch_size);
 
 private:
     struct Instance;

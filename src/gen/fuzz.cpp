@@ -383,10 +383,9 @@ DiffReport fuzz_run(std::uint64_t seed, const FuzzConfig& cfg, std::size_t count
     const std::uint64_t first_id = san::skb_next_id();
     DiffReport report = harness.run(packets);
     if (cfg.batch_size > 0) {
-        DiffReport bs =
-            harness.run_batch_vs_scalar(packets, DpKind::Netdev, cfg.batch_size);
-        for (auto& d : bs.unexplained) {
-            d.detail = "batch-vs-scalar[netdev,b=" + std::to_string(cfg.batch_size) +
+        DiffReport bt = harness.run_burst_twins(packets, DpKind::Netdev, cfg.batch_size);
+        for (auto& d : bt.unexplained) {
+            d.detail = "burst-twins[netdev,b=" + std::to_string(cfg.batch_size) +
                        "]: " + d.detail;
             report.unexplained.push_back(std::move(d));
         }

@@ -1,12 +1,16 @@
 // Fixed-capacity packet vector for VPP-style burst processing.
 //
+// No datapath code uses this type: dpif-netdev runs every rx burst
+// through its per-packet pipeline. It is kept because the wall-clock
+// benchmark sizes its lookup_batch replay with kCapacity (reached
+// through ovs/dpif_netdev.h); once that leg uses Netdev::kBatchSize,
+// this header and its tests can go.
+//
 // A PacketBatch holds up to kCapacity packets in arrival order together
-// with the per-packet classification sideband (flow key + hash) the
-// vector spine computes once per burst. Dropped or punted packets are
-// masked out *sparsely* — slots are never compacted, so the index of a
-// packet never changes while it sits in a batch and downstream stages
-// observe exactly the arrival order (the reorder-freedom guarantee the
-// batch-vs-scalar differential relies on).
+// with a per-packet classification sideband (flow key + hash). Dropped
+// or punted packets are masked out *sparsely* — slots are never
+// compacted, so the index of a packet never changes while it sits in a
+// batch and downstream stages observe exactly the arrival order.
 //
 // kill(i) destroys the slot's packet immediately (retiring its san skb
 // record) rather than waiting for batch recycling, so ledger leak

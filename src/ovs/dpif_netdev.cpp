@@ -1,10 +1,8 @@
 #include "ovs/dpif_netdev.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 
 #include "kern/kernel.h"
@@ -25,9 +23,6 @@ namespace ovsx::ovs {
 DpifNetdev::DpifNetdev(kern::Kernel& host, const sim::CostModel& costs)
     : host_(host), costs_(costs), ct_(costs), netlink_(host)
 {
-    if (const char* env = std::getenv("OVSX_SCALAR_SPINE")) {
-        scalar_spine_ = env[0] != '\0' && env[0] != '0';
-    }
 }
 
 std::uint32_t DpifNetdev::add_port(std::unique_ptr<Netdev> netdev)
@@ -454,192 +449,28 @@ bool DpifNetdev::try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx)
 void DpifNetdev::process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
                                sim::ExecContext& ctx)
 {
+    // One rx burst (at most Netdev::kBatchSize packets) is one batch
+    // flush. The transport counters and the INT occupancy field count
+    // bursts, so recirculation through pipeline() leaves them alone.
+    OVSX_COVERAGE_CTX(ctx, "batch.flush");
+    OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", batch.size());
+    last_batch_occupancy_ = static_cast<std::uint16_t>(batch.size());
     const bool outer = !batching_outputs_;
     if (outer) batching_outputs_ = true;
-    if (scalar_spine_) {
-        last_batch_occupancy_ = 1;
-        for (auto& pkt : batch) {
+    for (auto& pkt : batch) {
+        {
+            // Admission and a decap's outer-header parse are charged to
+            // the emc-lookup stage, like pipeline()'s miniflow extraction.
+            obs::PerfStageScope admit(ctx.perf(), obs::PerfStage::EmcLookup);
             san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
             pkt.meta().in_port = in_port;
             try_tunnel_decap(pkt, ctx);
-            pipeline(std::move(pkt), ctx, 0);
         }
-    } else {
-        // Reuse one scratch batch per datapath: constructing a
-        // PacketBatch zero-fills its key/hash sideband, which dominated
-        // single-packet bursts. Slots are written before they are read,
-        // so carry-over between cycles is dead data. A (rare) reentrant
-        // call falls back to a local batch.
-        std::optional<net::PacketBatch> local;
-        net::PacketBatch* vecp;
-        const bool use_scratch = !batch_scratch_busy_;
-        if (use_scratch) {
-            batch_scratch_busy_ = true;
-            vecp = &batch_scratch_;
-        } else {
-            vecp = &local.emplace();
-        }
-        net::PacketBatch& vec = *vecp;
-        for (auto& pkt : batch) {
-            vec.add(std::move(pkt));
-            if (vec.full()) {
-                process_vector(in_port, vec, ctx);
-                vec.clear();
-            }
-        }
-        if (!vec.empty()) {
-            process_vector(in_port, vec, ctx);
-            vec.clear();
-        }
-        if (use_scratch) batch_scratch_busy_ = false;
+        pipeline(std::move(pkt), ctx, 0);
     }
     if (outer) {
         batching_outputs_ = false;
         flush_output_batches(ctx);
-    }
-}
-
-// The VPP-style vector spine. Phase A runs the whole burst through admit
-// + key extraction with the next packet's EMC bucket prefetched while the
-// current one parses, then peeks the EMC (stats-free) to collect the
-// probable-miss set and classifies it against the megaflow cache in one
-// subtable-major pass. Phase B resolves every packet strictly in arrival
-// order, replaying exactly the scalar pipeline's charges, counters,
-// traces, EMC insert sampling, and action execution — the batch lookup
-// result is only a hint, dropped whenever the real in-order EMC lookup
-// hits anyway or a mid-burst mutation (upcall flow_put, flow removal)
-// moved the megaflow epoch. Recirculation, upcalls, and ct fall back to
-// the per-packet pipeline, so side-effect order is identical to scalar
-// by construction.
-void DpifNetdev::process_vector(std::uint32_t in_port, net::PacketBatch& vec,
-                                sim::ExecContext& ctx)
-{
-    constexpr std::size_t kCap = net::PacketBatch::kCapacity;
-    const std::size_t n = vec.size();
-    obs::PmdPerf* perf = ctx.perf();
-    OVSX_COVERAGE_CTX(ctx, "batch.flush");
-    OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", n);
-    last_batch_occupancy_ = static_cast<std::uint16_t>(n);
-
-    // ---- Phase A: admit + extract + prefetch -------------------------
-    obs::PerfStageScope parse_scope(perf, obs::PerfStage::EmcLookup);
-    for (std::size_t i = 0; i < n; ++i) {
-        net::Packet& pkt = vec.pkt(i);
-        san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
-        pkt.meta().in_port = in_port;
-        try_tunnel_decap(pkt, ctx);
-        ctx.charge(costs_.parse_extract);
-        pkt.meta().latency_ns += costs_.parse_extract;
-        vec.key(i) = net::parse_flow(pkt);
-        vec.hash(i) = vec.key(i).hash();
-        // The bucket for packet i warms while packet i+1 parses.
-        emc_.prefetch(vec.hash(i));
-    }
-
-    // ---- Phase A2: one megaflow classify pass for the EMC-miss set ---
-    std::array<const net::FlowKey*, kCap> miss_keys;
-    std::array<std::size_t, kCap> miss_slot;
-    std::array<MegaflowCache::LookupResult, kCap> miss_res;
-    std::array<int, kCap> hint;
-    hint.fill(-1);
-    std::size_t n_miss = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!emc_.peek(vec.key(i), vec.hash(i))) {
-            miss_keys[n_miss] = &vec.key(i);
-            miss_slot[n_miss] = i;
-            ++n_miss;
-        }
-    }
-    const std::uint64_t epoch = megaflow_.epoch();
-    if (n_miss > 0) {
-        megaflow_.lookup_batch(miss_keys.data(), n_miss, miss_res.data());
-        for (std::size_t j = 0; j < n_miss; ++j) hint[miss_slot[j]] = static_cast<int>(j);
-    }
-
-    // ---- Phase B: in-order resolve + execute -------------------------
-    for (std::size_t i = 0; i < n; ++i) {
-        net::Packet pkt = vec.take(i);
-        const net::FlowKey& key = vec.key(i);
-        const std::uint64_t hash = vec.hash(i);
-
-        ctx.charge(costs_.emc_hit);
-        pkt.meta().latency_ns += costs_.emc_hit;
-        if (emc_.occupancy() > 128 || megaflow_.flow_count() > 128) {
-            ctx.charge(costs_.cache_miss);
-            pkt.meta().latency_ns += costs_.cache_miss;
-        }
-        if (const CachedFlowPtr flow = emc_.lookup_ref(key, hash)) {
-            OVSX_COVERAGE_CTX(ctx, "emc.hit");
-            ++stats_hits_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "hit");
-            }
-            ++flow->hits;
-            flow->bytes += pkt.size();
-            run_actions(std::move(pkt), flow->actions, ctx, 0);
-            continue;
-        }
-        OVSX_COVERAGE_CTX(ctx, "emc.miss");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "miss");
-        }
-
-        MegaflowCache::LookupResult res;
-        {
-            obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-            if (hint[i] >= 0 && megaflow_.epoch() == epoch) {
-                res = miss_res[static_cast<std::size_t>(hint[i])];
-                megaflow_.commit(res);
-            } else {
-                // The batch hint is stale (an earlier packet's upcall or a
-                // peek/lookup disagreement): redo the scalar lookup.
-                res = megaflow_.lookup(key);
-            }
-            ctx.charge(static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
-            pkt.meta().latency_ns +=
-                static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe;
-        }
-        if (res.flow) {
-            OVSX_COVERAGE_CTX(ctx, "megaflow.hit");
-            ++stats_hits_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns,
-                           "hit", res.probes);
-            }
-            ++res.flow->hits;
-            res.flow->bytes += pkt.size();
-            if (++emc_insert_counter_ % emc_insert_inv_prob_ == 0) {
-                obs::PerfStageScope ins(perf, obs::PerfStage::MegaflowLookup);
-                emc_.insert(key, hash, res.flow);
-                ctx.charge(costs_.emc_hit);
-            }
-            run_actions(std::move(pkt), res.flow->actions, ctx, 0);
-            continue;
-        }
-
-        OVSX_COVERAGE_CTX(ctx, "megaflow.miss");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns,
-                       "miss", res.probes);
-        }
-        ++upcall_count_;
-        if (perf) perf->note_upcall();
-        if (!upcall_) {
-            ++dropped_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                           "no-upcall-handler");
-            }
-            continue;
-        }
-        OVSX_COVERAGE_CTX(ctx, "dpif_netdev.upcall");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Upcall, pkt.meta().latency_ns, "");
-        }
-        obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
-        ctx.charge(costs_.upcall);
-        pkt.meta().latency_ns += costs_.upcall;
-        upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
     }
 }
 

@@ -9,6 +9,9 @@
 #include <optional>
 #include <vector>
 
+// No datapath code uses net::PacketBatch any more; the include stays
+// because the wall-clock benchmark reaches PacketBatch::kCapacity
+// through this header.
 #include "net/packet_batch.h"
 #include "net/tunnel.h"
 #include "obs/window.h"
@@ -66,27 +69,21 @@ public:
     // (the pre-O1 configuration).
     std::uint32_t main_thread_poll_once(sim::ExecContext& ctx);
 
-    // Datapath entry: run a received batch through the pipeline. By
-    // default this is the vector spine — bursts are processed through a
-    // PacketBatch in two phases (classify the whole vector, then resolve
-    // and execute strictly in packet order) so per-packet semantics,
-    // counters, and trace spans match the scalar path exactly.
+    // Datapath entry for one rx burst: counts the burst (batch.flush,
+    // batch.occupancy, the INT occupancy field), admits each packet and
+    // runs it through the per-packet pipeline in arrival order, then
+    // flushes the per-port output batches once. pipeline() is the only
+    // classification path, for rx bursts and recirculation alike.
     void process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
                        sim::ExecContext& ctx);
-
-    // Forces the pre-batching packet-at-a-time spine (also settable via
-    // the OVSX_SCALAR_SPINE env var). Kept for before/after benchmarking
-    // and for the batch-vs-scalar differential mode.
-    void set_scalar_spine(bool scalar) { scalar_spine_ = scalar; }
-    bool scalar_spine() const { return scalar_spine_; }
 
     // ---- in-band telemetry (INT) ---------------------------------------
     // When enabled this switch participates in fabric INT: the Geneve
     // encap path attaches the option at the origin, every transmitted
     // Geneve frame already carrying the option gets one hop record
-    // (switch id, tier, current batch occupancy, cumulative latency
-    // ticks) stamped on the batched dataplane, and tunnel decap pops the
-    // records into obs::int_export.
+    // (switch id, tier, size of the rx burst being processed, cumulative
+    // latency ticks) stamped on the batched dataplane, and tunnel decap
+    // pops the records into obs::int_export.
     struct IntConfig {
         bool enabled = false;
         std::uint32_t switch_id = 0;
@@ -191,7 +188,6 @@ private:
     bool maybe_rebalance(double min_improvement);
 
     void pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth);
-    void process_vector(std::uint32_t in_port, net::PacketBatch& vec, sim::ExecContext& ctx);
     void output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx);
     bool try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx);
@@ -214,9 +210,6 @@ private:
     std::vector<Pmd> pmds_;
     std::map<std::uint32_t, std::vector<net::Packet>> out_batches_;
     bool batching_outputs_ = false;
-    net::PacketBatch batch_scratch_; // reused by process_batch
-    bool batch_scratch_busy_ = false;
-    bool scalar_spine_ = false;
     std::vector<net::Packet> punted_;
     sim::Nanos now_ = 0;
     std::uint64_t upcall_count_ = 0;
@@ -227,7 +220,7 @@ private:
     std::uint32_t emc_insert_inv_prob_ = 100;
     std::uint64_t emc_insert_counter_ = 0;
     IntConfig int_cfg_;
-    std::uint16_t last_batch_occupancy_ = 1; // INT queue/batch occupancy field
+    std::uint16_t last_batch_occupancy_ = 1; // INT occupancy field: last rx burst size
     obs::Window window_;
     bool shards_explicit_ = false;
     bool auto_lb_ = false;

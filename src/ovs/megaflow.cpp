@@ -339,27 +339,9 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
             if (const CachedFlowPtr* flow =
                     probe(oracle, states[shard_of_hash(h)], r, h, *keys[i])) {
                 out[i].flow = *flow;
-                out[i].subtable = static_cast<int>(r);
                 --unresolved;
             }
         }
-    }
-}
-
-void MegaflowCache::commit(const LookupResult& res)
-{
-    if (res.flow) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (res.subtable >= 0) {
-            sync::EpochGuard pin(epoch_domain_);
-            const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
-            if (static_cast<std::size_t>(res.subtable) < oracle->subs.size()) {
-                oracle->subs[static_cast<std::size_t>(res.subtable)]
-                    .stats->hit_count.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    } else {
-        misses_.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
@@ -436,10 +418,6 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
         const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
         for (std::size_t r = 0; r < st->subs.size(); ++r) {
             if (st->subs[r].mask == mask) {
-                // Release store: a lock-free epoch() reader that
-                // observes the bump also observes the mutation that
-                // caused it (the bucket slot's own release store).
-                epoch_.fetch_add(1, std::memory_order_release);
                 return insert_into(s, r, masked, h, mask, std::move(flow));
             }
         }
@@ -449,7 +427,6 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
     // skeleton so the probe order stays identical across shards.
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     // Re-check: another writer may have added the mask between the
     // fast-path unlock and this all-shard lock.
     const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
@@ -488,7 +465,6 @@ bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
         if (!old) return false;
         for (std::size_t j = 0; j < old->size; ++j) {
             if (old->hashes()[j] != h || !(old->flows()[j]->masked_key == masked)) continue;
-            epoch_.fetch_add(1, std::memory_order_release);
             old->flows()[j]->dead.store(true, std::memory_order_release);
             Bucket* next = nullptr;
             if (old->size > 1) {
@@ -515,7 +491,6 @@ void MegaflowCache::clear()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     for (std::uint32_t i = 0; i < nshards_; ++i) {
         const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
         for (const auto& sub : cur->subs) {
@@ -573,7 +548,6 @@ std::size_t MegaflowCache::expire_idle()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     std::size_t removed = 0;
     for (std::uint32_t s = 0; s < nshards_; ++s) {
         const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
@@ -624,7 +598,6 @@ void MegaflowCache::rerank()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     const ShardState* oracle = shards_[0]->state.load(std::memory_order_relaxed);
     const std::size_t nsubs = oracle->subs.size();
     // Snapshot the counters so the sort comparator is stable, then
@@ -710,7 +683,6 @@ void MegaflowCache::reshard(std::uint32_t n)
             }
         }
     }
-    epoch_.fetch_add(1, std::memory_order_release);
     // Config-time contract: no concurrent readers or writers. Drain
     // the reclamation backlog, then swap the shard array wholesale.
     epoch_domain_.synchronize();

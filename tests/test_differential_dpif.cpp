@@ -525,20 +525,20 @@ TEST(DifferentialFuzz, MultiQueueRssSeedClean)
     expect_explained_allowlisted(report);
 }
 
-// ---- batch-vs-scalar: the vector spine against its own scalar twin -----
+// ---- burst twins: two fresh instances of one provider, one schedule -----
 //
 // Unlike the cross-datapath comparisons above, both sides here run the
-// SAME provider on the same ruleset, so there is no allowlist: any
-// divergence — verdict, flow table, conntrack, semantic counters — is a
-// bug in the batch path. Each corpus targets a batch hazard: ct+NAT
-// (per-packet fallback + state carried between packets of one burst),
-// fragments (malformed/partial headers in the middle of a burst), VLAN
-// (push/pop rewrites), and tunnel encaps (decap changing the key mid-
-// burst).
+// SAME provider on the same ruleset under one chunked injection
+// schedule, so there is no allowlist: any divergence — verdict, flow
+// table, conntrack, semantic counters — is a bug in the burst path or
+// state leaking between instances. Each corpus targets a burst hazard:
+// ct+NAT (state carried between packets of one burst), fragments
+// (malformed/partial headers in the middle of a burst), VLAN (push/pop
+// rewrites), and tunnel encaps (decap changing the key mid-burst).
 
 const DpKind kAllKinds[] = {DpKind::Netdev, DpKind::Kernel, DpKind::Ebpf};
 
-TEST(BatchVsScalar, CtNatCorpusAgreesOnEveryProvider)
+TEST(BurstTwins, CtNatCorpusAgreesOnEveryProvider)
 {
     DiffRuleset rs;
     {
@@ -583,13 +583,13 @@ TEST(BatchVsScalar, CtNatCorpusAgreesOnEveryProvider)
 
     for (const DpKind kind : kAllKinds) {
         DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
+        const DiffReport report = harness.run_burst_twins(seq, kind, 8);
         EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
         EXPECT_TRUE(report.explained.empty()) << to_string(kind);
     }
 }
 
-TEST(BatchVsScalar, FragmentCorpusAgreesOnEveryProvider)
+TEST(BurstTwins, FragmentCorpusAgreesOnEveryProvider)
 {
     // Wildcard forward plus an L4-match rule the non-first fragments
     // cannot hit (their transport header is missing): fragment handling
@@ -616,13 +616,13 @@ TEST(BatchVsScalar, FragmentCorpusAgreesOnEveryProvider)
 
     for (const DpKind kind : kAllKinds) {
         DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
+        const DiffReport report = harness.run_burst_twins(seq, kind, 8);
         EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
         EXPECT_TRUE(report.explained.empty()) << to_string(kind);
     }
 }
 
-TEST(BatchVsScalar, VlanCorpusAgreesOnEveryProvider)
+TEST(BurstTwins, VlanCorpusAgreesOnEveryProvider)
 {
     DiffRuleset rs;
     {
@@ -639,20 +639,20 @@ TEST(BatchVsScalar, VlanCorpusAgreesOnEveryProvider)
     std::vector<DiffPacket> seq;
     for (std::uint16_t i = 0; i < 6; ++i) {
         // Interleave tagged and untagged so one burst holds both and
-        // the batch path must keep the rewrites per-slot.
+        // the burst path must keep the rewrites per-packet.
         seq.push_back({0, udp(static_cast<std::uint16_t>(8100 + i), 53,
                               (i % 2) ? std::uint16_t{0x1064} : std::uint16_t{0})});
     }
 
     for (const DpKind kind : kAllKinds) {
         DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
+        const DiffReport report = harness.run_burst_twins(seq, kind, 8);
         EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
         EXPECT_TRUE(report.explained.empty()) << to_string(kind);
     }
 }
 
-TEST(BatchVsScalar, TunnelEncapCorpusAgreesOnEveryProvider)
+TEST(BurstTwins, TunnelEncapCorpusAgreesOnEveryProvider)
 {
     // Pre-encapsulated Geneve/VXLAN frames mixed with plain traffic:
     // decap rewrites the flow key mid-burst, the exact case where a
@@ -690,17 +690,17 @@ TEST(BatchVsScalar, TunnelEncapCorpusAgreesOnEveryProvider)
 
     for (const DpKind kind : kAllKinds) {
         DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
+        const DiffReport report = harness.run_burst_twins(seq, kind, 8);
         EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
         EXPECT_TRUE(report.explained.empty()) << to_string(kind);
     }
 }
 
-TEST(BatchVsScalar, DegeneratePartialAndFullBurstsAllAgree)
+TEST(BurstTwins, DegeneratePartialAndFullBurstsAllAgree)
 {
     // batch_size 1 (every burst degenerate), 5 (never aligns with the
-    // sequence length), and 32 (full vector) must all be equivalent to
-    // the scalar spine on the same traffic.
+    // sequence length), and 32 (full rx burst): each twin pair must
+    // agree on the same traffic.
     DiffRuleset rs;
     rs.rules.push_back(rule(10, {kern::OdpAction::output(1)}));
     std::vector<DiffPacket> seq;
@@ -709,7 +709,7 @@ TEST(BatchVsScalar, DegeneratePartialAndFullBurstsAllAgree)
     }
     for (const std::size_t batch_size : {1u, 5u, 32u}) {
         DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, DpKind::Netdev, batch_size);
+        const DiffReport report = harness.run_burst_twins(seq, DpKind::Netdev, batch_size);
         EXPECT_TRUE(report.ok()) << "b=" << batch_size << ": " << report.summary();
     }
 }

@@ -8,8 +8,10 @@
 #include "kern/stack.h"
 #include "net/builder.h"
 #include "net/headers.h"
+#include "net/int_hdr.h"
 #include "obs/appctl.h"
 #include "obs/latency.h"
+#include "obs/perf.h"
 #include "obs/trace.h"
 #include "obs/value.h"
 #include "ovs/dpif_netdev.h"
@@ -399,69 +401,145 @@ TEST_F(DpifNetdevTest, RebalanceWithoutLoadReportsNoImprovement)
     EXPECT_TRUE(dpif->rebalance_events().empty());
 }
 
-// Batching must not change latency accounting granularity: the vector
-// spine's one-classify-pass-per-burst still emits one trace span per
-// PACKET per tier, so the per-tier histograms record exactly as many
-// samples as the scalar spine does for the same traffic. (A batch that
+// Batching must not change latency accounting granularity: a 32-packet
+// rx burst still emits one trace span per PACKET per tier, so the
+// per-tier histograms record one sample per packet. (A burst that
 // recorded one span per burst would deflate the count 32x and silently
 // skew every percentile in Figs. 10/11.)
-TEST_F(DpifNetdevTest, VectorSpineRecordsOneLatencySpanPerPacket)
+TEST_F(DpifNetdevTest, RxBurstsRecordOneLatencySpanPerPacket)
 {
-    struct TierCounts {
-        std::uint64_t emc, megaflow, tx;
-    };
-    // Each run uses its own source port so the second starts EMC-cold
-    // like the first (the megaflow rule below is port-masked only).
-    const auto traced_run = [&](bool scalar, std::size_t n, std::uint16_t sport) {
-        obs::latency_reset();
-        obs::tracer().enable();
-        obs::tracer().set_domain("netdev");
-        dpif->set_scalar_spine(scalar);
-        dpif->set_emc_insert_inv_prob(1); // always insert: pkt 2+ hit the EMC
-        std::size_t sent = 0;
-        while (sent < n) {
-            // Inject a full burst (last one partial) then poll, so the
-            // vector side sees real 32-wide bursts.
-            const std::size_t burst = std::min<std::size_t>(n - sent, 32);
-            for (std::size_t i = 0; i < burst; ++i) {
-                net::Packet pkt = udp64(sport);
-                pkt.meta().trace_id = obs::tracer().next_packet_id();
-                nic0->rx_from_wire(std::move(pkt));
-            }
-            dpif->pmd_poll_once(pmd);
-            sent += burst;
-        }
-        const auto count = [](const obs::LatencyHistogram* h) {
-            return h ? h->count() : std::uint64_t{0};
-        };
-        TierCounts c{count(obs::latency_histogram("netdev", obs::Hop::Emc)),
-                     count(obs::latency_histogram("netdev", obs::Hop::Megaflow)),
-                     count(obs::latency_histogram("netdev", obs::Hop::Tx))};
-        obs::tracer().disable();
-        obs::latency_reset();
-        return c;
-    };
-
+    obs::latency_reset();
+    obs::tracer().enable();
+    obs::tracer().set_domain("netdev");
+    dpif->set_emc_insert_inv_prob(1); // always insert: pkt 2+ hit the EMC
     dpif->flow_put(key_on_port(p0), port_mask(), {kern::OdpAction::output(p1)});
     constexpr std::size_t kPackets = 69; // two full bursts + a partial one
+    std::size_t sent = 0;
+    while (sent < kPackets) {
+        // Inject a full burst (last one partial) then poll, so the PMD
+        // sees real 32-wide bursts.
+        const std::size_t burst = std::min<std::size_t>(kPackets - sent, 32);
+        for (std::size_t i = 0; i < burst; ++i) {
+            net::Packet pkt = udp64();
+            pkt.meta().trace_id = obs::tracer().next_packet_id();
+            nic0->rx_from_wire(std::move(pkt));
+        }
+        dpif->pmd_poll_once(pmd);
+        sent += burst;
+    }
+    const auto count = [](const obs::LatencyHistogram* h) {
+        return h ? h->count() : std::uint64_t{0};
+    };
+    const std::uint64_t emc = count(obs::latency_histogram("netdev", obs::Hop::Emc));
+    const std::uint64_t megaflow = count(obs::latency_histogram("netdev", obs::Hop::Megaflow));
+    const std::uint64_t tx = count(obs::latency_histogram("netdev", obs::Hop::Tx));
+    obs::tracer().disable();
+    obs::latency_reset();
 
-    const TierCounts vec = traced_run(/*scalar=*/false, kPackets, 1000);
     // Every packet resolves in exactly one classifier tier (the EMC miss
     // of packet 1 doesn't close a span — its megaflow hit does) and
     // transmits exactly once.
-    EXPECT_EQ(vec.emc + vec.megaflow, kPackets);
-    EXPECT_EQ(vec.tx, kPackets);
-    EXPECT_GE(vec.megaflow, 1u); // packet 1, before its EMC insert
-
+    EXPECT_EQ(emc + megaflow, kPackets);
+    EXPECT_EQ(tx, kPackets);
+    EXPECT_GE(megaflow, 1u); // packet 1, before its EMC insert
     ASSERT_EQ(out1.size(), kPackets);
+}
+
+// process_batch counts rx bursts, not classifier passes, and charges
+// admission to the emc-lookup stage. Pins the three observables that
+// depend on it: the batch counters, the INT hop occupancy field, and
+// the emc-lookup stage cycles of a decapsulated burst.
+TEST_F(DpifNetdevTest, RxBurstCountersIntOccupancyAndDecapStage)
+{
+    const auto inject = [](kern::PhysicalDevice& nic, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) nic.rx_from_wire(udp64());
+    };
+
+    // ---- one batch.flush per rx burst, occupancy = its size ------------
+    dpif->flow_put(key_on_port(p0), port_mask(), {kern::OdpAction::output(p1)});
+    sim::ExecContext& ctx = dpif->pmd_ctx(pmd);
+    const std::uint64_t flush0 = ctx.counter(std::string("batch.flush"));
+    const std::uint64_t occ0 = ctx.counter(std::string("batch.occupancy"));
+    inject(*nic0, 32);
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 32u);
+    inject(*nic0, 5);
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 5u);
+    EXPECT_EQ(ctx.counter(std::string("batch.flush")) - flush0, 2u);
+    EXPECT_EQ(ctx.counter(std::string("batch.occupancy")) - occ0, 37u);
+    ASSERT_EQ(out1.size(), 37u);
     out1.clear();
 
-    // The scalar spine on identical traffic must produce identical
-    // per-tier sample counts — span-per-packet, not span-per-burst.
-    const TierCounts sca = traced_run(/*scalar=*/true, kPackets, 1001);
-    EXPECT_EQ(sca.emc, vec.emc);
-    EXPECT_EQ(sca.megaflow, vec.megaflow);
-    EXPECT_EQ(sca.tx, vec.tx);
+    // ---- INT hop records carry the rx burst size -----------------------
+    kernel.stack().add_address(nic1->ifindex(), ipv4(172, 16, 0, 1), 24);
+    kernel.stack().add_neighbor(ipv4(172, 16, 0, 2), net::MacAddr::from_id(99),
+                                nic1->ifindex());
+    const auto tun = dpif->add_tunnel_port("geneve0", net::TunnelType::Geneve,
+                                           ipv4(172, 16, 0, 1));
+    DpifNetdev::IntConfig int_cfg;
+    int_cfg.enabled = true;
+    int_cfg.switch_id = 7;
+    dpif->set_int(int_cfg);
+    net::TunnelKey tkey;
+    tkey.tun_id = 88;
+    tkey.ip_dst = ipv4(172, 16, 0, 2);
+    dpif->flow_flush();
+    dpif->flow_put(key_on_port(p0), port_mask(),
+                   {kern::OdpAction::set_tunnel(tkey), kern::OdpAction::output(tun)});
+    inject(*nic0, 5);
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 5u);
+    ASSERT_EQ(out1.size(), 5u);
+    for (const net::Packet& frame : out1) {
+        const std::vector<net::IntHop> hops = net::int_read(frame);
+        ASSERT_EQ(hops.size(), 1u);
+        EXPECT_EQ(hops[0].switch_id, 7u);
+        EXPECT_EQ(hops[0].occupancy, 5u);
+    }
+
+    // ---- a decap's outer parse is charged to emc-lookup ----------------
+    kern::Kernel hostb("hostb");
+    auto& b_nic = hostb.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(99));
+    auto& b_nic2 = hostb.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(98));
+    std::vector<net::Packet> b_out;
+    b_nic2.connect_wire([&](net::Packet&& p) { b_out.push_back(std::move(p)); });
+    DpifNetdev bdp(hostb);
+    const auto b_uplink = bdp.add_port(std::make_unique<NetdevAfxdp>(b_nic));
+    const auto b_port2 = bdp.add_port(std::make_unique<NetdevAfxdp>(b_nic2));
+    const auto b_tun = bdp.add_tunnel_port("geneve0", net::TunnelType::Geneve,
+                                           ipv4(172, 16, 0, 2));
+    const int b_pmd = bdp.add_pmd("pmd0");
+    bdp.pmd_assign(b_pmd, b_uplink, 0);
+
+    // The decapsulated inner frames and the same frames sent bare take
+    // the same megaflow-hit path to port2.
+    net::Packet probe = udp64();
+    probe.meta().in_port = b_tun;
+    probe.meta().tunnel.tun_id = 88;
+    probe.meta().tunnel.ip_src = ipv4(172, 16, 0, 1);
+    probe.meta().tunnel.ip_dst = ipv4(172, 16, 0, 2);
+    net::FlowMask b_mask;
+    b_mask.bits.in_port = 0xffffffff;
+    b_mask.bits.tun_id = ~std::uint64_t{0};
+    bdp.flow_put(net::parse_flow(probe), b_mask, {kern::OdpAction::output(b_port2)});
+    net::Packet bare_probe = udp64();
+    bare_probe.meta().in_port = b_uplink;
+    bdp.flow_put(net::parse_flow(bare_probe), b_mask, {kern::OdpAction::output(b_port2)});
+
+    const obs::PmdPerf* perf = bdp.pmd_ctx(b_pmd).perf();
+    ASSERT_NE(perf, nullptr);
+    const auto emc_stage = [&] { return perf->stage_cycles(obs::PerfStage::EmcLookup); };
+    const std::int64_t before = emc_stage();
+    for (net::Packet& frame : out1) {
+        net::int_strip(frame); // same inner burst, no INT export on the way
+        b_nic.rx_from_wire(std::move(frame));
+    }
+    EXPECT_EQ(bdp.pmd_poll_once(b_pmd), 5u);
+    const std::int64_t decapped = emc_stage() - before;
+    inject(b_nic, 5);
+    EXPECT_EQ(bdp.pmd_poll_once(b_pmd), 5u);
+    const std::int64_t bare = emc_stage() - before - decapped;
+    ASSERT_EQ(b_out.size(), 10u);
+    EXPECT_GT(bare, 0);
+    EXPECT_EQ(decapped - bare, 5 * sim::CostModel::baseline().parse_extract);
 }
 
 } // namespace

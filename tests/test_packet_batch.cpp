@@ -1,5 +1,5 @@
-// net::PacketBatch — the fixed-capacity vector the VPP-style spine
-// carries packets in. Covers the boundary sizes (empty, single,
+// net::PacketBatch — a fixed-capacity packet vector with no datapath
+// user left (see net/packet_batch.h for why it is kept). Covers the boundary sizes (empty, single,
 // exactly-full, capacity+1 spilling into a second cycle), sparse
 // drop/punt masking, the reorder-freedom guarantee (indices are stable,
 // live slots visit in arrival order no matter which slots died), and

@@ -283,24 +283,24 @@ TEST(FlowMaskProperty, ApplyIsIdempotentAndMatchConsistent)
     }
 }
 
-// ---- batch-vs-scalar verdict equivalence at random batch sizes ----------
+// ---- burst-twin verdict equivalence at random burst sizes ----------------
 
-// The vector spine must be observationally equivalent to the scalar
-// spine at ANY burst size, not just the sizes the soak rotates through.
-// Each trial draws a random batch size in [1, 2*kCapacity] and drives a
-// seeded fuzz sequence through fuzz_run's batch-vs-scalar leg, which
-// diffs the per-packet verdict vectors (re-attributed by trace id),
-// flow/ct end state, and semantic counters — any mismatch comes back as
-// an unexplained divergence.
-class BatchSizeSweep : public ::testing::TestWithParam<std::uint64_t> {};
+// Two fresh netdev instances on one chunked schedule must agree at ANY
+// burst size, not just the sizes the soak rotates through. Each trial
+// draws a random chunk size in [1, 64] and drives a seeded fuzz
+// sequence through fuzz_run's burst-twin leg, which diffs the
+// per-packet verdict vectors (re-attributed by trace id), flow/ct end
+// state, and semantic counters — any mismatch comes back as an
+// unexplained divergence.
+class BurstTwinSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(BatchSizeSweep, VerdictVectorsMatchScalarAtRandomBatchSizes)
+TEST_P(BurstTwinSweep, VerdictVectorsMatchAtRandomBurstSizes)
 {
     const std::uint64_t seed = GetParam();
     sim::Rng rng(seed ^ 0xba7c4);
     for (int trial = 0; trial < 3; ++trial) {
         gen::FuzzConfig cfg;
-        cfg.batch_size = 1 + rng.below(64); // [1, 64]: partial, full, multi-cycle
+        cfg.batch_size = 1 + rng.below(64); // [1, 64]: partial, full, multi-burst
         const gen::DiffReport report = gen::fuzz_run(seed + trial, cfg, 400);
         EXPECT_TRUE(report.ok())
             << "seed=" << seed + trial << " b=" << cfg.batch_size << ": "
@@ -308,7 +308,7 @@ TEST_P(BatchSizeSweep, VerdictVectorsMatchScalarAtRandomBatchSizes)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchSizeSweep, ::testing::Values(11u, 222u, 3333u),
+INSTANTIATE_TEST_SUITE_P(Seeds, BurstTwinSweep, ::testing::Values(11u, 222u, 3333u),
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
 } // namespace

@@ -20,8 +20,9 @@
 // --require-histogram demands a non-empty latency histogram for a
 // provider.tier pair; --require-counter demands the coverage object
 // contain the named counter with a value > 0 (CI uses it to prove the
-// vector spine actually ran batched via batch.occupancy, and that INT
-// export actually fired via int.exported); --p99-not-above A B is
+// netdev datapath counted its rx bursts via batch.occupancy and
+// batch.flush, and that INT export actually fired via int.exported);
+// --p99-not-above A B is
 // the tier-latency regression guard: it fails when p99(A) > p99(B).
 // Exits non-zero with a diagnostic on any violation.
 #include <cstdio>
