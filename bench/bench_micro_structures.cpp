@@ -100,10 +100,10 @@ BENCHMARK(BM_SpscRing);
 void BM_EbpfInterpreter(benchmark::State& state)
 {
     ebpf::Vm vm;
-    auto prog = ebpf::xdp_parse_drop();
+    const ebpf::Image image = ebpf::load(ebpf::xdp_parse_drop());
     net::Packet pkt = sample_udp();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(vm.run_xdp(prog, pkt));
+        benchmark::DoNotOptimize(vm.run_xdp(image, pkt));
     }
 }
 BENCHMARK(BM_EbpfInterpreter);

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "ebpf/programs.h"
-#include "ebpf/verifier.h"
+#include "ebpf/vm.h"
 #include "gen/measure.h"
 #include "gen/obs_export.h"
 #include "gen/traffic.h"
@@ -26,7 +26,7 @@ using namespace ovsx;
 
 namespace {
 
-double run_task(const char* key, const char* name, ebpf::Program prog, double paper_mpps)
+double run_task(const char* key, const char* name, const ebpf::Program& prog, double paper_mpps)
 {
     kern::Kernel host("host");
     kern::NicConfig cfg;
@@ -34,11 +34,12 @@ double run_task(const char* key, const char* name, ebpf::Program prog, double pa
     auto& nic = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1), cfg);
     nic.connect_wire([](net::Packet&&) {});
 
-    if (const auto res = ebpf::verify(prog); !res.ok) {
-        std::printf("%-44s VERIFIER REJECTED: %s\n", name, res.error.c_str());
+    ebpf::Image image = ebpf::load(prog);
+    if (!image.verified()) {
+        std::printf("%-44s VERIFIER REJECTED: %s\n", name, image.verdict().error.c_str());
         return 0;
     }
-    nic.attach_xdp(std::move(prog));
+    nic.attach_xdp(std::move(image));
 
     gen::TrafficGen gen({.n_flows = 1, .frame_size = 64});
     constexpr std::uint64_t kPackets = 30000;

@@ -5,14 +5,13 @@
 // index, or an AF_XDP socket binding).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "san/lockset.h"
@@ -45,7 +44,7 @@ public:
 
     // Returns a pointer to the stored value, or nullptr when absent.
     // The pointer stays valid until the entry is deleted or the map is
-    // destroyed (values are stable heap allocations).
+    // destroyed: values live in slabs that rehashing never moves.
     OVSX_HOT std::uint8_t* lookup(std::span<const std::uint8_t> key) OVSX_EXCLUDES(mu_);
 
     // Inserts or replaces. Returns false when the map is full or the
@@ -72,10 +71,6 @@ public:
         return v;
     }
 
-    // Number of hash-bucket probes performed by the last lookup; feeds
-    // the interpreter's cost accounting.
-    std::uint32_t last_probes() const OVSX_EXCLUDES(mu_);
-
     // Deterministically ordered (key, value) dump — the bpf_map_get_next_key
     // iteration userspace tools rely on, used here for state diffing.
     // Array maps dump every slot with its 4-byte index as the key.
@@ -83,36 +78,39 @@ public:
         OVSX_EXCLUDES(mu_);
 
 private:
-    // Transparent hash/equality so lookups probe with the caller's span
-    // directly — the per-packet XDP map helper was allocating a
-    // temporary key vector for every find.
-    struct VecHash {
-        using is_transparent = void;
-        std::size_t operator()(std::span<const std::uint8_t> v) const;
-        std::size_t operator()(const std::vector<std::uint8_t>& v) const
-        {
-            return (*this)(std::span<const std::uint8_t>(v.data(), v.size()));
-        }
-    };
-    struct VecEq {
-        using is_transparent = void;
-        template <typename A, typename B> bool operator()(const A& a, const B& b) const
-        {
-            return std::equal(a.begin(), a.end(), b.begin(), b.end());
-        }
-    };
+    // Hash storage: open addressing with linear probing over a
+    // power-of-two array of fixed-size slots. Slot word 0 holds the
+    // entry's tag (0 empty, 1 tombstone, else upper hash bits) in its
+    // low half and its value index in its high half; the key follows
+    // inline, zero-padded to whole words. Erase leaves a tombstone; an
+    // insert that would push live entries plus tombstones past 3/4 of
+    // the slots rehashes, doubling the array when live entries fill
+    // half of it. Values live in fixed-size slabs that are never moved
+    // or freed before the map is, so rehashing moves slots but never
+    // values.
+    const std::uint64_t* find_slot(std::span<const std::uint8_t> key, std::uint64_t hash) const
+        OVSX_REQUIRES(mu_);
+    void insert_slot(std::span<const std::uint8_t> key, std::uint64_t hash,
+                     std::uint32_t value_index) OVSX_REQUIRES(mu_);
+    void rehash() OVSX_REQUIRES(mu_);
+    std::uint32_t alloc_value() OVSX_REQUIRES(mu_);
+    std::uint8_t* value_at(std::uint32_t index) const OVSX_REQUIRES(mu_);
 
     MapType type_;
     std::string name_;
     std::uint32_t key_size_;
     std::uint32_t value_size_;
     std::uint32_t max_entries_;
+    std::uint32_t slot_words_; // 1 + key words
+    std::uint32_t value_words_;
     mutable sync::Mutex mu_{"ebpf.map"};
-    std::uint32_t last_probes_ OVSX_GUARDED_BY(mu_) = 1;
 
-    // Hash/DevMap/XskMap storage: values boxed for pointer stability.
-    std::unordered_map<std::vector<std::uint8_t>, std::unique_ptr<std::uint8_t[]>, VecHash, VecEq>
-        hash_ OVSX_GUARDED_BY(mu_);
+    std::vector<std::uint64_t> slots_ OVSX_GUARDED_BY(mu_);
+    std::size_t live_ OVSX_GUARDED_BY(mu_) = 0;
+    std::size_t tombstones_ OVSX_GUARDED_BY(mu_) = 0;
+    std::vector<std::unique_ptr<std::uint64_t[]>> slabs_ OVSX_GUARDED_BY(mu_);
+    std::vector<std::uint32_t> free_values_ OVSX_GUARDED_BY(mu_);
+    std::uint32_t next_value_ OVSX_GUARDED_BY(mu_) = 0;
     // Array storage: one contiguous allocation, always fully populated.
     std::vector<std::uint8_t> array_ OVSX_GUARDED_BY(mu_);
 };

@@ -1,6 +1,7 @@
 #include "ebpf/verifier.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bitset>
 #include <deque>
 #include <optional>
@@ -32,6 +33,19 @@ struct Reg {
 };
 
 constexpr int kStackSlots = kStackSize / 8;
+
+std::atomic<int> g_test_overprove{0};
+
+MemKind mem_kind(RegType t)
+{
+    switch (t) {
+    case RegType::PtrCtx: return MemKind::Ctx;
+    case RegType::PtrStack: return MemKind::Stack;
+    case RegType::PtrPacket: return MemKind::Packet;
+    case RegType::PtrMapValue: return MemKind::MapValue;
+    default: return MemKind::Unknown;
+    }
+}
 
 struct AbsState {
     Reg regs[kNumRegs];
@@ -76,7 +90,7 @@ class Verifier {
 public:
     explicit Verifier(const Program& prog) : prog_(prog) {}
 
-    VerifyResult run();
+    VerifyResult run(std::vector<InsnFacts>* facts);
 
 private:
     struct Failure {
@@ -120,6 +134,7 @@ private:
         case RegType::PtrStack: {
             const std::int64_t s = base.off + off; // negative, relative to fp
             if (s < -kStackSize || s + size > 0) fail(pc, "stack access out of bounds");
+            note_stack(s);
             return;
         }
         case RegType::PtrPacket: {
@@ -146,6 +161,13 @@ private:
         default:
             fail(pc, "memory access through non-pointer");
         }
+    }
+
+    // `s` (negative, relative to fp) is the lowest stack byte an access
+    // in bounds addresses.
+    void note_stack(std::int64_t s)
+    {
+        stack_depth_ = std::max(stack_depth_, static_cast<int>(-s));
     }
 
     void mark_stack_init(AbsState& st, int pc, const Reg& base, std::int64_t off, int size)
@@ -182,10 +204,11 @@ private:
     {
         const Reg& r = read_reg(st, pc, reg);
         if (r.type != RegType::PtrStack) fail(pc, "helper buffer arg must point to stack");
-        check_stack_read(st, pc, r, 0, static_cast<int>(len));
         if (r.off + static_cast<std::int64_t>(len) > 0 || r.off < -kStackSize) {
             fail(pc, "helper buffer out of stack bounds");
         }
+        note_stack(r.off);
+        check_stack_read(st, pc, r, 0, static_cast<int>(len));
     }
 
     void do_call(AbsState& st, int pc, const Insn& insn)
@@ -259,7 +282,10 @@ private:
             const bool proves =
                 (insn.op == Op::JgtReg && !taken) ||  // if (p > end) goto; else: p <= end
                 (insn.op == Op::JleReg && taken);     // if (p <= end) goto: proven on taken
-            if (proves) st.pkt_checked = std::max(st.pkt_checked, dst.off);
+            if (proves) {
+                st.pkt_checked = std::max(
+                    st.pkt_checked, dst.off + g_test_overprove.load(std::memory_order_relaxed));
+            }
         }
         // Null check on map value.
         if (dst.type == RegType::PtrMapValueOrNull &&
@@ -277,8 +303,33 @@ private:
 
     void step_alu(AbsState& st, int pc, const Insn& insn);
 
+    // Reads the proven facts off the fixpoint: the state at each pc is
+    // the join over every path reaching it, so a base register's type
+    // there holds on all of them.
+    void record_facts(const std::vector<std::optional<AbsState>>& states,
+                      std::vector<InsnFacts>& facts) const
+    {
+        facts.assign(prog_.insns.size(), InsnFacts{});
+        for (std::size_t pc = 0; pc < prog_.insns.size(); ++pc) {
+            if (!states[pc]) continue;
+            const Insn& insn = prog_.insns[pc];
+            const AbsState& st = *states[pc];
+            if (is_load(insn.op)) facts[pc].mem = mem_kind(st.regs[insn.src].type);
+            if (is_store(insn.op)) facts[pc].mem = mem_kind(st.regs[insn.dst].type);
+            if (insn.op == Op::Call && st.regs[R1].type == RegType::PtrMapHandle) {
+                facts[pc].map_fd = st.regs[R1].map_fd;
+                const auto helper = static_cast<HelperId>(insn.imm);
+                if (helper == HelperId::MapLookup || helper == HelperId::MapUpdate ||
+                    helper == HelperId::MapDelete) {
+                    facts[pc].mem = MemKind::Stack;
+                }
+            }
+        }
+    }
+
     const Program& prog_;
     int states_explored_ = 0;
+    int stack_depth_ = 0;
 };
 
 void Verifier::step_alu(AbsState& st, int pc, const Insn& insn)
@@ -361,7 +412,7 @@ void Verifier::step_alu(AbsState& st, int pc, const Insn& insn)
     }
 }
 
-VerifyResult Verifier::run()
+VerifyResult Verifier::run(std::vector<InsnFacts>* facts)
 {
     VerifyResult res;
     const int n = static_cast<int>(prog_.insns.size());
@@ -493,6 +544,8 @@ VerifyResult Verifier::run()
 
         res.ok = true;
         res.states_explored = states_explored_;
+        res.stack_depth = stack_depth_;
+        if (facts) record_facts(states, *facts);
     } catch (const Failure& f) {
         res.error = f.msg;
     }
@@ -501,10 +554,15 @@ VerifyResult Verifier::run()
 
 } // namespace
 
-VerifyResult verify(const Program& prog)
+VerifyResult verify(const Program& prog, std::vector<InsnFacts>* facts)
 {
     Verifier v(prog);
-    return v.run();
+    return v.run(facts);
+}
+
+void set_test_overprove_packet_bounds(int bytes)
+{
+    g_test_overprove.store(bytes, std::memory_order_relaxed);
 }
 
 } // namespace ovsx::ebpf

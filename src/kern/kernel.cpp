@@ -98,7 +98,7 @@ afxdp::XskSocket* Kernel::xsk_for(ebpf::Map* map, std::uint32_t key)
     return it == xsk_registry_.end() ? nullptr : it->second;
 }
 
-XdpVerdict Kernel::run_xdp(const ebpf::Program& prog, net::Packet& pkt, Device& dev,
+XdpVerdict Kernel::run_xdp(const ebpf::Image& prog, net::Packet& pkt, Device& dev,
                            std::uint32_t queue, sim::ExecContext& ctx)
 {
     ctx.charge(costs_.xdp_setup);

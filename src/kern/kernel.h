@@ -74,10 +74,11 @@ public:
     afxdp::XskSocket* xsk_for(ebpf::Map* map, std::uint32_t key);
 
     // ---- XDP dispatch ------------------------------------------------------------
-    // Runs `prog` over `pkt` arriving on (dev, queue), handling redirect
-    // resolution. On RedirectedXsk/RedirectedDev the packet has been
-    // consumed. Charges `ctx` (softirq) for program execution.
-    XdpVerdict run_xdp(const ebpf::Program& prog, net::Packet& pkt, Device& dev,
+    // Runs the loaded `prog` over `pkt` arriving on (dev, queue),
+    // handling redirect resolution. On RedirectedXsk/RedirectedDev the
+    // packet has been consumed. Charges `ctx` (softirq) for program
+    // execution.
+    XdpVerdict run_xdp(const ebpf::Image& prog, net::Packet& pkt, Device& dev,
                        std::uint32_t queue, sim::ExecContext& ctx);
 
     // ---- subsystems ----------------------------------------------------------------

@@ -49,10 +49,10 @@ std::uint32_t PhysicalDevice::select_queue(const net::Packet& pkt) const
     return 0;
 }
 
-void PhysicalDevice::attach_xdp(ebpf::Program prog, int queue)
+void PhysicalDevice::attach_xdp(ebpf::Image image, int queue)
 {
     if (queue < 0) {
-        dev_prog_ = std::move(prog);
+        dev_prog_ = std::move(image);
         return;
     }
     if (cfg_.xdp_model != NicConfig::XdpModel::PerQueue) {
@@ -61,7 +61,7 @@ void PhysicalDevice::attach_xdp(ebpf::Program prog, int queue)
     if (static_cast<std::uint32_t>(queue) >= cfg_.num_queues) {
         throw std::out_of_range(name() + ": no such queue");
     }
-    queue_progs_[static_cast<std::size_t>(queue)] = std::move(prog);
+    queue_progs_[static_cast<std::size_t>(queue)] = std::move(image);
 }
 
 void PhysicalDevice::detach_xdp(int queue)
@@ -76,7 +76,7 @@ void PhysicalDevice::detach_xdp(int queue)
     }
 }
 
-const ebpf::Program* PhysicalDevice::xdp_program(std::uint32_t queue) const
+const ebpf::Image* PhysicalDevice::xdp_program(std::uint32_t queue) const
 {
     if (queue < queue_progs_.size() && queue_progs_[queue]) return &*queue_progs_[queue];
     if (dev_prog_) return &*dev_prog_;
@@ -125,7 +125,7 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
     }
     if (cfg_.rx_csum) pkt.meta().csum_verified = true;
 
-    if (const ebpf::Program* prog = xdp_program(q)) {
+    if (const ebpf::Image* prog = xdp_program(q)) {
         const XdpVerdict verdict = kernel().run_xdp(*prog, pkt, *this, q, ctx);
         if (pkt.meta().trace_id) {
             obs::trace(pkt.meta().trace_id, obs::Hop::Xdp, pkt.meta().latency_ns,

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "afxdp/xsk.h"
-#include "ebpf/program.h"
+#include "ebpf/vm.h"
 #include "kern/device.h"
 
 namespace ovsx::kern {
@@ -61,10 +61,15 @@ public:
     // ---- XDP ------------------------------------------------------------------
     // queue < 0 attaches to the whole device (required for PerDevice
     // NICs, meaning "all queues"); queue >= 0 attaches to one queue
-    // (PerQueue NICs only). Throws on a model violation.
-    void attach_xdp(ebpf::Program prog, int queue = -1);
+    // (PerQueue NICs only). Throws on a model violation. The Program
+    // overload loads it first (see ebpf::load).
+    void attach_xdp(ebpf::Image image, int queue = -1);
+    void attach_xdp(const ebpf::Program& prog, int queue = -1)
+    {
+        attach_xdp(ebpf::load(prog), queue);
+    }
     void detach_xdp(int queue = -1);
-    const ebpf::Program* xdp_program(std::uint32_t queue) const;
+    const ebpf::Image* xdp_program(std::uint32_t queue) const;
 
     // ---- NAPI mode ----------------------------------------------------------------
     // Interrupt mode charges IRQ + wakeup overheads (the slow second bar
@@ -103,8 +108,8 @@ private:
     DpdkRx dpdk_rx_;
     std::vector<NtupleRule> ntuple_;
     std::vector<sim::ExecContext> softirq_;
-    std::optional<ebpf::Program> dev_prog_;
-    std::vector<std::optional<ebpf::Program>> queue_progs_;
+    std::optional<ebpf::Image> dev_prog_;
+    std::vector<std::optional<ebpf::Image>> queue_progs_;
     bool interrupt_mode_ = false;
     std::uint64_t xdp_drops_ = 0;
     std::uint64_t irq_count_ = 0;

@@ -6,7 +6,7 @@
 
 #include <optional>
 
-#include "ebpf/program.h"
+#include "ebpf/vm.h"
 #include "kern/device.h"
 
 namespace ovsx::kern {
@@ -24,7 +24,8 @@ public:
     VethDevice* peer() { return peer_; }
 
     // XDP on veth (native veth XDP, used by the container bypass path).
-    void attach_xdp(ebpf::Program prog) { prog_ = std::move(prog); }
+    void attach_xdp(ebpf::Image image) { prog_ = std::move(image); }
+    void attach_xdp(const ebpf::Program& prog) { prog_ = ebpf::load(prog); }
     void detach_xdp() { prog_.reset(); }
 
     // Egress: hand the frame to the peer's ingress.
@@ -35,7 +36,7 @@ public:
 
 private:
     VethDevice* peer_ = nullptr;
-    std::optional<ebpf::Program> prog_;
+    std::optional<ebpf::Image> prog_;
 };
 
 } // namespace ovsx::kern

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "ebpf/programs.h"
-#include "ebpf/verifier.h"
 #include "kern/kernel.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
@@ -112,6 +111,18 @@ Program build_tc_program(MapPtr flow_map, MapPtr result_map)
     return b.build();
 }
 
+// Loads the TC program over `flow_map`, as the kernel would on attach:
+// a program the verifier rejects never runs.
+Image load_tc_program(MapPtr flow_map, MapPtr result_map)
+{
+    Image image = load(build_tc_program(std::move(flow_map), std::move(result_map)));
+    if (!image.verified()) {
+        throw std::runtime_error("dpif-ebpf: datapath program rejected: " +
+                                 image.verdict().error);
+    }
+    return image;
+}
+
 } // namespace
 
 DpifEbpf::DpifEbpf(kern::Kernel& kernel) : kernel_(kernel), san_scope_(san::new_scope())
@@ -119,10 +130,7 @@ DpifEbpf::DpifEbpf(kern::Kernel& kernel) : kernel_(kernel), san_scope_(san::new_
     flow_map_ = std::make_shared<Map>(MapType::Hash, "ovs_flow_table", sizeof(EbpfKey), 4,
                                       1 << 18);
     result_map_ = std::make_shared<Map>(MapType::Array, "ovs_result", 4, 4, 1);
-    prog_ = build_tc_program(flow_map_, result_map_);
-    if (auto res = verify(prog_); !res.ok) {
-        throw std::runtime_error("dpif-ebpf: datapath program rejected: " + res.error);
-    }
+    prog_ = load_tc_program(flow_map_, result_map_);
 }
 
 void DpifEbpf::set_now(sim::Nanos now)
@@ -211,7 +219,7 @@ void DpifEbpf::flow_flush()
     flows_.clear();
     flow_map_ = std::make_shared<Map>(MapType::Hash, "ovs_flow_table", sizeof(EbpfKey), 4,
                                       1 << 18);
-    prog_ = build_tc_program(flow_map_, result_map_);
+    prog_ = load_tc_program(flow_map_, result_map_);
     san::audit_clear(san_scope_, "ebpf.map");
     san::audit_clear(san_scope_, "ebpf.shadow");
 }

@@ -19,7 +19,7 @@
 #include <unordered_map>
 
 #include "ebpf/map.h"
-#include "ebpf/program.h"
+#include "ebpf/vm.h"
 #include "kern/device.h"
 #include "ovs/dpif.h"
 #include "san/lockset.h"
@@ -119,7 +119,7 @@ private:
     kern::Kernel& kernel_;
     ebpf::MapPtr flow_map_;   // EbpfKey -> flow id
     ebpf::MapPtr result_map_; // slot 0: flow id found by the program
-    ebpf::Program prog_;
+    ebpf::Image prog_;        // the TC program, verified and loaded
     std::map<std::uint32_t, kern::Device*> ports_;
     // Guards the userspace action shadow + stats. Lock-order: acquired
     // before the flow map's own ebpf.map lock, never after it. Action

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "ebpf/programs.h"
-#include "ebpf/verifier.h"
 #include "kern/kernel.h"
 #include "net/builder.h"
 #include "net/hash.h"
@@ -54,11 +53,12 @@ NetdevAfxdp::NetdevAfxdp(kern::PhysicalDevice& nic, AfxdpOptions options)
 
     // The trivial hook program of §2.2.3: redirect everything here. OVS
     // verifies what it loads, like the in-kernel verifier would.
-    ebpf::Program prog = ebpf::xdp_redirect_to_xsk(xsk_map_);
-    if (auto res = ebpf::verify(prog); !res.ok) {
-        throw std::runtime_error("netdev-afxdp: XDP program rejected: " + res.error);
+    ebpf::Image image = ebpf::load(ebpf::xdp_redirect_to_xsk(xsk_map_));
+    if (!image.verified()) {
+        throw std::runtime_error("netdev-afxdp: XDP program rejected: " +
+                                 image.verdict().error);
     }
-    nic_.attach_xdp(std::move(prog));
+    nic_.attach_xdp(std::move(image));
 }
 
 NetdevAfxdp::~NetdevAfxdp()
@@ -75,13 +75,15 @@ NetdevAfxdp::~NetdevAfxdp()
     san::ref_dec(0, "netdev.ref", nic_.ifindex(), OVSX_SITE);
 }
 
-void NetdevAfxdp::load_custom_xdp(ebpf::Program prog)
+void NetdevAfxdp::load_custom_xdp(const ebpf::Program& prog)
 {
-    if (auto res = ebpf::verify(prog); !res.ok) {
-        throw std::runtime_error("netdev-afxdp: custom XDP program rejected: " + res.error);
+    ebpf::Image image = ebpf::load(prog);
+    if (!image.verified()) {
+        throw std::runtime_error("netdev-afxdp: custom XDP program rejected: " +
+                                 image.verdict().error);
     }
     nic_.detach_xdp(-1);
-    nic_.attach_xdp(std::move(prog));
+    nic_.attach_xdp(std::move(image));
 }
 
 void NetdevAfxdp::charge_lock(sim::ExecContext& ctx) const

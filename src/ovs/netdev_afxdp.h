@@ -72,7 +72,7 @@ public:
     // Replaces the default redirect program with a custom one (the §3.5
     // extension point: LB, container bypass, steering...). The program
     // must redirect AF_XDP traffic into `xsk_map()`.
-    void load_custom_xdp(ebpf::Program prog);
+    void load_custom_xdp(const ebpf::Program& prog);
     const ebpf::MapPtr& xsk_map() const { return xsk_map_; }
 
 private:

@@ -2,6 +2,8 @@
 
 #include "ebpf/programs.h"
 #include "ebpf/verifier.h"
+#include "ebpf/vm.h"
+#include "net/builder.h"
 
 namespace ovsx::ebpf {
 namespace {
@@ -322,6 +324,64 @@ TEST(Verifier, MergesStatesAtJoinPoints)
         .exit();
     const auto res = verify(b.build());
     EXPECT_FALSE(res.ok);
+}
+
+TEST(Verifier, RejectsHelperBufferBelowTheStack)
+{
+    // The key pointer is 1000 bytes below fp: rejected by the bounds
+    // check, which runs before the per-slot initialisation check (that
+    // check indexes slots from the offset and must only see in-bounds
+    // ones).
+    auto map = std::make_shared<Map>(MapType::Hash, "h", 8, 4, 16);
+    ProgramBuilder b;
+    const int fd = b.add_map(map);
+    b.load_map_fd(R1, fd)
+        .mov_reg(R2, R10)
+        .add_imm(R2, -1000)
+        .call(HelperId::MapLookup)
+        .mov_imm(R0, 2)
+        .exit();
+    VerifyResult res;
+    ASSERT_NO_THROW(res = verify(b.build()));
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("helper buffer out of stack bounds"), std::string::npos) << res.error;
+}
+
+TEST(Verifier, SeededOverProofIsCaughtByTheRuntimeCheck)
+{
+    // A verifier bug, seeded through the test seam: the packet-bounds
+    // refinement proves 8 bytes more than the comparison does. The
+    // program proves the whole packet, then reads 4 bytes past it.
+    net::UdpSpec spec;
+    net::Packet pkt = net::build_udp(spec);
+    const auto len = static_cast<std::int16_t>(pkt.size());
+    ProgramBuilder b("overread");
+    b.mov_reg(R6, R1)
+        .ldxdw(R2, R6, 0)
+        .ldxdw(R3, R6, 8)
+        .mov_reg(R4, R2)
+        .add_imm(R4, len)
+        .jgt_reg(R4, R3, "out")
+        .ldxw(R0, R2, len) // [len, len + 4): past data_end
+        .label("out")
+        .mov_imm(R0, 2)
+        .exit();
+    const Program prog = b.build();
+    EXPECT_FALSE(verify(prog).ok); // the sound verifier rejects it
+
+    set_test_overprove_packet_bounds(8);
+    const Image image = load(prog);
+    set_test_overprove_packet_bounds(0);
+    ASSERT_TRUE(image.verified()) << image.verdict().error;
+    ASSERT_EQ(image.code()[6].mem, MemKind::Packet);
+
+    // The access is tagged "packet" but misses the packet region, so it
+    // falls through to the full check, which faults. Packets carry
+    // tailroom, so an unchecked read would not even crash.
+    Vm vm;
+    const auto res = vm.run_xdp(image, pkt);
+    EXPECT_EQ(res.action, XdpAction::Aborted);
+    EXPECT_EQ(res.fault, "out-of-bounds memory access");
 }
 
 } // namespace

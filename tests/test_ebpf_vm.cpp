@@ -287,6 +287,113 @@ TEST(EbpfVm, InstructionBudgetStopsRunawayPrograms)
     EXPECT_EQ(res.action, XdpAction::Aborted);
 }
 
+TEST(EbpfVm, BadRegisterFaultsInsteadOfCorruptingTheFrame)
+{
+    // Unverified: r40 does not exist. Decoding turns the instruction
+    // into a trap, so the run faults before touching any register.
+    auto prog = ProgramBuilder().mov_imm(40, 0x4141).mov_imm(R0, 2).exit().build();
+    net::Packet pkt = udp64();
+    const auto res = run(prog, pkt);
+    EXPECT_EQ(res.action, XdpAction::Aborted);
+    EXPECT_EQ(res.fault, "bad register");
+    EXPECT_EQ(res.insns, 1u);
+}
+
+TEST(EbpfVm, OutOfRangeJumpAndFallingOffTheEndFault)
+{
+    Program jump = ProgramBuilder().mov_imm(R0, 2).exit().build();
+    jump.insns.insert(jump.insns.begin(), Insn{Op::Ja, 0, 0, 100, 0});
+    Program fall = ProgramBuilder().mov_imm(R0, 2).build();
+    for (const Program* prog : {&jump, &fall}) {
+        net::Packet pkt = udp64();
+        const auto res = run(*prog, pkt);
+        EXPECT_EQ(res.action, XdpAction::Aborted);
+        EXPECT_EQ(res.fault, "pc out of bounds");
+        EXPECT_EQ(res.insns, 1u); // the sentinel is not an instruction
+    }
+}
+
+TEST(EbpfVm, LoadRecordsVerifierProvenAccessKinds)
+{
+    auto map = std::make_shared<Map>(MapType::Hash, "t", 4, 8, 16);
+    ProgramBuilder b;
+    const int fd = b.add_map(map);
+    b.mov_reg(R6, R1)
+        .ldxdw(R2, R6, 0)          // 1: ctx
+        .ldxdw(R3, R6, 8)          // 2: ctx
+        .mov_reg(R4, R2)
+        .add_imm(R4, 14)
+        .jgt_reg(R4, R3, "out")    // 5
+        .ldxh(R5, R2, 12)          // 6: packet
+        .stxw(R10, -4, R5)         // 7: stack
+        .load_map_fd(R1, fd)       // 8
+        .mov_reg(R2, R10)
+        .add_imm(R2, -4)
+        .call(HelperId::MapLookup) // 11: proven map, stack key
+        .jeq_imm(R0, 0, "out")
+        .ldxdw(R0, R0, 0)          // 13: map value
+        .label("out")
+        .mov_imm(R0, 2)            // 14
+        .exit();
+    const Program prog = b.build();
+    const Image image = load(prog);
+    ASSERT_TRUE(image.verified()) << image.verdict().error;
+    const auto code = image.code();
+    ASSERT_EQ(code.size(), prog.insns.size() + 1);
+    EXPECT_EQ(code[1].mem, MemKind::Ctx);
+    EXPECT_EQ(code[2].mem, MemKind::Ctx);
+    EXPECT_EQ(code[5].target, 14u);
+    EXPECT_EQ(code[6].mem, MemKind::Packet);
+    EXPECT_EQ(code[7].mem, MemKind::Stack);
+    EXPECT_EQ(code[8].map, map.get());
+    EXPECT_EQ(code[11].map, map.get());
+    EXPECT_EQ(code[11].mem, MemKind::Stack);
+    EXPECT_EQ(code[13].mem, MemKind::MapValue);
+    EXPECT_EQ(code.back().trap, Trap::FellOff);
+    EXPECT_EQ(image.stack_depth(), 4); // the 4-byte key below fp
+
+    // An unverified program proves nothing: every access is Unknown and
+    // takes the full check, with the same result.
+    Program loose = prog;
+    loose.insns.push_back({Op::Ja, 0, 0, -1, 0}); // a back-edge
+    const Image unverified = load(loose);
+    EXPECT_FALSE(unverified.verified());
+    EXPECT_EQ(unverified.stack_depth(), kStackSize);
+    for (const DecodedInsn& d : unverified.code()) EXPECT_EQ(d.mem, MemKind::Unknown);
+    net::Packet a = udp64(), b2 = udp64();
+    Vm vm;
+    const auto ra = vm.run_xdp(image, a);
+    const auto rb = vm.run_xdp(unverified, b2);
+    EXPECT_EQ(ra.action, rb.action);
+    EXPECT_EQ(ra.insns, rb.insns);
+    EXPECT_EQ(ra.cost, rb.cost);
+    EXPECT_EQ(ra.touched_packet, rb.touched_packet);
+}
+
+TEST(EbpfVm, ProvenStackDepthIsZeroedOnEveryRun)
+{
+    // A run zeroes only the stack depth the verifier proved. The
+    // verifier tracks initialisation per 8-byte slot, so it accepts a
+    // 1-byte store followed by an 8-byte load of the same slot: the
+    // other 7 bytes must read 0, not what an earlier run left there.
+    Vm vm;
+    net::Packet pkt = udp64();
+    ProgramBuilder dirty;
+    dirty.mov_imm(R1, -1).stxdw(R10, -8, R1).mov_imm(R0, 2).exit();
+    const Image dirty_image = load(dirty.build());
+    ProgramBuilder partial;
+    partial.emit({Op::StB, R10, 0, -8, 0x5a}).ldxdw(R0, R10, -8).exit();
+    const Image partial_image = load(partial.build());
+    ASSERT_TRUE(dirty_image.verified());
+    ASSERT_TRUE(partial_image.verified()) << partial_image.verdict().error;
+    EXPECT_EQ(dirty_image.stack_depth(), 8);
+    EXPECT_EQ(partial_image.stack_depth(), 8);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(vm.run_xdp(dirty_image, pkt).action, XdpAction::Pass);
+        EXPECT_EQ(vm.run_xdp(partial_image, pkt).ret, 0x5au);
+    }
+}
+
 TEST(EbpfVm, CostScalesWithInstructionCount)
 {
     ProgramBuilder small;

@@ -147,6 +147,38 @@ TEST(Robustness, VerifierSoundOnRandomPrograms)
     EXPECT_GE(accepted, 0);
 }
 
+TEST(Robustness, CsumDiffLengthCannotWrapTheBoundsCheck)
+{
+    // The verifier does not check csum_diff's arguments, so it accepts a
+    // program that asks for 2^32 - 2 bytes from the packet start. The
+    // runtime check compares sizes without forming addr + size, so the
+    // length cannot wrap it: the run faults instead of reading 4 GiB.
+    ebpf::ProgramBuilder b("csum_wrap");
+    b.mov_reg(ebpf::R6, ebpf::R1)
+        .ldxdw(ebpf::R2, ebpf::R6, 0)
+        .ldxdw(ebpf::R3, ebpf::R6, 8)
+        .mov_reg(ebpf::R4, ebpf::R2)
+        .add_imm(ebpf::R4, 14)
+        .jgt_reg(ebpf::R4, ebpf::R3, "out")
+        .mov_reg(ebpf::R3, ebpf::R2) // `to`: the packet start
+        .mov_imm(ebpf::R4, -2)       // `to_size`: 0xfffffffe as a u32
+        .mov_imm(ebpf::R5, 0)
+        .call(ebpf::HelperId::CsumDiff)
+        .label("out")
+        .mov_imm(ebpf::R0, 2)
+        .exit();
+    const ebpf::Program prog = b.build();
+    const auto verdict = ebpf::verify(prog);
+    ASSERT_TRUE(verdict.ok) << verdict.error;
+
+    net::UdpSpec spec;
+    net::Packet pkt = net::build_udp(spec);
+    ebpf::Vm vm;
+    const auto res = vm.run_xdp(prog, pkt);
+    EXPECT_EQ(res.action, ebpf::XdpAction::Aborted);
+    EXPECT_EQ(res.fault, "out-of-bounds memory access");
+}
+
 TEST(Robustness, TruncatedTunnelsAtEveryLength)
 {
     // Encapsulate, then truncate the outer packet to every possible
