@@ -16,6 +16,7 @@
 #include "nsx/nsx.h"
 #include "obs/coverage.h"
 #include "obs/int_export.h"
+#include "ovs/dpif_appctl.h"
 #include "ovs/dpif_ebpf.h"
 #include "ovs/dpif_kernel.h"
 #include "ovs/dpif_netdev.h"
@@ -212,7 +213,7 @@ struct Fabric::Impl {
             dpif->add_port(std::make_unique<ovs::NetdevAfxdp>(*host.uplink, afxdp_opts()));
         host.tunnel_port =
             dpif->add_tunnel_port("geneve0", net::TunnelType::Geneve, vtep_ip(host.index));
-        ovs::DpifNetdev::IntConfig ic;
+        net::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = host_switch_id(host.index);
         ic.tier = net::kIntTierHost;
@@ -236,7 +237,7 @@ struct Fabric::Impl {
         // tunnel vport (the classic kernel tunnel path).
         host.tunnel_port =
             dp.add_tunnel_port("geneve0", net::TunnelType::Geneve, vtep_ip(host.index));
-        kern::OvsKernelDatapath::IntConfig ic;
+        net::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = host_switch_id(host.index);
         ic.tier = net::kIntTierHost;
@@ -257,7 +258,7 @@ struct Fabric::Impl {
         host.vm_port = host.ebpf->add_port(*host.vm_dev);
         host.uplink_port = host.ebpf->add_port(*host.uplink);
         host.ebpf_appctl = std::make_unique<obs::Appctl>();
-        host.ebpf->register_appctl(*host.ebpf_appctl);
+        ovs::register_dpif_commands(*host.ebpf_appctl, *host.ebpf);
         Host* raw = &host;
         host.ebpf->set_upcall_handler([raw](std::uint32_t in_port, net::Packet&& pkt,
                                             const net::FlowKey& key, sim::ExecContext& ctx) {
@@ -333,7 +334,7 @@ struct Fabric::Impl {
         t->kernel = std::make_unique<kern::Kernel>(name);
         auto dpif = std::make_unique<ovs::DpifNetdev>(*t->kernel);
         t->dpif = dpif.get();
-        ovs::DpifNetdev::IntConfig ic;
+        net::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = switch_id;
         ic.tier = tier;

@@ -129,7 +129,7 @@ public:
     // ---- observability ----------------------------------------------
     // The per-host appctl: identical command shapes on every provider
     // (netdev/kernel hosts answer via their vswitch; eBPF hosts own a
-    // standalone appctl their datapath registered into).
+    // standalone appctl with the same provider commands).
     obs::Appctl& appctl(std::size_t host);
 
     std::vector<LinkLoad> link_loads() const;

@@ -337,16 +337,6 @@ struct DifferentialHarness::Instance {
         for (auto& v : out) std::sort(v.outputs.begin(), v.outputs.end());
         return out;
     }
-
-    std::size_t datapath_flow_count() const
-    {
-        return kind == DpKind::Kernel ? kdp->flow_count() : dpif->flow_count();
-    }
-
-    std::vector<kern::CtSnapshotEntry> ct_snapshot() const
-    {
-        return kind == DpKind::Netdev ? netdev->ct().snapshot() : kernel->conntrack().snapshot();
-    }
 };
 
 DifferentialHarness::DifferentialHarness(DiffRuleset ruleset, DiffOptions opts)
@@ -608,14 +598,14 @@ DiffReport DifferentialHarness::run_once(const std::vector<DiffPacket>& seq, boo
                 // values); the string rendering below only runs when a
                 // divergence has to be named.
                 auto snap_sorted = [](const Instance& inst) {
-                    auto v = inst.ct_snapshot();
+                    auto v = inst.dpif->ct_snapshot();
                     std::sort(v.begin(), v.end());
                     return v;
                 };
                 const bool ct_equal = snap_sorted(*instances[0]) == snap_sorted(other);
                 auto dump_ct = [](const Instance& inst) {
                     std::vector<std::string> out;
-                    for (const auto& e : inst.ct_snapshot()) out.push_back(e.to_string());
+                    for (const auto& e : inst.dpif->ct_snapshot()) out.push_back(e.to_string());
                     std::sort(out.begin(), out.end());
                     return out;
                 };
@@ -677,31 +667,12 @@ DiffReport DifferentialHarness::run_once(const std::vector<DiffPacket>& seq, boo
     // for all three providers; skipped when the profiler is globally
     // disabled (the soak's overhead-off leg leaves contexts bare).
     for (auto& inst : instances) {
+        const std::vector<const obs::PmdPerf*> perfs = inst->dpif->perfs();
         std::uint64_t perf_packets = 0;
-        bool have_perf = false;
-        std::uint64_t stats_packets = 0;
-        if (inst->kind == DpKind::Netdev) {
-            for (int p = 0; p < inst->netdev->pmd_count(); ++p) {
-                if (const obs::PmdPerf* perf = inst->netdev->pmd_ctx(p).perf()) {
-                    have_perf = true;
-                    perf_packets += perf->packets();
-                }
-            }
-            stats_packets = inst->netdev->stats_hits() + inst->netdev->upcalls();
-        } else {
-            for (auto* nic : inst->nics) {
-                for (std::uint32_t q = 0; q < nic->config().num_queues; ++q) {
-                    if (const obs::PmdPerf* perf = nic->softirq_ctx(q).perf()) {
-                        have_perf = true;
-                        perf_packets += perf->packets();
-                    }
-                }
-            }
-            stats_packets = inst->kind == DpKind::Kernel
-                                ? inst->kdp->hits() + inst->kdp->misses()
-                                : inst->ebpf->hits() + inst->ebpf->misses();
-        }
-        if (have_perf && perf_packets != stats_packets) {
+        for (const obs::PmdPerf* perf : perfs) perf_packets += perf->packets();
+        const ovs::Dpif::Stats stats = inst->dpif->stats();
+        const std::uint64_t stats_packets = stats.hits + stats.misses;
+        if (!perfs.empty() && perf_packets != stats_packets) {
             report.unexplained.push_back(
                 {seq.size(),
                  std::string(to_string(inst->kind)) + ": pmd/perf-show packets (" +
@@ -889,7 +860,7 @@ DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& s
         };
         auto ct = [&](const Instance& inst) {
             std::vector<std::string> out;
-            for (const auto& e : inst.ct_snapshot()) out.push_back(e.to_string());
+            for (const auto& e : inst.dpif->ct_snapshot()) out.push_back(e.to_string());
             return joined(std::move(out));
         };
         // Fast path for the fuzz soak: an order-independent digest over
@@ -918,7 +889,7 @@ DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& s
             }
         }
         auto snap_sorted = [](const Instance& inst) {
-            auto v = inst.ct_snapshot();
+            auto v = inst.dpif->ct_snapshot();
             std::sort(v.begin(), v.end());
             return v;
         };
@@ -928,27 +899,18 @@ DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& s
                 {end_step, "conntrack differs: a={" + ac + "} b={" + bc + "}", ""});
         }
     }
-    switch (kind) {
-    case DpKind::Netdev: {
+    const ovs::Dpif::Stats as = a->dpif->stats(), bs = b->dpif->stats();
+    diff_count("hits", as.hits, bs.hits);
+    diff_count("misses", as.misses, bs.misses);
+    diff_count("lost", as.lost, bs.lost);
+    if (kind == DpKind::Netdev) {
         static const char* const kSemantic[] = {"emc.hit",       "emc.miss",
                                                 "megaflow.hit",  "megaflow.miss",
                                                 "dpif_netdev.upcall", "meter.drop"};
         sim::ExecContext& ac = a->netdev->pmd_ctx(a->pmd);
         sim::ExecContext& bc = b->netdev->pmd_ctx(b->pmd);
         for (const char* name : kSemantic) diff_count(name, ac.counter(name), bc.counter(name));
-        diff_count("upcalls", a->netdev->upcalls(), b->netdev->upcalls());
         diff_count("dropped", a->netdev->dropped(), b->netdev->dropped());
-        break;
-    }
-    case DpKind::Kernel:
-        diff_count("kdp.hits", a->kdp->hits(), b->kdp->hits());
-        diff_count("kdp.misses", a->kdp->misses(), b->kdp->misses());
-        diff_count("kdp.lost", a->kdp->lost(), b->kdp->lost());
-        break;
-    case DpKind::Ebpf:
-        diff_count("ebpf.hits", a->ebpf->hits(), b->ebpf->hits());
-        diff_count("ebpf.misses", a->ebpf->misses(), b->ebpf->misses());
-        break;
     }
 
     for (Instance* inst : sides) {

@@ -293,4 +293,17 @@ void PhysicalDevice::hw_transmit(net::Packet&& pkt)
     to_wire(std::move(pkt));
 }
 
+std::vector<const obs::PmdPerf*> softirq_perfs(const std::vector<Device*>& devices)
+{
+    std::vector<const obs::PmdPerf*> rows;
+    for (Device* dev : devices) {
+        auto* nic = dynamic_cast<PhysicalDevice*>(dev);
+        if (!nic) continue;
+        for (std::uint32_t q = 0; q < nic->config().num_queues; ++q) {
+            if (const obs::PmdPerf* perf = nic->softirq_ctx(q).perf()) rows.push_back(perf);
+        }
+    }
+    return rows;
+}
+
 } // namespace ovsx::kern

@@ -117,4 +117,10 @@ private:
     static constexpr std::uint32_t kIrqBatch = 8; // NAPI amortisation
 };
 
+// The profilers of the NIC softirq contexts behind `devices`, one per
+// queue of each physical device in order (other devices and nulls have
+// none). The kernel module and the eBPF TC hook classify packets in
+// these contexts, the softirq analogue of a PMD thread.
+std::vector<const obs::PmdPerf*> softirq_perfs(const std::vector<Device*>& devices);
+
 } // namespace ovsx::kern

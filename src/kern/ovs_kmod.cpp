@@ -8,7 +8,6 @@
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
-#include "obs/int_export.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
 #include "san/audit.h"
@@ -340,22 +339,7 @@ void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, const net::FlowKey& key,
 {
     auto res = net::decapsulate_auto(pkt);
     if (!res) return;
-    if (!res->geneve_opts.empty()) {
-        // Last hop: pop the INT option (decap already stripped it from
-        // the frame) and export the hop records.
-        bool truncated = false;
-        const auto hops = net::int_parse_options(res->geneve_opts, &truncated);
-        if (!hops.empty() || truncated) {
-            std::vector<obs::IntHopSample> samples;
-            samples.reserve(hops.size());
-            for (const auto& h : hops) {
-                samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier, h.occupancy,
-                                   static_cast<std::int64_t>(h.latency_ticks) *
-                                       net::kIntTickNs});
-            }
-            obs::int_export(res->key.ip_src, res->key.ip_dst, samples, truncated);
-        }
-    }
+    net::int_export_popped(res->key.ip_src, res->key.ip_dst, res->geneve_opts);
     // Find the vport for this tunnel type.
     for (const auto& [no, vport] : ports_) {
         if (vport.tunnel && *vport.tunnel == res->type) {
@@ -423,19 +407,11 @@ void OvsKernelDatapath::do_output(net::Packet&& pkt, std::uint32_t port_no,
 
 void OvsKernelDatapath::maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx)
 {
-    net::IntHop hop;
-    hop.switch_id = int_cfg_.switch_id;
-    hop.ingress_tier = int_cfg_.tier;
-    hop.egress_tier = int_cfg_.tier;
-    hop.occupancy = last_batch_occupancy_;
-    hop.latency_ticks = static_cast<std::uint32_t>(pkt.meta().latency_ns / net::kIntTickNs);
-    if (net::int_stamp(pkt, hop)) {
-        OVSX_COVERAGE_CTX(ctx, "int.stamped");
-        const auto c =
-            kernel_.costs().copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
-        ctx.charge(c);
-        pkt.meta().latency_ns += c;
-    }
+    if (!net::int_stamp_hop(pkt, int_cfg_, last_batch_occupancy_)) return;
+    OVSX_COVERAGE_CTX(ctx, "int.stamped");
+    const auto c = kernel_.costs().copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
+    ctx.charge(c);
+    pkt.meta().latency_ns += c;
 }
 
 void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,

@@ -24,6 +24,7 @@
 #include "kern/meter.h"
 #include "kern/odp.h"
 #include "net/flow.h"
+#include "net/int_hdr.h"
 #include "net/tunnel.h"
 #include "san/report.h"
 #include "sim/time.h"
@@ -120,18 +121,11 @@ public:
     void execute(net::Packet&& pkt, const OdpActions& actions, sim::ExecContext& ctx);
 
     // ---- in-band telemetry (INT) ---------------------------------------
-    // Same semantics as DpifNetdev::IntConfig: attach the Geneve INT
-    // option at encap, stamp one hop record per transmitted frame that
-    // carries the option, pop+export at tunnel decap.
-    struct IntConfig {
-        bool enabled = false;
-        std::uint32_t switch_id = 0;
-        std::uint8_t tier = 0; // net::kIntTier{Host,Leaf,Spine}
-        std::uint8_t max_hops = 8;
-        bool attach_on_encap = true;
-    };
-    void set_int(const IntConfig& cfg) { int_cfg_ = cfg; }
-    const IntConfig& int_config() const { return int_cfg_; }
+    // Same role as DpifNetdev::set_int: attach the Geneve INT option at
+    // encap, stamp one hop record per transmitted frame that carries
+    // the option, pop+export at tunnel decap.
+    void set_int(const net::IntConfig& cfg) { int_cfg_ = cfg; }
+    const net::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- statistics -----------------------------------------------------------------
     std::uint64_t hits() const { return hits_; }
@@ -196,7 +190,7 @@ private:
     int recursion_ = 0;
     MeterTable meters_;
     sim::Nanos now_ = 0;
-    IntConfig int_cfg_;
+    net::IntConfig int_cfg_;
     std::uint16_t last_batch_occupancy_ = 1; // INT queue/batch occupancy field
     std::uint64_t san_scope_;
 };

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "net/checksum.h"
+#include "obs/int_export.h"
 
 namespace ovsx::net {
 
@@ -269,6 +270,33 @@ std::vector<IntHop> int_parse_options(std::span<const std::uint8_t> opts, bool* 
         o += sizeof(GeneveOptionHeader) + body;
     }
     return hops;
+}
+
+bool int_stamp_hop(Packet& pkt, const IntConfig& cfg, std::uint16_t occupancy)
+{
+    IntHop hop;
+    hop.switch_id = cfg.switch_id;
+    hop.ingress_tier = cfg.tier;
+    hop.egress_tier = cfg.tier;
+    hop.occupancy = occupancy;
+    hop.latency_ticks = static_cast<std::uint32_t>(pkt.meta().latency_ns / kIntTickNs);
+    return int_stamp(pkt, hop);
+}
+
+void int_export_popped(std::uint32_t src_ip, std::uint32_t dst_ip,
+                       std::span<const std::uint8_t> opts)
+{
+    if (opts.empty()) return;
+    bool truncated = false;
+    const std::vector<IntHop> hops = int_parse_options(opts, &truncated);
+    if (hops.empty() && !truncated) return;
+    std::vector<obs::IntHopSample> samples;
+    samples.reserve(hops.size());
+    for (const IntHop& h : hops) {
+        samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier, h.occupancy,
+                           static_cast<std::int64_t>(h.latency_ticks) * kIntTickNs});
+    }
+    obs::int_export(src_ip, dst_ip, samples, truncated);
 }
 
 } // namespace ovsx::net

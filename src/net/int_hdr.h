@@ -147,4 +147,28 @@ std::vector<std::uint8_t> int_strip_bytes(std::span<const std::uint8_t> bytes);
 std::vector<IntHop> int_parse_options(std::span<const std::uint8_t> opts,
                                       bool* truncated = nullptr);
 
+// A stamping switch's INT role, shared by the two datapaths that stamp
+// (dpif-netdev and the kernel module; the eBPF datapath forwards the
+// option intact).
+struct IntConfig {
+    bool enabled = false;
+    std::uint32_t switch_id = 0;
+    std::uint8_t tier = 0; // kIntTier{Host,Leaf,Spine}
+    std::uint8_t max_hops = 8;
+    bool attach_on_encap = true; // origin host adds the option
+};
+
+// Stamps this switch's hop record (switch id, tier, `occupancy`, the
+// packet's cumulative latency in ticks) into a Geneve frame that
+// already carries the INT option; every other frame is left alone.
+// Returns true when a record was appended. The caller counts
+// int.stamped and charges the copy with its own cost model.
+bool int_stamp_hop(Packet& pkt, const IntConfig& cfg, std::uint16_t occupancy);
+
+// Last hop: exports the hop records of the INT option that decap popped
+// (DecapResult::geneve_opts) for the (src, dst) VTEP pair to
+// obs::int_export. A no-op when the options carry no INT option.
+void int_export_popped(std::uint32_t src_ip, std::uint32_t dst_ip,
+                       std::span<const std::uint8_t> opts);
+
 } // namespace ovsx::net

@@ -12,7 +12,6 @@
 #include "obs/coverage.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
-#include "ovs/appctl_render.h"
 #include "san/audit.h"
 #include "san/packet_ledger.h"
 
@@ -261,71 +260,16 @@ void DpifEbpf::san_check(san::Site site) const
     san::audit_expect_linked(san_scope_, "ebpf.map", "ebpf.shadow", site);
 }
 
-void DpifEbpf::register_appctl(obs::Appctl& appctl)
+std::vector<kern::CtSnapshotEntry> DpifEbpf::ct_snapshot() const
 {
-    appctl.register_command(
-        "dpif-netdev/pmd-stats-show", "datapath statistics",
-        [this](const obs::Appctl::Args&) {
-            // Runs at the TC hook in softirq context: no PMD threads.
-            sync::LockGuard guard(flow_mu_);
-            obs::Value v = render_pmd_stats(type(), hits_, misses_, 0);
-            v.set("map_entries", static_cast<std::uint64_t>(flow_map_->size()));
-            return v;
-        });
-    appctl.register_command("dpctl/dump-flows", "installed datapath flows",
-                            [this](const obs::Appctl::Args&) {
-                                return render_flow_dump(flow_dump());
-                            });
-    appctl.register_command("conntrack/show", "tracked connections",
-                            [this](const obs::Appctl::Args&) {
-                                return render_ct_snapshot(kernel_.conntrack().snapshot());
-                            });
-    appctl.register_command("xsk/ring-stats", "AF_XDP socket ring statistics",
-                            [](const obs::Appctl::Args&) {
-                                // The eBPF datapath owns no XSK sockets.
-                                return render_xsk_rings({});
-                            });
-    appctl.register_command("dpif-netdev/pmd-rxq-show",
-                            "rxq-to-PMD assignment with windowed busy%",
-                            [this](const obs::Appctl::Args&) {
-                                // TC-hook softirq processing: no PMD threads.
-                                return render_pmd_rxq(type(), {});
-                            });
-    appctl.register_command("dpif-netdev/pmd-rebalance", "rebalance rxqs across PMDs now",
-                            [this](const obs::Appctl::Args&) {
-                                obs::Value v = obs::Value::object();
-                                v.set("datapath", type());
-                                v.set("rebalanced", false);
-                                v.set("detail", "no PMD threads");
-                                return v;
-                            });
-    // The TC-hook program runs in the NIC softirq contexts of the
-    // device-backed ports — one pmd/perf-show row per physical queue,
-    // same shape as the PMD-threaded providers.
-    auto softirq_perfs = [this]() {
-        std::vector<const obs::PmdPerf*> rows;
-        for (const auto& [no, dev] : ports_) {
-            auto* nic = dynamic_cast<kern::PhysicalDevice*>(dev);
-            if (!nic) continue;
-            for (std::uint32_t q = 0; q < nic->config().num_queues; ++q) {
-                if (const obs::PmdPerf* perf = nic->softirq_ctx(q).perf()) {
-                    rows.push_back(perf);
-                }
-            }
-        }
-        return rows;
-    };
-    appctl.register_command(
-        "pmd/perf-show",
-        "per-PMD cycle profiler: stage cycles and iteration histograms",
-        [this, softirq_perfs](const obs::Appctl::Args&) {
-            return render_pmd_perf(type(), softirq_perfs());
-        });
-    appctl.register_command(
-        "pmd/perf-log", "suspicious-iteration thresholds and flight-recorder dumps",
-        [this, softirq_perfs](const obs::Appctl::Args&) {
-            return render_pmd_perf_log(type(), softirq_perfs());
-        });
+    return kernel_.conntrack().snapshot();
+}
+
+std::vector<const obs::PmdPerf*> DpifEbpf::perfs() const
+{
+    std::vector<kern::Device*> devices;
+    for (const auto& [no, dev] : ports_) devices.push_back(dev);
+    return kern::softirq_perfs(devices);
 }
 
 void DpifEbpf::receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
@@ -410,6 +354,7 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
         sync::LockGuard guard(flow_mu_);
         OVSX_SAN_ACCESS_AT(this, "ovs.dpif_ebpf.shadow", true);
         ++misses_;
+        if (!upcall_) ++lost_;
     }
     OVSX_COVERAGE_CTX(ctx, "ebpf.miss");
     if (pkt.meta().trace_id) {

@@ -53,10 +53,19 @@ public:
     }
     std::vector<kern::OdpFlowEntry> flow_dump() const override OVSX_EXCLUDES(flow_mu_);
     void san_check(san::Site site) const override;
-    void register_appctl(obs::Appctl& appctl) override;
 
     void execute(net::Packet&& pkt, const kern::OdpActions& actions,
                  sim::ExecContext& ctx) override;
+
+    Stats stats() const override OVSX_EXCLUDES(flow_mu_)
+    {
+        sync::LockGuard guard(flow_mu_);
+        return {hits_, misses_, lost_};
+    }
+    std::vector<kern::CtSnapshotEntry> ct_snapshot() const override;
+    // The TC program runs in the NIC softirq contexts of the
+    // device-backed ports: one row per physical queue.
+    std::vector<const obs::PmdPerf*> perfs() const override;
 
     // The exact-match mask this datapath requires.
     static net::FlowMask required_mask();
@@ -137,6 +146,7 @@ private:
     UpcallHandler upcall_;
     std::uint64_t hits_ OVSX_GUARDED_BY(flow_mu_) = 0;
     std::uint64_t misses_ OVSX_GUARDED_BY(flow_mu_) = 0;
+    std::uint64_t lost_ OVSX_GUARDED_BY(flow_mu_) = 0; // misses with no upcall handler
     sim::Nanos now_ = 0;
     std::uint64_t san_scope_;
     bool test_skip_shadow_erase_ = false;

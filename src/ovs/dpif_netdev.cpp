@@ -11,10 +11,8 @@
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
-#include "obs/int_export.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
-#include "ovs/appctl_render.h"
 #include "ovs/netdev_afxdp.h"
 #include "san/packet_ledger.h"
 
@@ -88,121 +86,57 @@ std::vector<kern::OdpFlowEntry> DpifNetdev::flow_dump() const
     return out;
 }
 
-void DpifNetdev::register_appctl(obs::Appctl& appctl)
+std::vector<const obs::PmdPerf*> DpifNetdev::perfs() const
 {
-    appctl.register_command(
-        "dpif-netdev/pmd-stats-show", "per-PMD datapath statistics",
-        [this](const obs::Appctl::Args&) {
-            // Instance-local totals: the global emc.hit/megaflow.hit
-            // coverage counters aggregate every datapath instance the
-            // process ever ran, so a fresh instance would report stale
-            // history (and drift from pmd/perf-show, which is strictly
-            // per-instance).
-            obs::Value v = render_pmd_stats(type(), stats_hits_, upcall_count_, dropped_);
-            obs::Value pmds = obs::Value::array();
-            for (const Pmd& pmd : pmds_) {
-                obs::Value row = obs::Value::object();
-                row.set("name", pmd.name);
-                row.set("rxqs", static_cast<std::uint64_t>(pmd.rxqs.size()));
-                for (const char* name :
-                     {"emc.hit", "emc.miss", "megaflow.hit", "megaflow.miss"}) {
-                    row.set(name, pmd.ctx.counter(std::string(name)));
-                }
-                obs::Value busy = obs::Value::object();
-                for (sim::CpuClass c : {sim::CpuClass::User, sim::CpuClass::System,
-                                        sim::CpuClass::Softirq, sim::CpuClass::Guest}) {
-                    busy.set(sim::to_string(c), static_cast<std::uint64_t>(pmd.ctx.busy(c)));
-                }
-                busy.set("total", static_cast<std::uint64_t>(pmd.ctx.total_busy()));
-                row.set("busy_ns", std::move(busy));
-                pmds.push(std::move(row));
+    std::vector<const obs::PmdPerf*> rows;
+    for (const Pmd& pmd : pmds_) {
+        if (const obs::PmdPerf* perf = pmd.ctx.perf()) rows.push_back(perf);
+    }
+    return rows;
+}
+
+std::vector<Dpif::PmdRow> DpifNetdev::pmds() const
+{
+    std::vector<PmdRow> rows;
+    for (const Pmd& pmd : pmds_) {
+        PmdRow row{pmd.name, &pmd.ctx, {}};
+        for (const Rxq& rxq : pmd.rxqs) {
+            RxqRow r{port_name(rxq.port_no), rxq.queue, rxq.busy_ns, 0.0, 0};
+            if (const obs::WindowedRate* wr = window_.series("rxq/" + rxq_name(rxq))) {
+                // EWMA busy-ns per second -> percent of the window,
+                // rounded to 2 decimals for stable text.
+                const double pct = wr->ewma_per_sec() / 1e9 * 100.0;
+                r.busy_pct = std::round(pct * 100.0) / 100.0;
+                r.windows = wr->windows();
             }
-            v.set("pmds", std::move(pmds));
-            return v;
-        });
-    appctl.register_command("dpctl/dump-flows", "installed datapath flows",
-                            [this](const obs::Appctl::Args&) {
-                                return render_flow_dump(flow_dump());
-                            });
-    appctl.register_command("conntrack/show", "tracked connections",
-                            [this](const obs::Appctl::Args&) {
-                                return render_ct_snapshot(ct_.snapshot());
-                            });
-    appctl.register_command(
-        "xsk/ring-stats", "AF_XDP socket ring occupancy and delivery counters",
-        [this](const obs::Appctl::Args&) {
-            std::vector<XskRingRow> rows;
-            for (const auto& [port_no, port] : ports_) {
-                auto* afxdp = dynamic_cast<NetdevAfxdp*>(port.netdev.get());
-                if (!afxdp) continue;
-                for (std::uint32_t q = 0; q < afxdp->n_rxq(); ++q) {
-                    afxdp::XskSocket& xsk = afxdp->xsk(q);
-                    XskRingRow row;
-                    row.dev = xsk.bound_dev();
-                    row.queue = xsk.bound_queue();
-                    row.rx_size = xsk.rx().size();
-                    row.tx_size = xsk.tx().size();
-                    row.fill_size = xsk.umem().fill().size();
-                    row.comp_size = xsk.umem().comp().size();
-                    row.rx_delivered = xsk.rx_delivered;
-                    row.rx_dropped_no_frame = xsk.rx_dropped_no_frame;
-                    row.rx_dropped_ring_full = xsk.rx_dropped_ring_full;
-                    row.tx_completed = xsk.tx_completed;
-                    rows.push_back(std::move(row));
-                }
-            }
-            return render_xsk_rings(rows);
-        });
-    appctl.register_command(
-        "dpif-netdev/pmd-rxq-show", "rxq-to-PMD assignment with windowed busy%",
-        [this](const obs::Appctl::Args&) {
-            std::vector<PmdRxqRow> rows;
-            for (const Pmd& pmd : pmds_) {
-                for (const Rxq& rxq : pmd.rxqs) {
-                    PmdRxqRow row;
-                    row.pmd = pmd.name;
-                    auto it = ports_.find(rxq.port_no);
-                    row.port = it != ports_.end() ? it->second.name
-                                                  : std::to_string(rxq.port_no);
-                    row.queue = rxq.queue;
-                    row.busy_ns = rxq.busy_ns;
-                    if (const obs::WindowedRate* wr = window_.series("rxq/" + rxq_name(rxq))) {
-                        // EWMA busy-ns per second -> percent of the
-                        // window, rounded to 2 decimals for stable text.
-                        const double pct = wr->ewma_per_sec() / 1e9 * 100.0;
-                        row.busy_pct = std::round(pct * 100.0) / 100.0;
-                        row.windows = wr->windows();
-                    }
-                    rows.push_back(std::move(row));
-                }
-            }
-            return render_pmd_rxq(type(), rows);
-        });
-    appctl.register_command(
-        "pmd/perf-show", "per-PMD cycle profiler: stage cycles and iteration histograms",
-        [this](const obs::Appctl::Args&) {
-            std::vector<const obs::PmdPerf*> rows;
-            for (const Pmd& pmd : pmds_) rows.push_back(pmd.ctx.perf());
-            return render_pmd_perf(type(), rows);
-        });
-    appctl.register_command(
-        "pmd/perf-log", "suspicious-iteration thresholds and flight-recorder dumps",
-        [this](const obs::Appctl::Args&) {
-            std::vector<const obs::PmdPerf*> rows;
-            for (const Pmd& pmd : pmds_) rows.push_back(pmd.ctx.perf());
-            return render_pmd_perf_log(type(), rows);
-        });
-    appctl.register_command(
-        "dpif-netdev/pmd-rebalance", "rebalance rxqs across PMDs now",
-        [this](const obs::Appctl::Args&) {
-            const bool did = rebalance_now();
-            obs::Value v = obs::Value::object();
-            v.set("datapath", type());
-            v.set("rebalanced", did);
-            v.set("detail", did ? rebalance_events_.back().detail
-                                : std::string("no improving assignment"));
-            return v;
-        });
+            row.rxqs.push_back(std::move(r));
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+std::vector<Dpif::XskRing> DpifNetdev::xsk_rings() const
+{
+    std::vector<XskRing> rows;
+    for (const auto& [port_no, port] : ports_) {
+        auto* afxdp = dynamic_cast<NetdevAfxdp*>(port.netdev.get());
+        if (!afxdp) continue;
+        for (std::uint32_t q = 0; q < afxdp->n_rxq(); ++q) {
+            afxdp::XskSocket& xsk = afxdp->xsk(q);
+            rows.push_back({xsk.bound_dev(), xsk.bound_queue(), xsk.rx().size(),
+                            xsk.tx().size(), xsk.umem().fill().size(), xsk.umem().comp().size(),
+                            xsk.rx_delivered, xsk.rx_dropped_no_frame, xsk.rx_dropped_ring_full,
+                            xsk.tx_completed});
+        }
+    }
+    return rows;
+}
+
+Dpif::Rebalance DpifNetdev::rebalance()
+{
+    if (!maybe_rebalance(1.0)) return {false, "no improving assignment"};
+    return {true, rebalance_events_.back().detail};
 }
 
 void DpifNetdev::set_now(sim::Nanos now)
@@ -234,12 +168,15 @@ void DpifNetdev::set_auto_lb(bool enabled, double min_improvement)
     auto_lb_min_improvement_ = min_improvement > 1.0 ? min_improvement : 1.0;
 }
 
+std::string DpifNetdev::port_name(std::uint32_t port_no) const
+{
+    auto it = ports_.find(port_no);
+    return it != ports_.end() ? it->second.name : std::to_string(port_no);
+}
+
 std::string DpifNetdev::rxq_name(const Rxq& rxq) const
 {
-    auto it = ports_.find(rxq.port_no);
-    const std::string port =
-        it != ports_.end() ? it->second.name : std::to_string(rxq.port_no);
-    return port + ":" + std::to_string(rxq.queue);
+    return port_name(rxq.port_no) + ":" + std::to_string(rxq.queue);
 }
 
 void DpifNetdev::sample_window()
@@ -321,11 +258,6 @@ bool DpifNetdev::maybe_rebalance(double min_improvement)
     rebalance_events_.push_back(RebalanceEvent{now_, window_.closes(), detail});
     OVSX_COVERAGE("pmd.autolb.rebalance");
     return true;
-}
-
-bool DpifNetdev::rebalance_now()
-{
-    return maybe_rebalance(1.0);
 }
 
 int DpifNetdev::add_pmd(const std::string& name)
@@ -422,23 +354,7 @@ bool DpifNetdev::try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx)
         auto res = net::decapsulate(pkt, *port.tunnel);
         if (!res) continue;
         ctx.charge(costs_.parse_extract); // outer header parse
-        if (!res->geneve_opts.empty()) {
-            // Last hop: pop the INT option (decap already stripped it
-            // from the frame) and export the hop records.
-            bool truncated = false;
-            const auto hops = net::int_parse_options(res->geneve_opts, &truncated);
-            if (!hops.empty() || truncated) {
-                std::vector<obs::IntHopSample> samples;
-                samples.reserve(hops.size());
-                for (const auto& h : hops) {
-                    samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier,
-                                       h.occupancy,
-                                       static_cast<std::int64_t>(h.latency_ticks) *
-                                           net::kIntTickNs});
-                }
-                obs::int_export(res->key.ip_src, res->key.ip_dst, samples, truncated);
-            }
-        }
+        net::int_export_popped(res->key.ip_src, res->key.ip_dst, res->geneve_opts);
         pkt.meta().tunnel = res->key;
         pkt.meta().in_port = no;
         return true;
@@ -551,6 +467,7 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
     ++upcall_count_;
     if (perf) perf->note_upcall();
     if (!upcall_) {
+        ++lost_;
         ++dropped_;
         if (pkt.meta().trace_id) {
             obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
@@ -591,7 +508,12 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
         ++dropped_;
         return;
     }
-    if (int_cfg_.enabled) maybe_int_stamp(pkt, ctx);
+    if (int_cfg_.enabled && net::int_stamp_hop(pkt, int_cfg_, last_batch_occupancy_)) {
+        OVSX_COVERAGE_CTX(ctx, "int.stamped");
+        const auto c = costs_.copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
+        ctx.charge(c);
+        pkt.meta().latency_ns += c;
+    }
     if (batching_outputs_) {
         out_batches_[port_no].push_back(std::move(pkt));
         return;
@@ -651,27 +573,6 @@ void DpifNetdev::output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecCo
     pkt.meta().latency_ns += c;
     pkt.meta().tunnel = net::TunnelKey{};
     output(std::move(pkt), out_port->second, ctx);
-}
-
-void DpifNetdev::maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx)
-{
-    // Only Geneve frames already carrying the INT option are stamped —
-    // int_stamp() locates the option (or bails for every other frame)
-    // and appends this switch's record in place. The inner frame bytes
-    // are untouched.
-    net::IntHop hop;
-    hop.switch_id = int_cfg_.switch_id;
-    hop.ingress_tier = int_cfg_.tier;
-    hop.egress_tier = int_cfg_.tier;
-    hop.occupancy = last_batch_occupancy_;
-    hop.latency_ticks = static_cast<std::uint32_t>(
-        pkt.meta().latency_ns / net::kIntTickNs);
-    if (net::int_stamp(pkt, hop)) {
-        OVSX_COVERAGE_CTX(ctx, "int.stamped");
-        const auto c = costs_.copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
-        ctx.charge(c);
-        pkt.meta().latency_ns += c;
-    }
 }
 
 void DpifNetdev::execute(net::Packet&& pkt, const kern::OdpActions& actions,

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "net/int_hdr.h"
 // No datapath code uses net::PacketBatch any more; the include stays
 // because the wall-clock benchmark reaches PacketBatch::kCapacity
 // through this header.
@@ -51,9 +52,20 @@ public:
         megaflow_.san_check(site);
         netlink_.san_check(site);
     }
-    void register_appctl(obs::Appctl& appctl) override;
     void execute(net::Packet&& pkt, const kern::OdpActions& actions,
                  sim::ExecContext& ctx) override;
+
+    // ---- introspection (Dpif) -------------------------------------------
+    // Instance-local totals: hits are EMC + megaflow hits, misses are
+    // upcalls.
+    Stats stats() const override { return {stats_hits_, upcall_count_, lost_}; }
+    std::vector<kern::CtSnapshotEntry> ct_snapshot() const override { return ct_.snapshot(); }
+    std::vector<const obs::PmdPerf*> perfs() const override;
+    std::vector<PmdRow> pmds() const override;
+    std::vector<XskRing> xsk_rings() const override;
+    // Applies any strict improvement (threshold 1.0), whether or not
+    // auto-LB is enabled.
+    Rebalance rebalance() override;
 
     // ---- PMD threads (O1) --------------------------------------------------------
     // Adds a PMD thread; returns its index. Queues are then pinned with
@@ -84,15 +96,8 @@ public:
     // (switch id, tier, size of the rx burst being processed, cumulative
     // latency ticks) stamped on the batched dataplane, and tunnel decap
     // pops the records into obs::int_export.
-    struct IntConfig {
-        bool enabled = false;
-        std::uint32_t switch_id = 0;
-        std::uint8_t tier = 0; // net::kIntTier{Host,Leaf,Spine}
-        std::uint8_t max_hops = 8;
-        bool attach_on_encap = true; // origin host adds the option
-    };
-    void set_int(const IntConfig& cfg) { int_cfg_ = cfg; }
-    const IntConfig& int_config() const { return int_cfg_; }
+    void set_int(const net::IntConfig& cfg) { int_cfg_ = cfg; }
+    const net::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- subsystems ---------------------------------------------------------------
     Emc& emc() { return emc_; }
@@ -133,10 +138,6 @@ public:
     };
     const std::vector<RebalanceEvent>& rebalance_events() const { return rebalance_events_; }
 
-    // Appctl-triggered rebalance: applies any strict improvement
-    // (threshold 1.0) regardless of whether auto-LB is enabled.
-    bool rebalance_now();
-
     // Packets punted by an explicit Userspace action.
     std::vector<net::Packet>& punted() { return punted_; }
 
@@ -157,10 +158,9 @@ public:
     // instances well below OVS's per-PMD 8192 default.
     void set_emc_entries(std::uint32_t entries) { emc_.resize(entries); }
 
-    std::uint64_t upcalls() const { return upcall_count_; }
+    // Every packet the datapath dropped: lost misses, recursion,
+    // missing ports, tunnel resolution and meters.
     std::uint64_t dropped() const { return dropped_; }
-    // pmd-stats-show "hits": EMC + megaflow hits of THIS instance.
-    std::uint64_t stats_hits() const { return stats_hits_; }
 
 private:
     struct Port {
@@ -183,6 +183,7 @@ private:
         std::vector<Rxq> rxqs;
     };
 
+    std::string port_name(std::uint32_t port_no) const;
     std::string rxq_name(const Rxq& rxq) const;
     void sample_window();
     bool maybe_rebalance(double min_improvement);
@@ -191,7 +192,6 @@ private:
     void output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx);
     bool try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx);
-    void maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx);
     void run_actions(net::Packet&& pkt, const kern::OdpActions& actions, sim::ExecContext& ctx,
                      int depth);
     void flush_output_batches(sim::ExecContext& ctx);
@@ -214,12 +214,13 @@ private:
     sim::Nanos now_ = 0;
     std::uint64_t upcall_count_ = 0;
     std::uint64_t dropped_ = 0;
-    // Instance-local EMC+megaflow hit total (pmd-stats-show "hits");
-    // the global coverage counters aggregate across instances.
+    std::uint64_t lost_ = 0; // misses with no upcall handler
+    // Instance-local EMC+megaflow hit total (stats().hits); the global
+    // coverage counters aggregate across instances.
     std::uint64_t stats_hits_ = 0;
     std::uint32_t emc_insert_inv_prob_ = 100;
     std::uint64_t emc_insert_counter_ = 0;
-    IntConfig int_cfg_;
+    net::IntConfig int_cfg_;
     std::uint16_t last_batch_occupancy_ = 1; // INT occupancy field: last rx burst size
     obs::Window window_;
     bool shards_explicit_ = false;

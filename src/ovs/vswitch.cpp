@@ -1,5 +1,7 @@
 #include "ovs/vswitch.h"
 
+#include "ovs/dpif_appctl.h"
+
 namespace ovsx::ovs {
 
 VSwitch::VSwitch(std::unique_ptr<Dpif> dpif) : dpif_(std::move(dpif))
@@ -8,7 +10,7 @@ VSwitch::VSwitch(std::unique_ptr<Dpif> dpif) : dpif_(std::move(dpif))
                                      const net::FlowKey& key, sim::ExecContext& ctx) {
         handle_upcall(in_port, std::move(pkt), key, ctx);
     });
-    dpif_->register_appctl(appctl_);
+    register_dpif_commands(appctl_, *dpif_);
 }
 
 void VSwitch::handle_upcall(std::uint32_t in_port, net::Packet&& pkt, const net::FlowKey& key,

@@ -20,8 +20,9 @@ public:
     Dpif& dpif() { return *dpif_; }
     template <typename T> T& dpif_as() { return dynamic_cast<T&>(*dpif_); }
 
-    // The ovs-appctl surface: global commands (coverage/show,
-    // memory/show) plus whatever the datapath provider registered.
+    // The ovs-appctl surface: the global commands (coverage/show,
+    // memory/show, ...) plus the eight provider commands
+    // (ovs/dpif_appctl.h).
     obs::Appctl& appctl() { return appctl_; }
 
     std::uint64_t upcalls_handled() const { return upcalls_; }

@@ -24,8 +24,8 @@
 #include "net/builder.h"
 #include "net/flow.h"
 #include "obs/appctl.h"
-#include "ovs/appctl_render.h"
 #include "ovs/ct.h"
+#include "ovs/dpif_appctl.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/megaflow.h"
 #include "san/lockset.h"

@@ -61,6 +61,23 @@ TEST(DpifKernelTest, VSwitchDrivesTheKernelModule)
     EXPECT_GT(nic0.softirq_ctx(0).busy(sim::CpuClass::Softirq), 0);
 }
 
+// Clearing the handler through Dpif& must leave the module without one:
+// the next miss is counted lost, not sent to an empty std::function.
+TEST(DpifKernelTest, ClearedUpcallHandlerCountsMissesAsLost)
+{
+    kern::Kernel host("host");
+    auto& nic0 = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1));
+    auto& kdp = host.ovs_datapath();
+    kdp.add_port(nic0);
+    DpifKernel kernel_dpif(kdp);
+    Dpif& dpif = kernel_dpif;
+    dpif.set_upcall_handler(
+        [](std::uint32_t, net::Packet&&, const net::FlowKey&, sim::ExecContext&) {});
+    dpif.set_upcall_handler({});
+    EXPECT_NO_THROW(nic0.rx_from_wire(udp64()));
+    EXPECT_EQ(kdp.lost(), 1u);
+}
+
 TEST(DpifKernelTest, FlowFlushForcesReUpcall)
 {
     kern::Kernel host("host");

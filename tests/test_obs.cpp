@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <latch>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -263,8 +264,28 @@ void expect_command_surface(obs::Appctl& appctl, const char* provider)
     EXPECT_TRUE(plog.find("pmds")->is_object()) << provider;
 }
 
+// The eight commands every provider registers (ovs/dpif_appctl.h).
+const std::vector<std::string> kProviderCommands = {
+    "dpif-netdev/pmd-stats-show", "dpif-netdev/pmd-rxq-show", "dpif-netdev/pmd-rebalance",
+    "dpctl/dump-flows",           "conntrack/show",           "xsk/ring-stats",
+    "pmd/perf-show",              "pmd/perf-log",
+};
+
+// Command -> the top-level keys of its JSON value, in order.
+std::map<std::string, std::vector<std::string>> top_level_keys(const obs::Appctl& appctl)
+{
+    std::map<std::string, std::vector<std::string>> keys;
+    for (const auto& cmd : kProviderCommands) {
+        const auto v = obs::json_parse(appctl.run(cmd, {}, obs::Appctl::Format::Json));
+        if (!v) continue;
+        for (const auto& [key, value] : v->members()) keys[cmd].push_back(key);
+    }
+    return keys;
+}
+
 TEST(ObsAppctl, AllThreeProvidersAnswerTheSameCommands)
 {
+    std::map<std::string, std::vector<std::string>> netdev_keys, kernel_keys, ebpf_keys;
     {
         kern::Kernel host;
         auto& nic = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1));
@@ -276,6 +297,7 @@ TEST(ObsAppctl, AllThreeProvidersAnswerTheSameCommands)
         const obs::Value rings = vs.appctl().run_value("xsk/ring-stats");
         ASSERT_EQ(rings.find("rings")->items().size(), 1u);
         EXPECT_EQ(rings.find("rings")->items()[0].find("dev")->as_string(), "eth0");
+        netdev_keys = top_level_keys(vs.appctl());
     }
     {
         kern::Kernel host;
@@ -283,12 +305,20 @@ TEST(ObsAppctl, AllThreeProvidersAnswerTheSameCommands)
         ovs::VSwitch vs(std::make_unique<ovs::DpifKernel>(dp));
         expect_command_surface(vs.appctl(), "kernel");
         EXPECT_TRUE(vs.appctl().run_value("xsk/ring-stats").find("rings")->items().empty());
+        kernel_keys = top_level_keys(vs.appctl());
     }
     {
         kern::Kernel host;
         ovs::VSwitch vs(std::make_unique<ovs::DpifEbpf>(host));
         expect_command_surface(vs.appctl(), "ebpf");
         EXPECT_TRUE(vs.appctl().run_value("xsk/ring-stats").find("rings")->items().empty());
+        ebpf_keys = top_level_keys(vs.appctl());
+    }
+    // One shape: no provider adds a top-level field of its own.
+    ASSERT_EQ(netdev_keys.size(), kProviderCommands.size());
+    for (const auto& cmd : kProviderCommands) {
+        EXPECT_EQ(kernel_keys[cmd], netdev_keys[cmd]) << cmd;
+        EXPECT_EQ(ebpf_keys[cmd], netdev_keys[cmd]) << cmd;
     }
 }
 
@@ -386,6 +416,344 @@ TEST(ObsAppctl, ConntrackShowNatGoldenTextIdenticalAcrossProviders)
         ovs::VSwitch vs(std::make_unique<ovs::DpifEbpf>(host));
         drive(host.conntrack());
         EXPECT_EQ(vs.appctl().run("conntrack/show"), golden) << "ebpf";
+    }
+}
+
+// ---- provider surface after one fixed workload ---------------------------
+
+net::Packet rig_udp(std::uint16_t port, bool reply)
+{
+    net::UdpSpec spec;
+    spec.src_mac = net::MacAddr::from_id(reply ? 2 : 1);
+    spec.dst_mac = net::MacAddr::from_id(reply ? 1 : 2);
+    spec.src_ip = reply ? net::ipv4(10, 0, 0, 2) : net::ipv4(10, 0, 0, 1);
+    spec.dst_ip = reply ? net::ipv4(10, 0, 0, 1) : net::ipv4(10, 0, 0, 2);
+    spec.src_port = reply ? 2000 : port;
+    spec.dst_port = reply ? port : 2000;
+    return net::build_udp(spec);
+}
+
+// One provider with two NIC ports (AF_XDP ports on netdev). The netdev
+// provider runs two PMDs with both rxqs on pmd0, so a rebalance has an
+// rxq to move. No upcall handler until attach_vswitch().
+struct ProviderRig {
+    kern::Kernel host;
+    kern::PhysicalDevice* nic0 = nullptr;
+    kern::PhysicalDevice* nic1 = nullptr;
+    std::unique_ptr<kern::OvsKernelDatapath> kdp;
+    std::unique_ptr<ovs::Dpif> owned;
+    std::unique_ptr<ovs::VSwitch> vs;
+    ovs::Dpif* dpif = nullptr;
+    ovs::DpifNetdev* netdev = nullptr;
+    ovs::DpifEbpf* ebpf = nullptr;
+    std::uint32_t p0 = 0, p1 = 0;
+
+    void set_now(sim::Nanos now)
+    {
+        if (netdev) netdev->set_now(now);
+        if (kdp) kdp->set_now(now);
+        if (ebpf) ebpf->set_now(now);
+    }
+    void drain()
+    {
+        if (!netdev) return;
+        while (netdev->pmd_poll_once(0) > 0) {
+        }
+        netdev->pmd_poll_once(1);
+    }
+};
+
+std::unique_ptr<ProviderRig> make_rig(const std::string& provider)
+{
+    auto r = std::make_unique<ProviderRig>();
+    r->nic0 = &r->host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1));
+    r->nic1 = &r->host.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(2));
+    r->nic0->connect_wire([](net::Packet&&) {});
+    r->nic1->connect_wire([](net::Packet&&) {});
+    if (provider == "netdev") {
+        auto dp = std::make_unique<ovs::DpifNetdev>(r->host);
+        r->p0 = dp->add_port(std::make_unique<ovs::NetdevAfxdp>(*r->nic0));
+        r->p1 = dp->add_port(std::make_unique<ovs::NetdevAfxdp>(*r->nic1));
+        const int pmd0 = dp->add_pmd("pmd0");
+        dp->add_pmd("pmd1");
+        dp->pmd_assign(pmd0, r->p0, 0);
+        dp->pmd_assign(pmd0, r->p1, 0);
+        dp->set_window_interval(100'000);
+        dp->set_emc_insert_inv_prob(1);
+        r->netdev = dp.get();
+        r->owned = std::move(dp);
+    } else if (provider == "kernel") {
+        r->kdp = std::make_unique<kern::OvsKernelDatapath>(r->host);
+        r->p0 = r->kdp->add_port(*r->nic0);
+        r->p1 = r->kdp->add_port(*r->nic1);
+        r->owned = std::make_unique<ovs::DpifKernel>(*r->kdp);
+    } else {
+        auto dp = std::make_unique<ovs::DpifEbpf>(r->host);
+        r->p0 = dp->add_port(*r->nic0);
+        r->p1 = dp->add_port(*r->nic1);
+        r->ebpf = dp.get();
+        r->owned = std::move(dp);
+    }
+    r->dpif = r->owned.get();
+    return r;
+}
+
+// Hands the provider to a VSwitch whose ofproto runs a ct(commit) +
+// recirc pipeline one way and plain forwarding back. eBPF cannot
+// recirculate or wildcard, so its upcalls install the same pipeline
+// flattened into exact-match ct+output flows.
+void attach_vswitch(ProviderRig& r)
+{
+    kern::CtSpec commit;
+    commit.zone = 1;
+    commit.commit = true;
+    r.vs = std::make_unique<ovs::VSwitch>(std::move(r.owned));
+    ovs::Match from0;
+    from0.key.in_port = r.p0;
+    from0.mask.bits.in_port = 0xffffffff;
+    ovs::Match from1;
+    from1.key.in_port = r.p1;
+    from1.mask.bits.in_port = 0xffffffff;
+    auto& of = r.vs->ofproto();
+    of.add_rule({.table = 0, .priority = 100, .match = from0,
+                 .actions = {ovs::OfAction::conntrack(commit, 1)}});
+    of.add_rule({.table = 1, .priority = 100, .match = from0,
+                 .actions = {ovs::OfAction::output(r.p1)}});
+    of.add_rule({.table = 0, .priority = 100, .match = from1,
+                 .actions = {ovs::OfAction::output(r.p0)}});
+    if (!r.ebpf) return;
+    ProviderRig* rig = &r;
+    r.ebpf->set_upcall_handler([rig, commit](std::uint32_t in_port, net::Packet&& pkt,
+                                             const net::FlowKey& key, sim::ExecContext& ctx) {
+        kern::OdpActions acts;
+        if (in_port == rig->p0) {
+            acts.push_back(kern::OdpAction::conntrack(commit));
+            acts.push_back(kern::OdpAction::output(rig->p1));
+        } else {
+            acts.push_back(kern::OdpAction::output(rig->p0));
+        }
+        rig->ebpf->flow_put(key, ovs::DpifEbpf::required_mask(), acts);
+        rig->ebpf->execute(std::move(pkt), acts, ctx);
+    });
+}
+
+// Six 50 us rounds: four flows from eth0 each round, one reply from
+// eth1 every other round. Nothing drops.
+std::unique_ptr<ProviderRig> run_fixed_workload(const std::string& provider)
+{
+    auto r = make_rig(provider);
+    attach_vswitch(*r);
+    sim::Nanos now = 0;
+    for (int round = 0; round < 6; ++round) {
+        now += 50'000;
+        r->set_now(now);
+        for (std::uint16_t f = 0; f < 4; ++f) r->nic0->rx_from_wire(rig_udp(1000 + f, false));
+        if (round % 2 == 1) {
+            r->nic1->rx_from_wire(rig_udp(static_cast<std::uint16_t>(1000 + round / 2), true));
+        }
+        r->drain();
+    }
+    return r;
+}
+
+// Pins the provider outputs no other test pins. The workload drops
+// nothing, so lost is 0 everywhere.
+TEST(ObsAppctl, ProviderCommandsGoldenTextAfterFixedWorkload)
+{
+    const std::string netdev_mask =
+        "mask{in_port=4294967295,recirc=4294967295,"
+        "00:00:00:00:00:00->00:00:00:00:00:00,type=0x0}";
+    const std::string recirc_flows =
+        "flow_count: 3\n"
+        "flows:\n"
+        "  - key{in_port=1,00:00:00:00:00:00->00:00:00:00:00:00,type=0x0} " + netdev_mask +
+        " actions{ct(zone=1,commit),recirc(1)}\n"
+        "  - key{in_port=1,recirc=1,00:00:00:00:00:00->00:00:00:00:00:00,type=0x0} " +
+        netdev_mask + " actions{output(2)}\n"
+        "  - key{in_port=2,00:00:00:00:00:00->00:00:00:00:00:00,type=0x0} " + netdev_mask +
+        " actions{output(1)}\n";
+    {
+        auto rig = run_fixed_workload("netdev");
+        const obs::Appctl& appctl = rig->vs->appctl();
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-stats-show"),
+                  "datapath: netdev\n"
+                  "stats:\n"
+                  "  hits: 48\n"
+                  "  misses: 3\n"
+                  "  lost: 0\n"
+                  "pmds:\n"
+                  "  -\n"
+                  "    name: pmd0\n"
+                  "    rxqs: 2\n"
+                  "    emc.hit: 35\n"
+                  "    emc.miss: 16\n"
+                  "    megaflow.hit: 13\n"
+                  "    megaflow.miss: 3\n"
+                  "    busy_ns:\n"
+                  "      user: 367631\n"
+                  "      system: 4680\n"
+                  "      softirq: 0\n"
+                  "      guest: 0\n"
+                  "      total: 372311\n"
+                  "  -\n"
+                  "    name: pmd1\n"
+                  "    rxqs: 0\n"
+                  "    emc.hit: 0\n"
+                  "    emc.miss: 0\n"
+                  "    megaflow.hit: 0\n"
+                  "    megaflow.miss: 0\n"
+                  "    busy_ns:\n"
+                  "      user: 0\n"
+                  "      system: 0\n"
+                  "      softirq: 0\n"
+                  "      guest: 0\n"
+                  "      total: 0\n");
+        const std::string eth0_rxq = "        port: eth0\n"
+                                     "        queue: 0\n"
+                                     "        busy_ns: 249954\n"
+                                     "        busy_pct: 147.53\n"
+                                     "        windows: 2\n";
+        const std::string eth1_rxq = "        port: eth1\n"
+                                     "        queue: 0\n"
+                                     "        busy_ns: 122357\n"
+                                     "        busy_pct: 72.78\n"
+                                     "        windows: 2\n";
+        // pmd1 polls nothing yet, so it is not listed.
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-rxq-show"),
+                  "datapath: netdev\n"
+                  "pmds:\n"
+                  "  -\n"
+                  "    name: pmd0\n"
+                  "    rxqs:\n"
+                  "      -\n" + eth0_rxq +
+                  "      -\n" + eth1_rxq);
+        EXPECT_EQ(appctl.run("xsk/ring-stats"),
+                  "rings:\n"
+                  "  -\n"
+                  "    dev: eth0\n"
+                  "    queue: 0\n"
+                  "    rx_size: 0\n"
+                  "    tx_size: 0\n"
+                  "    fill_size: 2048\n"
+                  "    comp_size: 0\n"
+                  "    rx_delivered: 24\n"
+                  "    rx_dropped_no_frame: 0\n"
+                  "    rx_dropped_ring_full: 0\n"
+                  "    tx_completed: 3\n"
+                  "  -\n"
+                  "    dev: eth1\n"
+                  "    queue: 0\n"
+                  "    rx_size: 0\n"
+                  "    tx_size: 0\n"
+                  "    fill_size: 2048\n"
+                  "    comp_size: 0\n"
+                  "    rx_delivered: 3\n"
+                  "    rx_dropped_no_frame: 0\n"
+                  "    rx_dropped_ring_full: 0\n"
+                  "    tx_completed: 24\n");
+        EXPECT_EQ(appctl.run("dpctl/dump-flows"), recirc_flows);
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-rebalance"),
+                  "datapath: netdev\n"
+                  "rebalanced: true\n"
+                  "detail: moved 1 rxqs, busiest PMD load 2203042000 -> 1475260000\n");
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-rxq-show"),
+                  "datapath: netdev\n"
+                  "pmds:\n"
+                  "  -\n"
+                  "    name: pmd0\n"
+                  "    rxqs:\n"
+                  "      -\n" + eth0_rxq +
+                  "  -\n"
+                  "    name: pmd1\n"
+                  "    rxqs:\n"
+                  "      -\n" + eth1_rxq);
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-rebalance"),
+                  "datapath: netdev\n"
+                  "rebalanced: false\n"
+                  "detail: no improving assignment\n");
+    }
+    {
+        auto rig = run_fixed_workload("kernel");
+        const obs::Appctl& appctl = rig->vs->appctl();
+        EXPECT_EQ(appctl.run("dpctl/dump-flows"), recirc_flows);
+        EXPECT_EQ(appctl.run("dpif-netdev/pmd-stats-show"),
+                  "datapath: system\n"
+                  "stats:\n"
+                  "  hits: 48\n"
+                  "  misses: 3\n"
+                  "  lost: 0\n"
+                  "pmds:\n");
+    }
+    {
+        auto rig = run_fixed_workload("ebpf");
+        const obs::Appctl& appctl = rig->vs->appctl();
+        const std::string mask = "mask{in_port=4294967295,00:00:00:00:00:00->00:00:00:00:00:00,"
+                                 "type=0x0,vlan=4095,proto=255,tp=65535->65535}";
+        std::string flows = "flow_count: 7\nflows:\n";
+        for (int f = 0; f < 4; ++f) {
+            flows += "  - key{in_port=1,00:00:00:00:00:00->00:00:00:00:00:00,type=0x0,proto=17,"
+                     "tp=100" + std::to_string(f) + "->2000} " + mask +
+                     " actions{ct(zone=1,commit),output(2)}\n";
+        }
+        for (int f = 0; f < 3; ++f) {
+            flows += "  - key{in_port=2,00:00:00:00:00:00->00:00:00:00:00:00,type=0x0,proto=17,"
+                     "tp=2000->100" + std::to_string(f) + "} " + mask + " actions{output(1)}\n";
+        }
+        EXPECT_EQ(appctl.run("dpctl/dump-flows"), flows);
+        EXPECT_EQ(appctl.run_value("dpif-netdev/pmd-stats-show").find("stats")->to_text(),
+                  "hits: 20\n"
+                  "misses: 7\n"
+                  "lost: 0\n");
+    }
+}
+
+// stats().lost is OVS's n_lost on every provider: classifier misses
+// dropped because no upcall handler is set, and no other drop.
+TEST(ObsAppctl, LostCountsOnlyMissesWithoutAnUpcallHandler)
+{
+    for (const char* provider : {"netdev", "kernel", "ebpf"}) {
+        // 10 misses, no handler: all lost.
+        auto rig = make_rig(provider);
+        for (int i = 0; i < 10; ++i) rig->nic0->rx_from_wire(rig_udp(1000, false));
+        rig->drain();
+        EXPECT_EQ(rig->dpif->stats().misses, 10u) << provider;
+        EXPECT_EQ(rig->dpif->stats().lost, 10u) << provider;
+
+        // 10 hits on a flow whose output port does not exist: dropped,
+        // never lost.
+        rig = make_rig(provider);
+        net::Packet probe = rig_udp(1000, false);
+        probe.meta().in_port = rig->p0;
+        // eBPF's exact-match mask is one every provider accepts.
+        rig->dpif->flow_put(net::parse_flow(probe), ovs::DpifEbpf::required_mask(),
+                            {kern::OdpAction::output(99)});
+        for (int i = 0; i < 10; ++i) rig->nic0->rx_from_wire(rig_udp(1000, false));
+        rig->drain();
+        EXPECT_EQ(rig->dpif->stats().hits, 10u) << provider;
+        EXPECT_EQ(rig->dpif->stats().lost, 0u) << provider;
+        if (rig->netdev) {
+            EXPECT_EQ(rig->netdev->dropped(), 10u); // still counts every drop
+        }
+    }
+}
+
+// The differential harness cross-checks perfs() against stats() and
+// skips a provider whose perfs() is empty, so pin that it is not: after
+// traffic that recirculates (eBPF runs the pipeline flattened), every
+// provider's profilers count exactly hits + misses classifier passes.
+TEST(ObsAppctl, PerfPacketTotalsEqualHitsPlusMissesOnEveryProvider)
+{
+    for (const char* provider : {"netdev", "kernel", "ebpf"}) {
+        auto rig = run_fixed_workload(provider);
+        const std::vector<const obs::PmdPerf*> perfs = rig->vs->dpif().perfs();
+        ASSERT_FALSE(perfs.empty()) << provider;
+        std::uint64_t packets = 0;
+        for (const obs::PmdPerf* perf : perfs) packets += perf->packets();
+        const ovs::Dpif::Stats stats = rig->vs->dpif().stats();
+        EXPECT_EQ(packets, stats.hits + stats.misses) << provider;
+        // 24 forward packets classify twice when they recirculate, plus
+        // 3 replies.
+        EXPECT_EQ(stats.hits + stats.misses, rig->ebpf ? 27u : 51u) << provider;
     }
 }
 

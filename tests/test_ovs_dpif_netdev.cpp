@@ -14,6 +14,7 @@
 #include "obs/perf.h"
 #include "obs/trace.h"
 #include "obs/value.h"
+#include "ovs/dpif_appctl.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/netdev_afxdp.h"
 #include "ovs/vswitch.h"
@@ -349,7 +350,7 @@ AutoLbRun run_skewed_autolb(bool enable_lb)
                              " window=" + std::to_string(ev.window) + " " + ev.detail);
     }
     obs::Appctl appctl;
-    dp.register_appctl(appctl);
+    register_dpif_commands(appctl, dp);
     out.rxq_show_json = appctl.run("dpif-netdev/pmd-rxq-show", {}, obs::Appctl::Format::Json);
     return out;
 }
@@ -394,7 +395,7 @@ TEST(DpifNetdevAutoLb, SkewTriggersReproducibleRebalance)
 TEST_F(DpifNetdevTest, RebalanceWithoutLoadReportsNoImprovement)
 {
     obs::Appctl appctl;
-    dpif->register_appctl(appctl);
+    register_dpif_commands(appctl, *dpif);
     const auto v = appctl.run_value("dpif-netdev/pmd-rebalance");
     ASSERT_NE(v.find("rebalanced"), nullptr);
     EXPECT_FALSE(v.find("rebalanced")->as_bool());
@@ -475,7 +476,7 @@ TEST_F(DpifNetdevTest, RxBurstCountersIntOccupancyAndDecapStage)
                                 nic1->ifindex());
     const auto tun = dpif->add_tunnel_port("geneve0", net::TunnelType::Geneve,
                                            ipv4(172, 16, 0, 1));
-    DpifNetdev::IntConfig int_cfg;
+    net::IntConfig int_cfg;
     int_cfg.enabled = true;
     int_cfg.switch_id = 7;
     dpif->set_int(int_cfg);

@@ -221,7 +221,7 @@ TEST(Robustness, MeterlessAndFlowlessDatapathsDropCleanly)
     while (dpif.pmd_poll_once(pmd) > 0) {
     }
     EXPECT_EQ(dpif.dropped(), 10u);
-    EXPECT_EQ(dpif.upcalls(), 10u);
+    EXPECT_EQ(dpif.stats().misses, 10u);
 }
 
 // ---- AF_XDP option matrix: every combination must forward correctly ----
