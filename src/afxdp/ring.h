@@ -10,7 +10,7 @@
 // carry all cross-thread data:
 //
 //   P1  producer's release store of prod_   ->  consumer's acquire load
-//       of prod_ (consume/consume_batch/size). A consumer that observes
+//       of prod_ (consume/peek/consume_batch/size). A consumer that observes
 //       prod_ >= i+1 therefore observes the write to slots_[i & mask]
 //       sequenced before that store — descriptors are published safely.
 //
@@ -82,6 +82,16 @@ public:
         T item = slots_[cons & mask_];
         cons_.store(cons + 1, std::memory_order_release); // pair P2: frees the slot
         return item;
+    }
+
+    // Consumer side: the next item consume() would return, left on the
+    // ring; nullopt when empty.
+    std::optional<T> peek() const
+    {
+        const std::uint32_t cons = cons_.load(std::memory_order_relaxed); // own index
+        const std::uint32_t prod = prod_.load(std::memory_order_acquire); // pair P1
+        if (prod == cons) return std::nullopt;
+        return slots_[cons & mask_];
     }
 
     // Consumes up to `n` items into `out`; returns the number consumed.

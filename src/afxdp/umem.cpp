@@ -1,5 +1,6 @@
 #include "afxdp/umem.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace ovsx::afxdp {
@@ -9,21 +10,13 @@ Umem::Umem(std::uint32_t chunk_count, std::uint32_t chunk_size, std::uint32_t ri
       buffer_(static_cast<std::size_t>(chunk_count) * chunk_size), fill_(ring_capacity),
       comp_(ring_capacity)
 {
-    if (chunk_count == 0 || chunk_size < 64) {
+    if (chunk_count == 0 || chunk_size < 64 || !std::has_single_bit(chunk_size)) {
         throw std::invalid_argument("Umem: bad geometry");
     }
+    chunk_shift_ = static_cast<std::uint32_t>(std::countr_zero(chunk_size));
+    chunk_mask_ = chunk_size - 1;
 }
 
-std::span<std::uint8_t> Umem::frame(FrameAddr addr)
-{
-    if (!valid(addr)) throw std::out_of_range("Umem: bad frame address");
-    return {buffer_.data() + addr, chunk_size_};
-}
-
-std::span<const std::uint8_t> Umem::frame(FrameAddr addr) const
-{
-    if (!valid(addr)) throw std::out_of_range("Umem: bad frame address");
-    return {buffer_.data() + addr, chunk_size_};
-}
+void Umem::throw_bad_addr() { throw std::out_of_range("Umem: bad frame address"); }
 
 } // namespace ovsx::afxdp

@@ -19,20 +19,38 @@ class Umem {
 public:
     static constexpr std::uint32_t kDefaultChunkSize = 2048;
 
+    // Aligned mode, as the kernel requires it: the chunk size is a power
+    // of two (and at least 64 here), so frames index by shift and mask.
     Umem(std::uint32_t chunk_count, std::uint32_t chunk_size = kDefaultChunkSize,
          std::uint32_t ring_capacity = 2048);
 
     std::uint32_t chunk_count() const { return chunk_count_; }
     std::uint32_t chunk_size() const { return chunk_size_; }
 
-    // Raw access to a chunk's memory.
-    std::span<std::uint8_t> frame(FrameAddr addr);
-    std::span<const std::uint8_t> frame(FrameAddr addr) const;
+    // Raw access to a chunk's memory; throws std::out_of_range unless
+    // `addr` is valid().
+    std::span<std::uint8_t> frame(FrameAddr addr)
+    {
+        check(addr);
+        return {buffer_.data() + addr, chunk_size_};
+    }
+    std::span<const std::uint8_t> frame(FrameAddr addr) const
+    {
+        check(addr);
+        return {buffer_.data() + addr, chunk_size_};
+    }
+
+    // Prefetches the head of frame `addr` for writing; an invalid
+    // address is ignored.
+    void prefetch_for_write(FrameAddr addr) const
+    {
+        if (valid(addr)) __builtin_prefetch(buffer_.data() + addr, 1);
+    }
 
     // True if addr names a valid chunk boundary.
     bool valid(FrameAddr addr) const
     {
-        return addr % chunk_size_ == 0 && addr / chunk_size_ < chunk_count_;
+        return (addr & chunk_mask_) == 0 && (addr >> chunk_shift_) < chunk_count_;
     }
 
     // Fill ring: userspace -> kernel (empty frames for RX).
@@ -46,8 +64,16 @@ public:
     std::uint64_t san_scope() const { return san_scope_; }
 
 private:
+    void check(FrameAddr addr) const
+    {
+        if (!valid(addr)) [[unlikely]] throw_bad_addr();
+    }
+    [[noreturn]] static void throw_bad_addr();
+
     std::uint32_t chunk_count_;
     std::uint32_t chunk_size_;
+    std::uint32_t chunk_shift_ = 0;
+    std::uint64_t chunk_mask_ = 0;
     std::vector<std::uint8_t> buffer_;
     SpscRing<FrameAddr> fill_;
     SpscRing<FrameAddr> comp_;

@@ -22,6 +22,10 @@ bool XskSocket::kernel_deliver(const net::Packet& pkt, const sim::CostModel& cos
         }
         return false;
     }
+    // The next delivery writes the frame behind this one, which was
+    // posted a whole fill ring ago and is cold by now: fetch it while
+    // this packet is handled, as DDIO puts a real NIC's DMA in cache.
+    if (const auto next = umem_.fill().peek()) umem_.prefetch_for_write(*next);
     san::frame_transition(umem_.san_scope(), *fill, san::FrameState::KernelRx, OVSX_SITE);
     auto dst = umem_.frame(*fill);
     const std::size_t len = pkt.size() < dst.size() ? pkt.size() : dst.size();

@@ -15,6 +15,7 @@
 #include "net/packet.h"
 #include "sim/context.h"
 #include "sim/costs.h"
+#include "sync/annotations.h"
 
 namespace ovsx::afxdp {
 
@@ -60,13 +61,13 @@ public:
     // ring work (and the data copy when in Copy mode). Returns false — a
     // drop — when no fill frame or rx slot is available (userspace is too
     // slow), which is exactly the lossless-rate limit the paper measures.
-    bool kernel_deliver(const net::Packet& pkt, const sim::CostModel& costs,
-                        sim::ExecContext& softirq);
+    OVSX_NO_ALLOC bool kernel_deliver(const net::Packet& pkt, const sim::CostModel& costs,
+                                      sim::ExecContext& softirq);
 
     // Collects one packet from the tx ring (if any), pushing its frame
     // to the completion ring. Returns the reconstructed packet.
-    std::optional<net::Packet> kernel_collect_tx(const sim::CostModel& costs,
-                                                 sim::ExecContext& softirq);
+    OVSX_NO_ALLOC std::optional<net::Packet>
+    kernel_collect_tx(const sim::CostModel& costs, sim::ExecContext& softirq);
 
     // ---- statistics ---------------------------------------------------------
     std::uint64_t rx_delivered = 0;

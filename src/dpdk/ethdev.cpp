@@ -11,15 +11,36 @@ EthDev::EthDev(kern::PhysicalDevice& nic, Mempool& pool) : nic_(nic), pool_(pool
     queues_.resize(nic.config().num_queues);
     nic_.dpdk_take_over([this](net::Packet&& pkt, std::uint32_t queue) {
         auto& q = queues_[queue < queues_.size() ? queue : 0];
-        if (q.size() >= kQueueDepth) {
+        if (q.count >= kQueueDepth) {
             ++rx_dropped_;
             return;
         }
         // Hardware RX offloads still apply — the PMD programs them via
         // its own descriptors.
         pkt.meta().csum_verified = nic_.config().rx_csum;
-        q.push_back(std::move(pkt));
+        q.push(std::move(pkt));
     });
+}
+
+void EthDev::RxQueue::push(net::Packet&& pkt)
+{
+    if (count == slots.size()) {
+        std::vector<std::optional<net::Packet>> grown(slots.size() * 2);
+        for (std::size_t i = 0; i < count; ++i) {
+            grown[i] = std::move(slots[(head + i) & (slots.size() - 1)]);
+        }
+        slots = std::move(grown);
+        head = 0;
+    }
+    slots[(head + count) & (slots.size() - 1)].emplace(std::move(pkt));
+    ++count;
+}
+
+void EthDev::RxQueue::pop()
+{
+    slots[head].reset();
+    head = (head + 1) & (slots.size() - 1);
+    --count;
 }
 
 EthDev::~EthDev() { nic_.dpdk_release(); }
@@ -30,11 +51,11 @@ std::uint32_t EthDev::rx_burst(std::uint32_t queue, std::vector<net::Packet>& ou
     const auto& costs = nic_.kernel().costs();
     auto& q = queues_[queue < queues_.size() ? queue : 0];
     std::uint32_t n = 0;
-    while (n < max && !q.empty()) {
+    while (n < max && q.count > 0) {
         pmd.charge(costs.dpdk_rx_desc + costs.mbuf_op);
         q.front().meta().latency_ns += costs.dpdk_rx_desc + costs.mbuf_op;
         out.push_back(std::move(q.front()));
-        q.pop_front();
+        q.pop();
         ++n;
     }
     if (n > 0) {

@@ -36,7 +36,11 @@ void PhysicalDevice::set_config(const NicConfig& cfg)
 
 std::uint32_t PhysicalDevice::select_queue(const net::Packet& pkt) const
 {
-    const net::FlowKey key = net::parse_flow(pkt);
+    return select_queue(net::parse_flow(pkt));
+}
+
+std::uint32_t PhysicalDevice::select_queue(const net::FlowKey& key) const
+{
     for (const auto& rule : ntuple_) {
         if (rule.proto && rule.proto != key.nw_proto) continue;
         if (rule.dst_port && rule.dst_port != key.tp_dst) continue;
@@ -93,14 +97,22 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
         pkt.set_san_id(san::skb_acquire("wire-rx", san::SkbState::Driver, OVSX_SITE));
     }
 
+    // One parse serves steering and the RSS hash, and none is made when
+    // neither needs it: one queue and no ntuple rules steer nothing, and
+    // the DPDK PMD reads no hash from the kernel's rx path.
+    const bool steer =
+        !forced_queue && (!ntuple_.empty() || (cfg_.rss && cfg_.num_queues > 1));
+    const bool hash = cfg_.rss && !dpdk_rx_;
+    std::optional<net::FlowKey> key;
+    if (steer || hash) key = net::parse_flow(pkt);
+    const std::uint32_t q = forced_queue ? *forced_queue : steer ? select_queue(*key) : 0;
+
     if (dpdk_rx_) {
         // Kernel completely bypassed: the PMD owns the queues.
-        const std::uint32_t q = forced_queue.value_or(select_queue(pkt));
         dpdk_rx_(std::move(pkt), q);
         return;
     }
 
-    const std::uint32_t q = forced_queue.value_or(select_queue(pkt));
     sim::ExecContext& ctx = softirq_[q];
     const auto& costs = kernel().costs();
 
@@ -118,9 +130,8 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
     }
 
     // Hardware RX offloads.
-    if (cfg_.rss) {
-        const net::FlowKey key = net::parse_flow(pkt);
-        pkt.meta().rxhash = net::rxhash_from_key(key);
+    if (hash) {
+        pkt.meta().rxhash = net::rxhash_from_key(*key);
         pkt.meta().rxhash_valid = true;
     }
     if (cfg_.rx_csum) pkt.meta().csum_verified = true;

@@ -11,6 +11,7 @@
 #include "afxdp/xsk.h"
 #include "ebpf/vm.h"
 #include "kern/device.h"
+#include "net/flow.h"
 
 namespace ovsx::kern {
 
@@ -100,6 +101,7 @@ public:
     std::uint64_t xdp_drops() const { return xdp_drops_; }
 
 private:
+    std::uint32_t select_queue(const net::FlowKey& key) const;
     void tx_offloads(net::Packet& pkt, sim::ExecContext& ctx, bool charge_sw);
     void to_wire(net::Packet&& pkt);
 

@@ -7,8 +7,8 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "net/packet_buffer.h"
 #include "net/tunnel_key.h"
 #include "san/packet_ledger.h"
 
@@ -50,21 +50,31 @@ struct PacketMeta {
     std::uint32_t trace_id = 0;
 };
 
+// The bytes live in one buffer from net::buffer_alloc (a recycled
+// block for every frame up to 2 KiB): [0, headroom) is headroom and the
+// packet is [headroom, headroom + size). The buffer's requested end is
+// headroom + size at construction, moved by append; the block tail past
+// it is not part of the packet (ASan builds poison it).
 class Packet {
 public:
     static constexpr std::size_t kDefaultHeadroom = 128;
 
     Packet() : Packet(0) {}
 
+    // A zero-filled packet of `len` bytes.
     explicit Packet(std::size_t len, std::size_t headroom = kDefaultHeadroom)
-        : buf_(headroom + len), off_(headroom), len_(len)
+        : Packet(Uninit{}, len, headroom)
     {
+        std::memset(buf_.data, 0, end_);
     }
 
+    // A copy of `bytes`: only the headroom is zeroed, the rest is
+    // overwritten.
     static Packet from_bytes(std::span<const std::uint8_t> bytes,
                              std::size_t headroom = kDefaultHeadroom)
     {
-        Packet p(bytes.size(), headroom);
+        Packet p(Uninit{}, bytes.size(), headroom);
+        std::memset(p.buf_.data, 0, headroom);
         if (!bytes.empty()) std::memcpy(p.data(), bytes.data(), bytes.size());
         return p;
     }
@@ -73,18 +83,30 @@ public:
     // metadata block (TSO segmentation copies meta() between packets):
     // copies are tracked clones, moves carry the identity, destruction
     // retires the record.
-    ~Packet() { san::skb_retire(san_id_); }
+    ~Packet()
+    {
+        san::skb_retire(san_id_);
+        buffer_free(buf_);
+    }
 
     Packet(const Packet& other)
-        : buf_(other.buf_), off_(other.off_), len_(other.len_), meta_(other.meta_),
-          san_id_(san::skb_clone(other.san_id_, OVSX_SITE))
+        : buf_(buffer_alloc(other.end_)), end_(other.end_), off_(other.off_), len_(other.len_),
+          meta_(other.meta_), san_id_(san::skb_clone(other.san_id_, OVSX_SITE))
     {
+        if (end_) std::memcpy(buf_.data, other.buf_.data, end_);
     }
     Packet& operator=(const Packet& other)
     {
         if (this == &other) return *this;
         san::skb_retire(san_id_);
-        buf_ = other.buf_;
+        if (buf_.cap >= other.end_) {
+            buffer_resize(buf_, end_, other.end_);
+        } else {
+            buffer_free(buf_);
+            buf_ = buffer_alloc(other.end_);
+        }
+        end_ = other.end_;
+        if (end_) std::memcpy(buf_.data, other.buf_.data, end_);
         off_ = other.off_;
         len_ = other.len_;
         meta_ = other.meta_;
@@ -92,15 +114,18 @@ public:
         return *this;
     }
     Packet(Packet&& other) noexcept
-        : buf_(std::move(other.buf_)), off_(other.off_), len_(other.len_),
-          meta_(other.meta_), san_id_(std::exchange(other.san_id_, 0))
+        : buf_(std::exchange(other.buf_, {})), end_(std::exchange(other.end_, 0)),
+          off_(other.off_), len_(other.len_), meta_(other.meta_),
+          san_id_(std::exchange(other.san_id_, 0))
     {
     }
     Packet& operator=(Packet&& other) noexcept
     {
         if (this == &other) return *this;
         san::skb_retire(san_id_);
-        buf_ = std::move(other.buf_);
+        buffer_free(buf_);
+        buf_ = std::exchange(other.buf_, {});
+        end_ = std::exchange(other.end_, 0);
         off_ = other.off_;
         len_ = other.len_;
         meta_ = other.meta_;
@@ -108,8 +133,8 @@ public:
         return *this;
     }
 
-    std::uint8_t* data() { return buf_.data() + off_; }
-    const std::uint8_t* data() const { return buf_.data() + off_; }
+    std::uint8_t* data() { return buf_.data + off_; }
+    const std::uint8_t* data() const { return buf_.data + off_; }
     std::size_t size() const { return len_; }
     std::size_t headroom() const { return off_; }
 
@@ -138,16 +163,16 @@ public:
     // Appends `n` zero bytes at the tail.
     void append_zeros(std::size_t n)
     {
-        buf_.resize(off_ + len_ + n);
-        std::memset(buf_.data() + off_ + len_, 0, n);
+        set_end(off_ + len_ + n);
+        std::memset(buf_.data + off_ + len_, 0, n);
         len_ += n;
     }
 
     void append(std::span<const std::uint8_t> bytes)
     {
         if (bytes.empty()) return;
-        buf_.resize(off_ + len_ + bytes.size());
-        std::memcpy(buf_.data() + off_ + len_, bytes.data(), bytes.size());
+        set_end(off_ + len_ + bytes.size());
+        std::memcpy(buf_.data + off_ + len_, bytes.data(), bytes.size());
         len_ += bytes.size();
     }
 
@@ -192,7 +217,7 @@ public:
                                                san::Site site) const
     {
         if (oob(offset, n)) [[unlikely]] {
-            san::report_packet_oob("read", offset, n, len_, off_, buf_.size(), san_id_,
+            san::report_packet_oob("read", offset, n, len_, off_, end_, san_id_,
                                    site);
             return {};
         }
@@ -202,7 +227,7 @@ public:
                                           san::Site site)
     {
         if (oob(offset, n)) [[unlikely]] {
-            san::report_packet_oob("write", offset, n, len_, off_, buf_.size(), san_id_,
+            san::report_packet_oob("write", offset, n, len_, off_, end_, san_id_,
                                    site);
             return {};
         }
@@ -212,7 +237,7 @@ public:
     const T* checked_header_at(std::size_t offset, san::Site site) const
     {
         if (oob(offset, sizeof(T))) [[unlikely]] {
-            san::report_packet_oob("read", offset, sizeof(T), len_, off_, buf_.size(),
+            san::report_packet_oob("read", offset, sizeof(T), len_, off_, end_,
                                    san_id_, site);
             return nullptr;
         }
@@ -221,7 +246,7 @@ public:
     template <typename T> T* checked_header_at(std::size_t offset, san::Site site)
     {
         if (oob(offset, sizeof(T))) [[unlikely]] {
-            san::report_packet_oob("write", offset, sizeof(T), len_, off_, buf_.size(),
+            san::report_packet_oob("write", offset, sizeof(T), len_, off_, end_,
                                    san_id_, site);
             return nullptr;
         }
@@ -236,12 +261,35 @@ public:
     const PacketMeta& meta() const { return meta_; }
 
 private:
+    struct Uninit {};
+    Packet(Uninit, std::size_t len, std::size_t headroom)
+        : buf_(buffer_alloc(headroom + len)), end_(headroom + len), off_(headroom), len_(len)
+    {
+    }
+
     bool oob(std::size_t offset, std::size_t n) const
     {
         return n > len_ || offset > len_ - n;
     }
 
-    std::vector<std::uint8_t> buf_;
+    // Moves the buffer's requested end to `end`, keeping the bytes
+    // before it; grows into a larger buffer when `end` exceeds the
+    // capacity.
+    void set_end(std::size_t end)
+    {
+        if (end > buf_.cap) {
+            const Buffer grown = buffer_alloc(end);
+            if (end_) std::memcpy(grown.data, buf_.data, end_);
+            buffer_free(buf_);
+            buf_ = grown;
+        } else {
+            buffer_resize(buf_, end_, end);
+        }
+        end_ = end;
+    }
+
+    Buffer buf_;
+    std::size_t end_ = 0; // requested end of buf_
     std::size_t off_;
     std::size_t len_;
     PacketMeta meta_;

@@ -300,16 +300,7 @@ std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
         auto it = ports_.find(rxq.port_no);
         if (it == ports_.end() || !it->second.netdev) continue;
         const sim::Nanos busy_before = pmd.ctx.total_busy();
-        std::vector<net::Packet> batch;
-        std::uint32_t n;
-        {
-            obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
-            n = it->second.netdev->rx_burst(rxq.queue, batch, Netdev::kBatchSize, pmd.ctx);
-        }
-        if (n > 0) {
-            process_batch(rxq.port_no, std::move(batch), pmd.ctx);
-            processed += n;
-        }
+        processed += poll_rxq(*it->second.netdev, rxq.port_no, rxq.queue, pmd.ctx);
         // Everything the PMD spent on this queue's burst (poll included)
         // is the §4.2 "processing cycles" signal the auto-LB consumes.
         rxq.busy_ns += static_cast<std::uint64_t>(pmd.ctx.total_busy() - busy_before);
@@ -327,19 +318,29 @@ std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
     for (auto& [port_no, port] : ports_) {
         if (!port.netdev) continue;
         for (std::uint32_t q = 0; q < port.netdev->n_rxq(); ++q) {
-            std::vector<net::Packet> batch;
-            std::uint32_t n;
-            {
-                obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
-                n = port.netdev->rx_burst(q, batch, Netdev::kBatchSize, ctx);
-            }
-            if (n == 0) continue;
-            process_batch(port_no, std::move(batch), ctx);
-            processed += n;
+            processed += poll_rxq(*port.netdev, port_no, q, ctx);
         }
     }
     if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
     return processed;
+}
+
+std::uint32_t DpifNetdev::poll_rxq(Netdev& netdev, std::uint32_t port_no, std::uint32_t queue,
+                                   sim::ExecContext& ctx)
+{
+    // The rx batch keeps its capacity across polls. It is taken for the
+    // poll, so a poll re-entered from inside process_batch would start
+    // from an empty vector of its own.
+    std::vector<net::Packet> batch = std::move(rx_batch_);
+    std::uint32_t n;
+    {
+        obs::PerfStageScope rx(ctx.perf(), obs::PerfStage::RxPoll);
+        n = netdev.rx_burst(queue, batch, Netdev::kBatchSize, ctx);
+    }
+    if (n > 0) process_batch(port_no, std::move(batch), ctx);
+    batch.clear();
+    rx_batch_ = std::move(batch);
+    return n;
 }
 
 bool DpifNetdev::try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx)
@@ -515,7 +516,7 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
         pkt.meta().latency_ns += c;
     }
     if (batching_outputs_) {
-        out_batches_[port_no].push_back(std::move(pkt));
+        port.out.push_back(std::move(pkt));
         return;
     }
     obs::PerfStageScope tx(ctx.perf(), obs::PerfStage::Tx);
@@ -525,15 +526,34 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
 void DpifNetdev::flush_output_batches(sim::ExecContext& ctx)
 {
     // One tx_burst per destination port: this is where syscall / kick
-    // amortisation across a batch comes from.
+    // amortisation across a batch comes from. Every port's batch is set
+    // aside before any is sent, so an output issued while a batch is on
+    // its way out (a tx_burst that re-enters the dpif) goes to the next
+    // flush, never into a batch being sent.
     obs::PerfStageScope tx(ctx.perf(), obs::PerfStage::Tx);
-    auto batches = std::move(out_batches_);
-    out_batches_.clear();
-    for (auto& [port_no, pkts] : batches) {
-        auto it = ports_.find(port_no);
-        if (it == ports_.end() || !it->second.netdev) continue;
-        it->second.netdev->tx_burst(0, std::move(pkts), ctx);
+    if (flushing_) {
+        flush_reentered(ctx);
+        return;
     }
+    flushing_ = true;
+    for (auto& [port_no, port] : ports_) port.out.swap(port.sending);
+    for (auto& [port_no, port] : ports_) {
+        if (port.sending.empty()) continue;
+        port.netdev->tx_burst(0, std::move(port.sending), ctx);
+        port.sending.clear();
+    }
+    flushing_ = false;
+}
+
+void DpifNetdev::flush_reentered(sim::ExecContext& ctx)
+{
+    // The outer flush still owns the ports' send batches, so this one
+    // moves what is pending into batches of its own before sending any.
+    std::vector<std::pair<Netdev*, std::vector<net::Packet>>> batches;
+    for (auto& [port_no, port] : ports_) {
+        if (!port.out.empty()) batches.emplace_back(port.netdev.get(), std::move(port.out));
+    }
+    for (auto& [netdev, pkts] : batches) netdev->tx_burst(0, std::move(pkts), ctx);
 }
 
 void DpifNetdev::output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx)

@@ -23,6 +23,7 @@
 #include "ovs/meter.h"
 #include "ovs/netdev.h"
 #include "ovs/netlink_cache.h"
+#include "sync/annotations.h"
 
 namespace ovsx::ovs {
 
@@ -73,7 +74,7 @@ public:
     int add_pmd(const std::string& name);
     void pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue);
     // One poll iteration over a PMD's queues; returns packets processed.
-    std::uint32_t pmd_poll_once(int pmd);
+    OVSX_NO_ALLOC std::uint32_t pmd_poll_once(int pmd);
     sim::ExecContext& pmd_ctx(int pmd) { return pmds_[static_cast<std::size_t>(pmd)].ctx; }
     int pmd_count() const { return static_cast<int>(pmds_.size()); }
 
@@ -86,8 +87,8 @@ public:
     // runs it through the per-packet pipeline in arrival order, then
     // flushes the per-port output batches once. pipeline() is the only
     // classification path, for rx bursts and recirculation alike.
-    void process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
-                       sim::ExecContext& ctx);
+    OVSX_NO_ALLOC void process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
+                                     sim::ExecContext& ctx);
 
     // ---- in-band telemetry (INT) ---------------------------------------
     // When enabled this switch participates in fabric INT: the Geneve
@@ -169,6 +170,10 @@ private:
         std::unique_ptr<Netdev> netdev;                 // null for tunnel vports
         std::optional<net::TunnelType> tunnel;
         std::uint32_t tunnel_local_ip = 0;
+        // Output batched during an rx burst, and the batch a flush is
+        // sending; both keep their capacity from burst to burst.
+        std::vector<net::Packet> out;
+        std::vector<net::Packet> sending;
     };
 
     struct Rxq {
@@ -188,13 +193,16 @@ private:
     void sample_window();
     bool maybe_rebalance(double min_improvement);
 
+    OVSX_NO_ALLOC std::uint32_t poll_rxq(Netdev& netdev, std::uint32_t port_no,
+                                         std::uint32_t queue, sim::ExecContext& ctx);
     void pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth);
     void output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx);
     bool try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx);
     void run_actions(net::Packet&& pkt, const kern::OdpActions& actions, sim::ExecContext& ctx,
                      int depth);
-    void flush_output_batches(sim::ExecContext& ctx);
+    OVSX_NO_ALLOC void flush_output_batches(sim::ExecContext& ctx);
+    void flush_reentered(sim::ExecContext& ctx);
 
     kern::Kernel& host_;
     const sim::CostModel& costs_;
@@ -208,8 +216,9 @@ private:
     NetlinkCache netlink_;
     UpcallHandler upcall_;
     std::vector<Pmd> pmds_;
-    std::map<std::uint32_t, std::vector<net::Packet>> out_batches_;
+    std::vector<net::Packet> rx_batch_; // keeps its capacity from poll to poll
     bool batching_outputs_ = false;
+    bool flushing_ = false;
     std::vector<net::Packet> punted_;
     sim::Nanos now_ = 0;
     std::uint64_t upcall_count_ = 0;

@@ -34,6 +34,7 @@ NetdevAfxdp::NetdevAfxdp(kern::PhysicalDevice& nic, AfxdpOptions options)
         // Half the frames start on the fill ring for RX; the rest form
         // the umempool's free list for TX and refill.
         const std::uint32_t half = options_.umem_frames / 2;
+        qs.free_frames.reserve(options_.umem_frames);
         for (std::uint32_t i = 0; i < options_.umem_frames; ++i) {
             const afxdp::FrameAddr addr =
                 static_cast<afxdp::FrameAddr>(i) * qs.umem->chunk_size();

@@ -18,6 +18,7 @@
 #include "ebpf/map.h"
 #include "kern/nic.h"
 #include "ovs/netdev.h"
+#include "sync/annotations.h"
 
 namespace ovsx::ovs {
 
@@ -60,10 +61,11 @@ public:
     const char* type() const override { return "afxdp"; }
     std::uint32_t n_rxq() const override { return nic_.config().num_queues; }
 
-    std::uint32_t rx_burst(std::uint32_t queue, std::vector<net::Packet>& out, std::uint32_t max,
-                           sim::ExecContext& ctx) override;
-    void tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
-                  sim::ExecContext& ctx) override;
+    OVSX_NO_ALLOC std::uint32_t rx_burst(std::uint32_t queue, std::vector<net::Packet>& out,
+                                         std::uint32_t max,
+                                         sim::ExecContext& ctx) override;
+    OVSX_NO_ALLOC void tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
+                                sim::ExecContext& ctx) override;
 
     const AfxdpOptions& options() const { return options_; }
     kern::PhysicalDevice& nic() { return nic_; }

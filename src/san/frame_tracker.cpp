@@ -35,6 +35,11 @@ std::unordered_map<std::uint64_t, FrameMap>& scopes()
     return m;
 }
 
+void count_scopes()
+{
+    detail::g_tracked_scopes.store(scopes().size(), std::memory_order_relaxed);
+}
+
 void note(FrameRecord& rec, FrameState from, FrameState to, bool registration, Site site)
 {
     if (rec.history.size() >= kMaxHistory) {
@@ -101,6 +106,8 @@ const char* checker_for(FrameState from, FrameState to)
 
 } // namespace
 
+std::atomic<std::size_t> detail::g_tracked_scopes{0};
+
 const char* to_string(FrameState s)
 {
     switch (s) {
@@ -118,6 +125,7 @@ void frame_register(std::uint64_t scope, std::uint64_t addr, FrameState initial,
 {
     if (!hardened()) return;
     FrameMap& frames = scopes()[scope];
+    count_scopes();
     auto [it, fresh] = frames.try_emplace(addr);
     if (!fresh) {
         violate("frame-double-register", addr, "registered twice in one umem scope", site,
@@ -130,7 +138,8 @@ void frame_register(std::uint64_t scope, std::uint64_t addr, FrameState initial,
 
 bool frame_scope_tracked(std::uint64_t scope) { return scopes().count(scope) != 0; }
 
-void frame_transition(std::uint64_t scope, std::uint64_t addr, FrameState next, Site site)
+void detail::frame_transition_tracked(std::uint64_t scope, std::uint64_t addr,
+                                      FrameState next, Site site)
 {
     auto sit = scopes().find(scope);
     if (sit == scopes().end()) return;
@@ -169,7 +178,11 @@ std::size_t frame_expect_quiesced(std::uint64_t scope, Site site)
     return violations;
 }
 
-void frame_release_scope(std::uint64_t scope) { scopes().erase(scope); }
+void frame_release_scope(std::uint64_t scope)
+{
+    scopes().erase(scope);
+    count_scopes();
+}
 
 std::size_t frame_count(std::uint64_t scope)
 {

@@ -13,6 +13,7 @@
 // out of scope. Scopes come from san::new_scope(), one per umem.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,11 +29,25 @@ const char* to_string(FrameState s);
 void frame_register(std::uint64_t scope, std::uint64_t addr, FrameState initial, Site site);
 bool frame_scope_tracked(std::uint64_t scope);
 
+namespace detail {
+// Scopes with registered frames. While none is (every run outside
+// hardened mode), frame_transition returns inline. A scope registered
+// in hardened mode stays tracked after hardened mode is switched off.
+extern std::atomic<std::size_t> g_tracked_scopes;
+void frame_transition_tracked(std::uint64_t scope, std::uint64_t addr, FrameState next,
+                              Site site);
+} // namespace detail
+
 // Moves a registered frame to `next`, checking the transition against
 // the ring ownership cycle. Untracked scopes are ignored; unknown
 // addresses within a tracked scope are violations (a descriptor
 // pointing outside the registered umem).
-void frame_transition(std::uint64_t scope, std::uint64_t addr, FrameState next, Site site);
+inline void frame_transition(std::uint64_t scope, std::uint64_t addr, FrameState next,
+                             Site site)
+{
+    if (detail::g_tracked_scopes.load(std::memory_order_relaxed) == 0) return;
+    detail::frame_transition_tracked(scope, addr, next, site);
+}
 
 // Teardown check: no frame may still be owned by the kernel
 // (KernelRx) or in flight on the tx ring. Returns violations reported.

@@ -89,9 +89,8 @@ const char* to_string(SkbState s)
     return "?";
 }
 
-std::uint64_t skb_acquire(const char* origin, SkbState initial, Site site)
+std::uint64_t detail::skb_acquire_tracked(const char* origin, SkbState initial, Site site)
 {
-    if (!hardened()) return 0;
     const std::uint64_t id = g_next_id++;
     SkbRecord rec;
     rec.state = initial;
@@ -101,9 +100,8 @@ std::uint64_t skb_acquire(const char* origin, SkbState initial, Site site)
     return id;
 }
 
-std::uint64_t skb_clone(std::uint64_t id, Site site)
+std::uint64_t detail::skb_clone_tracked(std::uint64_t id, Site site)
 {
-    if (id == 0) return 0;
     auto it = ledger().find(id);
     if (it == ledger().end()) {
         violate("skb-use-after-free", id, "cloned after destruction", site, nullptr);
@@ -120,9 +118,8 @@ std::uint64_t skb_clone(std::uint64_t id, Site site)
     return cid;
 }
 
-void skb_transition(std::uint64_t id, SkbState next, Site site)
+void detail::skb_transition_tracked(std::uint64_t id, SkbState next, Site site)
 {
-    if (id == 0) return;
     auto it = ledger().find(id);
     if (it == ledger().end()) {
         violate("skb-use-after-free", id,
@@ -147,9 +144,8 @@ void skb_transition(std::uint64_t id, SkbState next, Site site)
     rec.state = next;
 }
 
-void skb_free(std::uint64_t id, Site site)
+void detail::skb_free_tracked(std::uint64_t id, Site site)
 {
-    if (id == 0) return;
     auto it = ledger().find(id);
     if (it == ledger().end()) {
         violate("skb-double-free", id, "freed after destruction", site, nullptr);
@@ -164,11 +160,7 @@ void skb_free(std::uint64_t id, Site site)
     rec.state = SkbState::Freed;
 }
 
-void skb_retire(std::uint64_t id) noexcept
-{
-    if (id == 0) return;
-    ledger().erase(id);
-}
+void detail::skb_retire_tracked(std::uint64_t id) noexcept { ledger().erase(id); }
 
 std::uint64_t skb_next_id() { return g_next_id; }
 

@@ -22,23 +22,48 @@ namespace ovsx::san {
 enum class SkbState { Driver, Stack, Datapath, Tx, Freed };
 const char* to_string(SkbState s);
 
+// The out-of-line halves of the entry points below, which return
+// inline for untracked packets (id 0, or no hardened mode to acquire).
+namespace detail {
+std::uint64_t skb_acquire_tracked(const char* origin, SkbState initial, Site site);
+std::uint64_t skb_clone_tracked(std::uint64_t id, Site site);
+void skb_transition_tracked(std::uint64_t id, SkbState next, Site site);
+void skb_free_tracked(std::uint64_t id, Site site);
+void skb_retire_tracked(std::uint64_t id) noexcept;
+} // namespace detail
+
 // Fresh nonzero id when hardened, else 0. `origin` names the rx path
 // ("wire-rx", "afxdp-rx", ...) in the provenance report.
-std::uint64_t skb_acquire(const char* origin, SkbState initial, Site site);
+inline std::uint64_t skb_acquire(const char* origin, SkbState initial, Site site)
+{
+    return hardened() ? detail::skb_acquire_tracked(origin, initial, site) : 0;
+}
 
 // Tracked copy of `id` (packet clone for multi-output). Returns 0 for
 // id 0 or an unknown id.
-std::uint64_t skb_clone(std::uint64_t id, Site site);
+inline std::uint64_t skb_clone(std::uint64_t id, Site site)
+{
+    return id ? detail::skb_clone_tracked(id, site) : 0;
+}
 
 // Ownership transition. Freed/destroyed source → use-after-free;
 // Tx while already Tx → double-tx.
-void skb_transition(std::uint64_t id, SkbState next, Site site);
+inline void skb_transition(std::uint64_t id, SkbState next, Site site)
+{
+    if (id) detail::skb_transition_tracked(id, next, site);
+}
 
 // Explicit free (the kfree_skb analogue). Freeing twice is a violation.
-void skb_free(std::uint64_t id, Site site);
+inline void skb_free(std::uint64_t id, Site site)
+{
+    if (id) detail::skb_free_tracked(id, site);
+}
 
 // Destruction of the owning C++ object: always legal, drops the record.
-void skb_retire(std::uint64_t id) noexcept;
+inline void skb_retire(std::uint64_t id) noexcept
+{
+    if (id) detail::skb_retire_tracked(id);
+}
 
 // Leak detection: snapshot skb_next_id() before a run, then report
 // every record with id >= first_id still live after it. Returns the

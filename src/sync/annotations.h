@@ -66,3 +66,10 @@
 #else
 #define OVSX_HOT
 #endif
+
+// The same ovsx_lint contract without the compiler hint. GCC groups hot
+// functions in .text.hot, so the hint moves the code of every other hot
+// function too: on the userspace datapath's burst entry points it cost
+// perfbench's nsx-conn workload 5-10 % on every provider (4-core host),
+// the kernel and eBPF ones included, which run none of that code.
+#define OVSX_NO_ALLOC

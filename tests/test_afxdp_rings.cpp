@@ -53,6 +53,20 @@ TEST(SpscRing, BatchOperations)
     EXPECT_EQ(out[6], 1); // wrapped batch
 }
 
+TEST(SpscRing, PeekLeavesTheItemOnTheRing)
+{
+    SpscRing<int> ring(4);
+    EXPECT_FALSE(ring.peek().has_value());
+    ASSERT_TRUE(ring.produce(7));
+    ASSERT_TRUE(ring.produce(8));
+    EXPECT_EQ(ring.peek().value(), 7);
+    EXPECT_EQ(ring.size(), 2u);
+    EXPECT_EQ(ring.consume().value(), 7);
+    EXPECT_EQ(ring.peek().value(), 8);
+    EXPECT_EQ(ring.consume().value(), 8);
+    EXPECT_FALSE(ring.peek().has_value());
+}
+
 TEST(SpscRing, IndexWraparound)
 {
     SpscRing<int> ring(4);
@@ -109,6 +123,24 @@ TEST(Umem, BadGeometryRejected)
 {
     EXPECT_THROW(Umem(0, 2048), std::invalid_argument);
     EXPECT_THROW(Umem(16, 32), std::invalid_argument);
+    // Aligned mode: the chunk size must be a power of two.
+    EXPECT_THROW(Umem(16, 3000), std::invalid_argument);
+    EXPECT_NO_THROW(Umem(16, 4096));
+}
+
+TEST(Umem, FramesIndexByShiftAndMask)
+{
+    Umem umem(8, 4096);
+    EXPECT_TRUE(umem.valid(7 * 4096));
+    EXPECT_FALSE(umem.valid(8 * 4096));
+    EXPECT_FALSE(umem.valid(4096 + 2048)); // misaligned
+    EXPECT_THROW(umem.frame(4096 + 64), std::out_of_range);
+    EXPECT_THROW(umem.frame(8 * 4096), std::out_of_range);
+    auto f = umem.frame(3 * 4096);
+    EXPECT_EQ(f.size(), 4096u);
+    f[4095] = 0x5a;
+    EXPECT_EQ(umem.frame(3 * 4096)[4095], 0x5a);
+    umem.prefetch_for_write(9 * 4096); // outside the umem: ignored
 }
 
 class XskTest : public ::testing::Test {
@@ -147,6 +179,20 @@ TEST_F(XskTest, DeliverRequiresFillFrames)
     auto frame = umem.frame(desc->addr);
     const auto pkt = sample();
     EXPECT_EQ(0, std::memcmp(frame.data(), pkt.data(), pkt.size()));
+}
+
+TEST_F(XskTest, DeliverConsumesFillFramesInOrder)
+{
+    // Prefetching the next fill frame leaves the ring's order alone.
+    for (FrameAddr a : {3 * 2048, 1 * 2048, 5 * 2048}) umem.fill().produce(a);
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(sock.kernel_deliver(sample(), sim::CostModel::baseline(), softirq));
+    }
+    EXPECT_EQ(sock.rx().consume()->addr, 3u * 2048u);
+    EXPECT_EQ(sock.rx().consume()->addr, 1u * 2048u);
+    EXPECT_EQ(sock.rx().consume()->addr, 5u * 2048u);
+    EXPECT_FALSE(sock.kernel_deliver(sample(), sim::CostModel::baseline(), softirq));
+    EXPECT_EQ(sock.rx_dropped_no_frame, 1u);
 }
 
 TEST_F(XskTest, TxCollectRoundTrip)

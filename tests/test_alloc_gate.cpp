@@ -1,8 +1,10 @@
-// Zero-allocation gate for the eBPF paths: once warm, forwarding a
-// packet through the eBPF datapath and running the AF_XDP redirect
-// program must not touch the heap. This binary replaces the global
-// operator new and delete to count allocations, which is why it is its
-// own executable.
+// Zero-allocation gate for the forwarding paths: once warm, forwarding
+// a packet through the eBPF datapath or through the userspace datapath
+// over AF_XDP or DPDK ports, and running the AF_XDP redirect program,
+// must not touch the heap; an upcall may allocate, up to a fixed bound.
+// This binary replaces the global operator new and delete to count
+// allocations, which is why it is its own executable. It is the check
+// for a change to any per-packet path.
 //
 // The measured loops run with ovsx::san hardened mode off: its ledgers
 // allocate by design.
@@ -19,6 +21,9 @@
 #include "net/builder.h"
 #include "net/flow.h"
 #include "ovs/dpif_ebpf.h"
+#include "ovs/dpif_netdev.h"
+#include "ovs/netdev_afxdp.h"
+#include "ovs/netdev_dpdk.h"
 #include "san/report.h"
 
 namespace {
@@ -165,6 +170,129 @@ TEST(AllocGate, XdpRedirectProgramRunsWithoutAllocating)
 
     EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / kRuns << " allocations per run";
     EXPECT_EQ(redirected, kRuns);
+}
+
+// The p2p shape of the wall-clock benchmark: a userspace datapath over
+// three NIC ports with one PMD; 1,000 flows arrive on the first port
+// and leave by the other two, each installed by an upcall.
+class UserspaceP2p {
+public:
+    static constexpr int kFlows = 1000;
+    static constexpr int kBurst = 32;
+
+    explicit UserspaceP2p(bool afxdp)
+    {
+        for (int i = 0; i < 3; ++i) {
+            const auto id = static_cast<std::uint32_t>(i + 1);
+            nics_[i] = &host_.add_device<kern::PhysicalDevice>("eth" + std::to_string(i),
+                                                               net::MacAddr::from_id(id));
+            nics_[i]->connect_wire([this](net::Packet&&) { ++forwarded_; });
+            if (afxdp) {
+                ports_[i] = dpif_.add_port(
+                    std::make_unique<ovs::NetdevAfxdp>(*nics_[i], ovs::AfxdpOptions::all()));
+            } else {
+                ports_[i] = dpif_.add_port(std::make_unique<ovs::NetdevDpdk>(*nics_[i], pool_));
+            }
+        }
+        pmd_ = dpif_.add_pmd("pmd0");
+        for (std::uint32_t port : ports_) dpif_.pmd_assign(pmd_, port, 0);
+        dpif_.set_upcall_handler([this](std::uint32_t, net::Packet&& pkt,
+                                        const net::FlowKey& key, sim::ExecContext& ctx) {
+            ++upcalls_;
+            net::FlowMask mask;
+            mask.bits.in_port = 0xffffffff;
+            mask.bits.recirc_id = 0xffffffff;
+            mask.bits.tp_src = 0xffff;
+            const kern::OdpActions actions{kern::OdpAction::output(ports_[1 + key.tp_src % 2])};
+            dpif_.flow_put(key, mask, actions);
+            dpif_.execute(std::move(pkt), actions, ctx);
+        });
+    }
+
+    // Offers `n` packets of flows [first_flow, first_flow + flows) in
+    // bursts: kBurst frames from the wire, then PMD polls until the
+    // burst is gone. Flow i has source port 1000 + i. Each burst is
+    // built just before it is offered, as the wall-clock benchmark does,
+    // and only the datapath's allocations are counted and returned.
+    std::uint64_t offer(int n, int first_flow = 0, int flows = kFlows)
+    {
+        std::vector<net::Packet> burst;
+        burst.reserve(kBurst);
+        std::uint64_t allocs = 0;
+        for (int i = 0; i < n;) {
+            burst.clear();
+            for (int k = 0; k < kBurst && i < n; ++k, ++i) {
+                burst.push_back(udp(static_cast<std::uint16_t>(1000 + first_flow + i % flows)));
+            }
+            const std::uint64_t before = allocations();
+            for (net::Packet& pkt : burst) nics_[0]->rx_from_wire(std::move(pkt));
+            while (dpif_.pmd_poll_once(pmd_) > 0) {}
+            allocs += allocations() - before;
+        }
+        return allocs;
+    }
+
+    std::uint64_t forwarded() const { return forwarded_; }
+    std::uint64_t upcalls() const { return upcalls_; }
+    std::uint64_t hits() const { return dpif_.stats().hits; }
+
+private:
+    kern::Kernel host_;
+    dpdk::Mempool pool_{4096, 2176};
+    ovs::DpifNetdev dpif_{host_};
+    kern::PhysicalDevice* nics_[3] = {};
+    std::uint32_t ports_[3] = {};
+    int pmd_ = 0;
+    std::uint64_t forwarded_ = 0;
+    std::uint64_t upcalls_ = 0;
+};
+
+void userspace_forwards_without_allocating(bool afxdp)
+{
+    HardenedOff hardened_off;
+    constexpr int kWarm = 8 * UserspaceP2p::kFlows;
+    constexpr int kMeasured = 200 * UserspaceP2p::kBurst;
+    UserspaceP2p p2p(afxdp);
+    p2p.offer(kWarm);
+    ASSERT_EQ(p2p.upcalls(), static_cast<std::uint64_t>(UserspaceP2p::kFlows));
+    ASSERT_EQ(p2p.forwarded(), static_cast<std::uint64_t>(kWarm));
+
+    const std::uint64_t hits_before = p2p.hits();
+    const std::uint64_t allocs = p2p.offer(kMeasured);
+
+    EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / kMeasured << " allocations per packet";
+    EXPECT_EQ(p2p.forwarded(), static_cast<std::uint64_t>(kWarm + kMeasured));
+    EXPECT_EQ(p2p.hits() - hits_before, static_cast<std::uint64_t>(kMeasured));
+    EXPECT_EQ(p2p.upcalls(), static_cast<std::uint64_t>(UserspaceP2p::kFlows));
+}
+
+TEST(AllocGate, AfxdpUserspaceDatapathForwardsWithoutAllocating)
+{
+    userspace_forwards_without_allocating(/*afxdp=*/true);
+}
+
+TEST(AllocGate, DpdkUserspaceDatapathForwardsWithoutAllocating)
+{
+    userspace_forwards_without_allocating(/*afxdp=*/false);
+}
+
+TEST(AllocGate, UserspaceUpcallAllocatesAtMostABound)
+{
+    // Install and execute on a miss: the megaflow entry, its actions and
+    // the handler's own action list. 4.47 per upcall when pinned.
+    constexpr std::uint64_t kPerUpcall = 5;
+    constexpr int kNew = 256;
+    for (const bool afxdp : {true, false}) {
+        HardenedOff hardened_off;
+        UserspaceP2p p2p(afxdp);
+        p2p.offer(4 * UserspaceP2p::kFlows);
+        const std::uint64_t allocs = p2p.offer(kNew, UserspaceP2p::kFlows, kNew);
+
+        EXPECT_EQ(p2p.upcalls(), static_cast<std::uint64_t>(UserspaceP2p::kFlows + kNew));
+        EXPECT_LE(allocs, kPerUpcall * kNew)
+            << (afxdp ? "afxdp: " : "dpdk: ") << static_cast<double>(allocs) / kNew
+            << " allocations per upcall";
+    }
 }
 
 } // namespace

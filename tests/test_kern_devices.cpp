@@ -9,6 +9,7 @@
 #include "kern/veth.h"
 #include "kern/virtio.h"
 #include "net/builder.h"
+#include "net/hash.h"
 #include "net/headers.h"
 
 namespace ovsx::kern {
@@ -57,6 +58,53 @@ TEST(Nic, NtupleSteeringOverridesRss)
     nic.clear_ntuple_rules();
     nic.add_ntuple_rule({.proto = 6, .dst_port = 0, .dst_ip = 0, .queue = 2});
     EXPECT_NE(nic.select_queue(udp64()), 2u); // UDP doesn't match the TCP rule... usually
+}
+
+TEST(Nic, OneParseServesSteeringAndTheRssHash)
+{
+    // For RSS on and off, 1 and 4 queues, an ntuple rule or none, and the
+    // kernel or the DPDK rx path: a frame lands on select_queue(pkt) and
+    // carries its own flow key's hash (none without RSS, or to DPDK).
+    for (int combo = 0; combo < 16; ++combo) {
+        const bool rss = combo & 1, ntuple = combo & 2, dpdk = combo & 4;
+        const std::uint32_t nq = combo & 8 ? 4 : 1;
+        SCOPED_TRACE(testing::Message() << "rss " << rss << " queues " << nq << " ntuple "
+                                        << ntuple << " dpdk " << dpdk);
+        Kernel kernel;
+        NicConfig cfg;
+        cfg.rss = rss;
+        cfg.num_queues = nq;
+        auto& nic = kernel.add_device<PhysicalDevice>("eth0", net::MacAddr::from_id(1), cfg);
+        if (ntuple) {
+            nic.add_ntuple_rule({.proto = 17, .dst_port = 4789, .dst_ip = 0, .queue = nq - 1});
+        }
+        std::uint32_t got_q = 99;
+        std::uint32_t got_hash = 0;
+        bool got_valid = false;
+        auto seen = [&](const net::Packet& pkt, std::uint32_t q) {
+            got_q = q;
+            got_hash = pkt.meta().rxhash;
+            got_valid = pkt.meta().rxhash_valid;
+        };
+        if (dpdk) {
+            nic.dpdk_take_over([&](net::Packet&& pkt, std::uint32_t q) { seen(pkt, q); });
+        } else {
+            nic.set_rx_handler([&](Device&, net::Packet&& pkt, sim::ExecContext& ctx) {
+                for (std::uint32_t q = 0; q < nq; ++q) {
+                    if (&ctx == &nic.softirq_ctx(q)) seen(pkt, q);
+                }
+            });
+        }
+        const bool hashed = rss && !dpdk;
+        for (std::uint16_t sport = 1000; sport < 1032; ++sport) {
+            const net::Packet pkt = udp64(ipv4(10, 0, 0, 2), sport % 2 ? 4789 : 2000, sport);
+            nic.rx_from_wire(net::Packet(pkt));
+            EXPECT_EQ(got_q, nic.select_queue(pkt));
+            EXPECT_EQ(got_valid, hashed);
+            EXPECT_EQ(got_hash, hashed ? net::rxhash_from_key(net::parse_flow(pkt)) : 0u);
+        }
+        if (dpdk) nic.dpdk_release();
+    }
 }
 
 TEST(Nic, XdpDropCountsAndCosts)

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "net/addr.h"
 #include "net/builder.h"
 #include "net/checksum.h"
 #include "net/flow.h"
 #include "net/headers.h"
 #include "net/packet.h"
+#include "net/packet_buffer.h"
 #include "net/tunnel.h"
 
 namespace ovsx::net {
@@ -85,6 +91,100 @@ TEST(Packet, TryHeaderAtBounds)
     EXPECT_NE(p.try_header_at<EthernetHeader>(0), nullptr);
     EXPECT_EQ(p.try_header_at<EthernetHeader>(1), nullptr);
     EXPECT_EQ(p.try_header_at<Ipv4Header>(sizeof(EthernetHeader)), nullptr);
+}
+
+TEST(PacketBuffer, FromBytesDrawsARecycledBlock)
+{
+    {
+        const Packet warm(64); // leaves one small block in this thread's cache
+    }
+    const std::size_t cached = buffer_cached(kSmallBlock);
+    ASSERT_GT(cached, 0u);
+    std::vector<std::uint8_t> frame(64);
+    for (std::size_t i = 0; i < frame.size(); ++i) frame[i] = static_cast<std::uint8_t>(i + 1);
+    {
+        const Packet p = Packet::from_bytes(frame);
+        EXPECT_EQ(buffer_cached(kSmallBlock), cached - 1);
+        EXPECT_EQ(0, std::memcmp(p.data(), frame.data(), frame.size()));
+    }
+    EXPECT_EQ(buffer_cached(kSmallBlock), cached);
+}
+
+TEST(PacketBuffer, RecycledBlocksCarryNoStaleBytes)
+{
+    const std::vector<std::uint8_t> ones(1500, 0xff);
+    auto zero = [](const std::uint8_t* p, std::size_t n) {
+        return std::all_of(p, p + n, [](std::uint8_t b) { return b == 0; });
+    };
+    for (const std::size_t len : {std::size_t{64}, std::size_t{1500}}) {
+        // Frees a block with every byte, headroom included, set.
+        auto dirty = [&] {
+            Packet d = Packet::from_bytes(std::span(ones).first(len));
+            d.push_front(Packet::kDefaultHeadroom);
+            std::memset(d.data(), 0xff, d.size());
+        };
+        // A zero-filled packet stays zero-filled on a recycled block...
+        dirty();
+        Packet zeroed(len);
+        zeroed.push_front(Packet::kDefaultHeadroom);
+        EXPECT_TRUE(zero(zeroed.data(), zeroed.size())) << len;
+        // ...and a copy zeroes the headroom it does not overwrite.
+        dirty();
+        Packet copy = Packet::from_bytes(std::span(ones).first(len));
+        copy.push_front(Packet::kDefaultHeadroom);
+        EXPECT_TRUE(zero(copy.data(), Packet::kDefaultHeadroom)) << len;
+    }
+}
+
+TEST(PacketBuffer, GrowsAcrossClassesAndPastThemToTheHeap)
+{
+    Packet p = Packet::from_bytes(std::vector<std::uint8_t>(60, 0xab));
+    p.append(std::vector<std::uint8_t>(1000, 0xcd)); // small -> large block
+    p.append_zeros(4000);                             // large -> heap
+    ASSERT_EQ(p.size(), 5060u);
+    EXPECT_EQ(p.data()[0], 0xab);
+    EXPECT_EQ(p.data()[59], 0xab);
+    EXPECT_EQ(p.data()[60], 0xcd);
+    EXPECT_EQ(p.data()[1059], 0xcd);
+    EXPECT_EQ(p.data()[5059], 0);
+    const Packet copy = p;
+    EXPECT_EQ(0, std::memcmp(copy.data(), p.data(), p.size()));
+    EXPECT_EQ(copy.headroom(), p.headroom());
+}
+
+TEST(PacketBuffer, CacheIsBoundedPerThread)
+{
+    std::vector<Packet> many;
+    for (std::uint32_t i = 0; i < 2 * kBlockCacheDepth; ++i) many.emplace_back(64);
+    many.clear();
+    EXPECT_EQ(buffer_cached(kSmallBlock), kBlockCacheDepth);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+
+// Recycled blocks keep AddressSanitizer's reach: the tail past a
+// buffer's requested size and every cached block are poisoned.
+TEST(PacketBufferDeathTest, AsanReportsReadsPastTheRequestedSize)
+{
+    if (!kAsan) GTEST_SKIP() << "needs an AddressSanitizer build";
+    const Packet p = Packet::from_bytes(std::vector<std::uint8_t>(64, 1));
+    const volatile std::uint8_t* past = p.data() + p.size();
+    EXPECT_DEATH((void)*past, "AddressSanitizer");
+}
+
+TEST(PacketBufferDeathTest, AsanReportsReadsThroughARecycledBuffer)
+{
+    if (!kAsan) GTEST_SKIP() << "needs an AddressSanitizer build";
+    const volatile std::uint8_t* stale = nullptr;
+    {
+        const Packet p = Packet::from_bytes(std::vector<std::uint8_t>(64, 1));
+        stale = p.data();
+    }
+    EXPECT_DEATH((void)*stale, "AddressSanitizer");
 }
 
 TEST(Checksum, KnownVector)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -541,6 +542,121 @@ TEST_F(DpifNetdevTest, RxBurstCountersIntOccupancyAndDecapStage)
     ASSERT_EQ(b_out.size(), 10u);
     EXPECT_GT(bare, 0);
     EXPECT_EQ(decapped - bare, 5 * sim::CostModel::baseline().parse_extract);
+}
+
+// A port whose tx_burst can re-enter the datapath once, as a device
+// that loops frames back into the switch from its own transmit would.
+// It records each batch as it arrives and checks that the batch is
+// still whole after the re-entry returns.
+class ReentrantNetdev : public Netdev {
+public:
+    using Hook = std::function<void(sim::ExecContext&)>;
+
+    explicit ReentrantNetdev(std::string name) : Netdev(std::move(name)) {}
+
+    const char* type() const override { return "reentrant"; }
+    std::uint32_t rx_burst(std::uint32_t, std::vector<net::Packet>& out, std::uint32_t max,
+                           sim::ExecContext&) override
+    {
+        std::uint32_t n = 0;
+        for (; n < max && !inbox.empty(); ++n) {
+            out.push_back(std::move(inbox.front()));
+            inbox.erase(inbox.begin());
+        }
+        return n;
+    }
+    void tx_burst(std::uint32_t, std::vector<net::Packet>&& pkts,
+                  sim::ExecContext& ctx) override
+    {
+        const std::vector<std::uint16_t> batch = sports(pkts);
+        sent.push_back(batch);
+        if (on_tx) std::exchange(on_tx, nullptr)(ctx);
+        if (sports(pkts) != batch) ++torn;
+    }
+
+    static std::vector<std::uint16_t> sports(const std::vector<net::Packet>& pkts)
+    {
+        std::vector<std::uint16_t> out;
+        for (const net::Packet& pkt : pkts) out.push_back(net::parse_flow(pkt).tp_src);
+        return out;
+    }
+
+    std::vector<net::Packet> inbox;
+    Hook on_tx;
+    std::vector<std::vector<std::uint16_t>> sent;
+    int torn = 0;
+};
+
+class DpifNetdevReentryTest : public ::testing::Test {
+protected:
+    void SetUp() override
+    {
+        dpif = std::make_unique<DpifNetdev>(kernel);
+        for (const char* name : {"in", "a", "b"}) {
+            auto dev = std::make_unique<ReentrantNetdev>(name);
+            devs.push_back(dev.get());
+            ports.push_back(dpif->add_port(std::move(dev)));
+        }
+        pmd = dpif->add_pmd("pmd0");
+        dpif->pmd_assign(pmd, ports[0], 0);
+        // Source ports 1-2 leave by port a, 3-6 by port b.
+        for (std::uint16_t sport = 1; sport <= 6; ++sport) {
+            net::Packet probe = udp64(sport);
+            probe.meta().in_port = ports[0];
+            net::FlowMask mask;
+            mask.bits.in_port = 0xffffffff;
+            mask.bits.recirc_id = 0xffffffff;
+            mask.bits.tp_src = 0xffff;
+            dpif->flow_put(net::parse_flow(probe), mask,
+                           {kern::OdpAction::output(ports[sport <= 2 ? 1 : 2])});
+        }
+        for (std::uint16_t sport = 1; sport <= 4; ++sport) devs[0]->inbox.push_back(udp64(sport));
+    }
+
+    kern::Kernel kernel;
+    std::unique_ptr<DpifNetdev> dpif;
+    std::vector<ReentrantNetdev*> devs;
+    std::vector<std::uint32_t> ports;
+    int pmd = 0;
+};
+
+TEST_F(DpifNetdevReentryTest, ExecuteFromTxBurstLeavesTheBatchInFlightAlone)
+{
+    // While port a sends its batch, an execute outputs to a and b. Those
+    // outputs go out on their own, and the flush it triggers must not
+    // touch a's batch in flight or b's batch waiting behind it.
+    devs[1]->on_tx = [&](sim::ExecContext& ctx) {
+        dpif->execute(udp64(9),
+                      {kern::OdpAction::output(ports[1]), kern::OdpAction::output(ports[2])}, ctx);
+    };
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 4u);
+    using Batches = std::vector<std::vector<std::uint16_t>>;
+    EXPECT_EQ(devs[1]->sent, (Batches{{1, 2}, {9}}));
+    EXPECT_EQ(devs[2]->sent, (Batches{{9}, {3, 4}}));
+    EXPECT_EQ(devs[1]->torn + devs[2]->torn, 0);
+
+    // Nothing was left behind for the next flush.
+    devs[0]->inbox.push_back(udp64(5));
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 1u);
+    EXPECT_EQ(devs[1]->sent.size(), 2u);
+    EXPECT_EQ(devs[2]->sent, (Batches{{9}, {3, 4}, {5}}));
+}
+
+TEST_F(DpifNetdevReentryTest, BurstProcessedFromTxBurstGoesToItsOwnFlush)
+{
+    // While port a sends, a burst re-enters the datapath and outputs to
+    // b: the re-entered burst's flush sends it, before b's batch that
+    // the outer flush had already set aside.
+    devs[1]->on_tx = [&](sim::ExecContext& ctx) {
+        std::vector<net::Packet> burst;
+        burst.push_back(udp64(6));
+        dpif->process_batch(ports[0], std::move(burst), ctx);
+    };
+    EXPECT_EQ(dpif->pmd_poll_once(pmd), 4u);
+    using Batches = std::vector<std::vector<std::uint16_t>>;
+    EXPECT_EQ(devs[1]->sent, (Batches{{1, 2}}));
+    EXPECT_EQ(devs[2]->sent, (Batches{{6}, {3, 4}}));
+    EXPECT_EQ(devs[1]->torn + devs[2]->torn, 0);
 }
 
 } // namespace

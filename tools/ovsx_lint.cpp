@@ -20,8 +20,8 @@
 //                       paths.
 //   hot-alloc           heap-allocation keywords (new, malloc,
 //                       make_unique, make_shared) inside the body of an
-//                       OVSX_HOT function. Hot paths must draw from
-//                       preallocated pools.
+//                       OVSX_HOT or OVSX_NO_ALLOC function. Hot paths
+//                       must draw from preallocated pools.
 //
 // Violations are suppressible via tools/ovsx_lint_suppressions.txt:
 // exact-match `rule:path:detail` lines plus a `budget N` cap. The list
@@ -317,7 +317,8 @@ struct HotFn {
     int decl_line = 0;
 };
 
-// Scans `code` for OVSX_HOT declarations, tracking `class`/`struct`
+// Scans `code` for OVSX_HOT and OVSX_NO_ALLOC declarations (the same
+// contract, with and without the compiler hint), tracking `class`/`struct`
 // nesting so the declaration is attributed to its innermost class.
 // Inline bodies are checked on the spot; out-of-line declarations are
 // returned for definition lookup across the .cpp files.
@@ -333,7 +334,7 @@ void check_hot_body(const std::string& body, const SourceFile& f, std::size_t bo
         if (hits.empty()) continue;
         const std::string fn = cls.empty() ? method : cls + "::" + method;
         out.push_back({"hot-alloc", f.path, fn, line_of(f.text, body_pos + hits.front()),
-                       "heap allocation (" + std::string(token) + ") inside OVSX_HOT " + fn +
+                       "heap allocation (" + std::string(token) + ") inside hot-path " + fn +
                            "; hot paths must draw from preallocated pools"});
         return; // one finding per function
     }
@@ -385,7 +386,7 @@ void scan_hot(const SourceFile& f, const std::string& code, std::vector<HotFn>& 
             i = e;
             continue;
         }
-        if (word == "OVSX_HOT") {
+        if (word == "OVSX_HOT" || word == "OVSX_NO_ALLOC") {
             // Declaration runs to the first ';' or '{'.
             std::size_t end = j;
             while (end < code.size() && code[end] != ';' && code[end] != '{') ++end;
@@ -622,20 +623,24 @@ int self_test()
         });
         expect(count_rule(fs, "unchecked-accessor") == 1, "unchecked-accessor scoping");
     }
-    // hot-alloc: inline body, out-of-line body via Class::method, and a
-    // clean hot function.
+    // hot-alloc: inline body, out-of-line body via Class::method, the
+    // lint-only marker, and a clean hot function.
     {
         const auto fs = run_rules({
             {"src/ovs/h.h", "class Fast {\n"
                             "    struct Inner { int x; };\n"
                             "    OVSX_HOT int inline_bad() { return *new int(1); }\n"
                             "    OVSX_HOT void outline_bad(int n);\n"
+                            "    OVSX_NO_ALLOC void marked_bad(int n);\n"
                             "    OVSX_HOT int clean() { return 1; }\n"
                             "};\n"},
             {"src/ovs/h.cpp", "void Fast::outline_bad(int n)\n"
-                              "{\n    auto p = std::make_unique<int>(n);\n}\n"},
+                              "{\n    auto p = std::make_unique<int>(n);\n}\n"
+                              "void Fast::marked_bad(int n)\n"
+                              "{\n    auto p = std::make_shared<int>(n);\n}\n"},
         });
-        expect(count_rule(fs, "hot-alloc") == 2, "hot-alloc finds inline + out-of-line");
+        expect(count_rule(fs, "hot-alloc") == 3,
+               "hot-alloc finds inline, out-of-line and OVSX_NO_ALLOC bodies");
         expect(std::any_of(fs.begin(), fs.end(),
                            [](const Finding& f) { return f.detail == "Fast::inline_bad"; }),
                "hot-alloc attributes the innermost enclosing class");
