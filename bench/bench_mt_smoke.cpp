@@ -10,7 +10,8 @@
 // gives -fsanitize=thread actual interleavings to chew on. The megaflow
 // table is big enough (2,048 flows per thread over two masks) that at
 // 8 shards every shard's slice regroups several times while the other
-// threads are epoch-pinned readers in lookup() and lookup_batch().
+// threads hold shard reader locks in lookup() and lookup_batch(); at
+// one shard, readers and writers share one reader/writer lock.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -55,9 +56,10 @@ int main(int argc, char** argv)
     san::ScopedHardened hardened;
 
     // Shard count for the megaflow cache and the conntrack (default 4:
-    // contended but still cross-shard). The TSan CI leg passes >1 so the
-    // per-shard locks, epoch-pinned readers and cross-shard commit path
-    // all see real interleavings.
+    // contended but still cross-shard). The TSan CI leg runs 1 and 8:
+    // one shard lock shared by every reader and writer, then per-shard
+    // locks, readers that lock a second shard per probe and the
+    // cross-shard commit path.
     const std::uint32_t shards =
         argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 0)) : 4;
 

@@ -515,12 +515,7 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
         ctx.charge(c);
         pkt.meta().latency_ns += c;
     }
-    if (batching_outputs_) {
-        port.out.push_back(std::move(pkt));
-        return;
-    }
-    obs::PerfStageScope tx(ctx.perf(), obs::PerfStage::Tx);
-    port.netdev->tx_one(0, std::move(pkt), ctx);
+    port.out.push_back(std::move(pkt));
 }
 
 void DpifNetdev::flush_output_batches(sim::ExecContext& ctx)
@@ -598,8 +593,13 @@ void DpifNetdev::output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecCo
 void DpifNetdev::execute(net::Packet&& pkt, const kern::OdpActions& actions,
                          sim::ExecContext& ctx)
 {
+    const bool outer = !batching_outputs_;
+    if (outer) batching_outputs_ = true;
     run_actions(std::move(pkt), actions, ctx, 0);
-    if (!batching_outputs_) flush_output_batches(ctx);
+    if (outer) {
+        batching_outputs_ = false;
+        flush_output_batches(ctx);
+    }
 }
 
 void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,

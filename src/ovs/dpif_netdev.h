@@ -170,8 +170,9 @@ private:
         std::unique_ptr<Netdev> netdev;                 // null for tunnel vports
         std::optional<net::TunnelType> tunnel;
         std::uint32_t tunnel_local_ip = 0;
-        // Output batched during an rx burst, and the batch a flush is
-        // sending; both keep their capacity from burst to burst.
+        // Output batched during an rx burst or an execute(), and the
+        // batch a flush is sending; both keep their capacity from burst
+        // to burst.
         std::vector<net::Packet> out;
         std::vector<net::Packet> sending;
     };

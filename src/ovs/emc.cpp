@@ -16,54 +16,41 @@ Emc::Emc(std::uint32_t entries) : entries_(entries), mask_(entries - 1)
     // so eager allocation dominated soak profiles.
 }
 
-CachedFlow* Emc::lookup(const net::FlowKey& key, std::uint64_t hash)
+const Emc::Entry* Emc::probe(const net::FlowKey& key, std::uint64_t hash)
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true); // mutates stats + evicts dead ways
-    if (table_.empty()) {
-        ++misses_;
-        return nullptr;
-    }
-    const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
-    for (int w = 0; w < kWays; ++w) {
-        Entry& e = table_[base + static_cast<std::size_t>(w)];
-        if (e.valid && e.hash == hash && e.key == key) {
-            if (e.flow->dead) {
-                e.valid = false;
-                --occupancy_;
-                continue;
+    if (!table_.empty()) {
+        const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
+        for (int w = 0; w < kWays; ++w) {
+            Entry& e = table_[base + static_cast<std::size_t>(w)];
+            if (e.valid && e.hash == hash && e.key == key) {
+                if (e.flow->dead) {
+                    e.valid = false;
+                    --occupancy_;
+                    continue;
+                }
+                ++hits_;
+                return &e;
             }
-            ++hits_;
-            return e.flow.get();
         }
     }
     ++misses_;
     return nullptr;
 }
 
+CachedFlow* Emc::lookup(const net::FlowKey& key, std::uint64_t hash)
+{
+    sync::LockGuard guard(mu_);
+    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true); // mutates stats + evicts dead ways
+    const Entry* e = probe(key, hash);
+    return e ? e->flow.get() : nullptr;
+}
+
 CachedFlowPtr Emc::lookup_ref(const net::FlowKey& key, std::uint64_t hash)
 {
     sync::LockGuard guard(mu_);
     OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
-    if (table_.empty()) {
-        ++misses_;
-        return nullptr;
-    }
-    const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
-    for (int w = 0; w < kWays; ++w) {
-        Entry& e = table_[base + static_cast<std::size_t>(w)];
-        if (e.valid && e.hash == hash && e.key == key) {
-            if (e.flow->dead) {
-                e.valid = false;
-                --occupancy_;
-                continue;
-            }
-            ++hits_;
-            return e.flow;
-        }
-    }
-    ++misses_;
-    return nullptr;
+    const Entry* e = probe(key, hash);
+    return e ? e->flow : nullptr;
 }
 
 void Emc::insert(const net::FlowKey& key, std::uint64_t hash, CachedFlowPtr flow)

@@ -1,15 +1,14 @@
-// Exact Match Cache: the first-level per-PMD cache of the userspace
-// datapath. A small, fixed-size, 2-way set-associative table from full
-// flow keys to cached flow entries. This is the cache whose kernel
-// equivalent the Linux maintainers rejected (§2.1), forcing it to live
-// in userspace.
+// Exact Match Cache: the first-level cache of the userspace datapath. A
+// small, fixed-size, 2-way set-associative table from full flow keys to
+// cached flow entries. This is the cache whose kernel equivalent the
+// Linux maintainers rejected (§2.1), forcing it to live in userspace.
 //
-// Concurrency: today each PMD owns its Emc, but the scale-out plan
-// shares revalidator sweeps across PMDs, so the table is capability-
-// annotated and internally locked like the other shared tables: one
-// mutex ("ovs.emc") over the ways and the hit/miss stats, taken by
-// every public method. Entry pointers returned by lookup() stay valid
-// through shared ownership (CachedFlowPtr), not through the lock.
+// Concurrency: OVS keeps one EMC per PMD, but here all PMDs of a
+// DpifNetdev share one, so the table is capability-annotated and
+// internally locked like the other shared tables: one mutex ("ovs.emc")
+// over the ways and the hit/miss stats, taken by every public method.
+// Entry pointers returned by lookup() stay valid through shared
+// ownership (CachedFlowPtr), not through the lock.
 #pragma once
 
 #include <atomic>
@@ -32,8 +31,8 @@ struct CachedFlow {
     std::uint64_t hits = 0;
     std::uint64_t bytes = 0;
     std::uint64_t hits_at_last_sweep = 0; // revalidator idle detection
-    // Revalidator tombstone. Atomic: set under a megaflow shard lock
-    // but read by the cache's lock-free epoch-pinned lookups.
+    // Tombstone, set when the megaflow cache unlinks the flow. Atomic:
+    // set under a megaflow shard lock but read under the EMC's lock.
     std::atomic<bool> dead{false};
 };
 
@@ -96,6 +95,11 @@ private:
     std::uint64_t hits_ OVSX_GUARDED_BY(mu_) = 0;
     std::uint64_t misses_ OVSX_GUARDED_BY(mu_) = 0;
     std::uint32_t occupancy_ OVSX_GUARDED_BY(mu_) = 0;
+
+    // The one probe of both lookups: the live way holding `key`, or null.
+    // Counts the hit or miss and evicts a matching way whose flow died.
+    OVSX_NO_ALLOC const Entry* probe(const net::FlowKey& key, std::uint64_t hash)
+        OVSX_REQUIRES(mu_);
 };
 
 } // namespace ovsx::ovs

@@ -14,7 +14,7 @@ namespace ovsx::ovs {
 
 // Per-mask statistics, shared by every shard's slice of the subtable
 // so ranking and flow counts are shard-count-invariant. Defined at
-// namespace scope (not anonymous) because ShardState members name it.
+// namespace scope (not anonymous) because Sub members name it.
 struct MegaflowSubtableStats {
     std::atomic<std::uint64_t> hit_count{0};
     std::atomic<std::size_t> size{0}; // flows under this mask, all shards
@@ -31,15 +31,22 @@ struct Tagged {
 
 } // namespace
 
-// An immutable snapshot of one hash bucket, in one allocation: the
-// entries' 64-bit masked hashes, then their flows. A probe compares the
-// hashes and dereferences a flow only on an equal hash, so a miss
-// touches the slot and this allocation and nothing else. Writers never
-// mutate a published Bucket: they build a new one (hashes included)
-// before the release store that publishes it, swap the slot pointer,
-// and retire the old one through the epoch domain.
+// One hash bucket, in one allocation: the entries' 64-bit masked
+// hashes, then their flows. A probe compares the hashes and dereferences
+// a flow only on an equal hash, so a miss touches the slot and this
+// allocation and nothing else. A writer that changes the entry count
+// builds a new bucket and frees the old one at once.
 struct MegaflowCache::Bucket {
-    static Bucket* create(std::size_t n)
+    struct Free {
+        void operator()(Bucket* b) const
+        {
+            std::destroy_n(b->flows(), b->size);
+            ::operator delete(b);
+        }
+    };
+    using Ptr = std::unique_ptr<Bucket, Free>;
+
+    static Ptr create(std::size_t n)
     {
         static_assert(sizeof(Bucket) % alignof(CachedFlowPtr) == 0);
         void* mem = ::operator new(sizeof(Bucket) +
@@ -47,14 +54,7 @@ struct MegaflowCache::Bucket {
         auto* b = new (mem) Bucket{n};
         std::uninitialized_value_construct_n(b->hashes(), n);
         std::uninitialized_value_construct_n(b->flows(), n);
-        return b;
-    }
-    static void destroy(const Bucket* b)
-    {
-        if (!b) return;
-        auto* m = const_cast<Bucket*>(b);
-        std::destroy_n(m->flows(), m->size);
-        ::operator delete(m);
+        return Ptr(b);
     }
 
     std::uint64_t* hashes() { return reinterpret_cast<std::uint64_t*>(this + 1); }
@@ -73,37 +73,39 @@ struct MegaflowCache::Bucket {
         flows()[j] = std::move(flow);
     }
 
+    // The `live` entries of `b` whose flow is not dead, in order, as a
+    // new bucket; null when none is left. A writer marks the flows it
+    // unlinks dead, then replaces their bucket with this; no bucket holds
+    // any other dead flow, because every path that kills a flow unlinks it.
+    static Ptr live_entries(const Bucket& b, std::size_t live)
+    {
+        if (live == 0) return nullptr;
+        Ptr next = create(live);
+        std::size_t at = 0;
+        for (std::size_t j = 0; j < b.size; ++j) {
+            if (!b.flows()[j]->dead.load(std::memory_order_relaxed)) {
+                next->set(at++, b.hashes()[j], b.flows()[j]);
+            }
+        }
+        return next;
+    }
+
     std::size_t size = 0;
 };
 
-// One shard's slot array for one subtable. The slot pointers are the
-// only mutable part readers see; `cap` is fixed for the array's
-// lifetime (growth publishes a whole new array via a new ShardState)
-// and `count` is writer-side bookkeeping under the shard lock.
-struct MegaflowCache::BucketArray {
-    explicit BucketArray(std::size_t capacity)
-        : cap(capacity), slots(std::make_unique<std::atomic<const Bucket*>[]>(capacity))
-    {
-    }
-    ~BucketArray()
-    {
-        for (std::size_t i = 0; i < cap; ++i) {
-            Bucket::destroy(slots[i].load(std::memory_order_relaxed));
-        }
-    }
-    BucketArray(const BucketArray&) = delete;
-    BucketArray& operator=(const BucketArray&) = delete;
+// One shard's slot array for one subtable.
+struct MegaflowCache::Slice {
+    explicit Slice(std::size_t capacity) : slots(capacity) {}
 
     std::size_t slot_of(std::uint64_t hash, std::uint32_t shard_shift) const
     {
-        return (hash >> shard_shift) & (cap - 1);
+        return (hash >> shard_shift) & (slots.size() - 1);
     }
 
     // Appends every entry, in slot order.
     void drain_into(std::vector<Tagged>& out) const
     {
-        for (std::size_t i = 0; i < cap; ++i) {
-            const Bucket* b = slots[i].load(std::memory_order_relaxed);
+        for (const Bucket::Ptr& b : slots) {
             if (!b) continue;
             for (std::size_t j = 0; j < b->size; ++j) {
                 out.push_back({b->hashes()[j], b->flows()[j]});
@@ -111,78 +113,82 @@ struct MegaflowCache::BucketArray {
         }
     }
 
-    // Fills an unpublished, empty array: one exact-size bucket per used
-    // slot, entries placed by their stored hashes.
+    // Fills an empty slice: one exact-size bucket per used slot, entries
+    // placed by their stored hashes.
     void fill(std::vector<Tagged>& entries, std::uint32_t shard_shift)
     {
-        std::vector<std::size_t> used(cap, 0);
+        std::vector<std::size_t> used(slots.size(), 0);
         for (const Tagged& e : entries) ++used[slot_of(e.hash, shard_shift)];
-        std::vector<Bucket*> built(cap, nullptr);
-        for (std::size_t i = 0; i < cap; ++i) {
-            if (used[i] > 0) built[i] = Bucket::create(used[i]);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (used[i] > 0) slots[i] = Bucket::create(used[i]);
             used[i] = 0;
         }
         for (Tagged& e : entries) {
             const std::size_t i = slot_of(e.hash, shard_shift);
-            built[i]->set(used[i]++, e.hash, std::move(e.flow));
-        }
-        for (std::size_t i = 0; i < cap; ++i) {
-            if (built[i]) slots[i].store(built[i], std::memory_order_release);
+            slots[i]->set(used[i]++, e.hash, std::move(e.flow));
         }
         count = entries.size();
     }
 
-    std::size_t cap; // power of two
-    std::unique_ptr<std::atomic<const Bucket*>[]> slots;
-    std::size_t count = 0; // flows in this shard's slice (shard lock)
+    std::vector<Bucket::Ptr> slots; // a power of two of them
+    std::size_t count = 0;          // flows in this shard's slice
 };
 
-// The skeleton a shard publishes: the subtable probe order. Immutable
-// once published; every shard's `subs` has the same masks in the same
-// order (structural ops republish all shards under every shard lock),
-// which is what lets shard 0's skeleton act as the probe-order oracle.
-struct MegaflowCache::ShardState {
-    // Probe-side members first: a probe reads the slice, the plan and,
-    // on a hit, the stats; the full mask is for writers and for the
-    // torn-skeleton check on a shard other than the oracle.
-    struct Sub {
-        std::shared_ptr<BucketArray> buckets;         // this shard's slice
-        std::shared_ptr<MegaflowSubtableStats> stats; // shared across shards
-        net::MaskPlan plan;                           // built once per subtable
-        net::FlowMask mask;
-    };
-    std::vector<Sub> subs;
+// One subtable as one shard holds it. Every shard's `subs` has the same
+// masks in the same order, which is what lets shard 0's order be the
+// probe order. Probe-side members first: a probe reads the slice, the
+// plan and, on a hit, the stats; the full mask is for writers.
+struct MegaflowCache::Sub {
+    Slice slice;                                  // this shard's buckets
+    std::shared_ptr<MegaflowSubtableStats> stats; // shared across shards
+    net::MaskPlan plan;                           // built once per subtable
+    net::FlowMask mask;
 };
 
 struct MegaflowCache::Shard {
     explicit Shard(std::uint32_t i) : mu(sync::shard_lock_name("ovs.megaflow.shard", i)) {}
-    ~Shard() { delete state.load(std::memory_order_relaxed); }
+    // A later shard at this address starts with a clean lockset record.
+    ~Shard() { san::lockset::forget(this); }
 
-    sync::Mutex mu;
-    // Owned by the shard; readers access it only through an epoch pin,
-    // writers replace it under mu and retire the old skeleton.
-    std::atomic<const ShardState*> state{nullptr};
+    // Readers hold mu shared, writers exclusively.
+    sync::SharedMutex mu;
+    std::vector<Sub> subs;
 };
 
-// Locks every shard in ascending index order. Shard mutexes are
-// constructed in index order, so their lock ids ascend with the index
-// and this acquisition order can never invert the ABBA DAG against a
-// single-shard holder or another AllShardsGuard.
+// Locks every shard in ascending index order, exclusively or shared.
+// Shard locks are constructed in index order, so their lock ids ascend
+// with the index and this acquisition order can never invert the ABBA
+// DAG against a single-shard holder, a lookup (shard 0, then one other)
+// or another AllShardsGuard.
 class MegaflowCache::AllShardsGuard {
 public:
-    explicit AllShardsGuard(const MegaflowCache& mf) OVSX_NO_THREAD_SAFETY_ANALYSIS : mf_(mf)
+    explicit AllShardsGuard(const MegaflowCache& mf, bool shared = false)
+        OVSX_NO_THREAD_SAFETY_ANALYSIS : mf_(mf), shared_(shared)
     {
-        for (const auto& s : mf_.shards_) s->mu.lock();
+        for (const auto& s : mf_.shards_) {
+            if (shared_) {
+                s->mu.lock_shared();
+            } else {
+                s->mu.lock();
+            }
+        }
     }
     ~AllShardsGuard() OVSX_NO_THREAD_SAFETY_ANALYSIS
     {
-        for (auto it = mf_.shards_.rbegin(); it != mf_.shards_.rend(); ++it) (*it)->mu.unlock();
+        for (auto it = mf_.shards_.rbegin(); it != mf_.shards_.rend(); ++it) {
+            if (shared_) {
+                (*it)->mu.unlock_shared();
+            } else {
+                (*it)->mu.unlock();
+            }
+        }
     }
     AllShardsGuard(const AllShardsGuard&) = delete;
     AllShardsGuard& operator=(const AllShardsGuard&) = delete;
 
 private:
     const MegaflowCache& mf_;
+    const bool shared_;
 };
 
 namespace {
@@ -234,10 +240,7 @@ MegaflowCache::MegaflowCache(std::uint32_t shards)
     nshards_ = clamp_shards(shards);
     shard_shift_ = log2_pow2(nshards_);
     shards_.reserve(nshards_);
-    for (std::uint32_t i = 0; i < nshards_; ++i) {
-        shards_.push_back(std::make_unique<Shard>(i));
-        shards_.back()->state.store(new ShardState{}, std::memory_order_release);
-    }
+    for (std::uint32_t i = 0; i < nshards_; ++i) shards_.push_back(std::make_unique<Shard>(i));
     shards_token_ = obs::shards_register("ovs.megaflow", [this] {
         obs::Value v = obs::Value::object();
         v.set("shard_count", static_cast<std::uint64_t>(nshards_));
@@ -253,63 +256,47 @@ MegaflowCache::MegaflowCache(std::uint32_t shards)
 MegaflowCache::~MegaflowCache()
 {
     obs::shards_unregister(shards_token_);
-    // Run every pending reclaim before the shards (and their final
-    // skeletons) are torn down.
-    epoch_domain_.synchronize();
     san::audit_clear(san_scope_, "mfc.flow");
 }
 
-void MegaflowCache::publish_state(std::uint32_t s, const ShardState* next)
-{
-    const ShardState* old = shards_[s]->state.exchange(next, std::memory_order_acq_rel);
-    epoch_domain_.retire([old] { delete old; });
-}
-
-const CachedFlowPtr* MegaflowCache::probe(const ShardState* oracle, const ShardState* st,
-                                          std::size_t r, std::uint64_t h,
+const CachedFlowPtr* MegaflowCache::probe(const Sub& sub, std::uint64_t h,
                                           const net::FlowKey& key) const
 {
-    const ShardState::Sub& sub = oracle->subs[r];
-    // The oracle's own slices need no check. Another shard caught
-    // mid-republish (different length or mask at this rank) is skipped:
-    // a transient safe miss, never a block.
-    if (st != oracle && (r >= st->subs.size() || !(st->subs[r].mask == sub.mask))) {
-        return nullptr;
-    }
-    const BucketArray* ba = st->subs[r].buckets.get();
-    const Bucket* b = ba->slots[ba->slot_of(h, shard_shift_)].load(std::memory_order_acquire);
+    const Bucket* b = sub.slice.slots[sub.slice.slot_of(h, shard_shift_)].get();
     if (!b) return nullptr;
     const std::uint64_t* hashes = b->hashes();
     for (std::size_t j = 0; j < b->size; ++j) {
         if (hashes[j] != h) continue;
         const CachedFlowPtr& flow = b->flows()[j];
-        if (!flow->dead.load(std::memory_order_relaxed) &&
-            sub.plan.matches(key, flow->masked_key)) {
-            return &flow;
-        }
+        if (sub.plan.matches(key, flow->masked_key)) return &flow;
     }
     return nullptr;
 }
 
 MegaflowCache::LookupResult MegaflowCache::lookup(const net::FlowKey& key)
 {
-    // Lock-free: no shard lock and deliberately no lockset access —
-    // the epoch pin (not a mutex) is what keeps retired skeletons and
-    // buckets alive until this probe unpins.
+    // Shard 0's lock, held shared for the whole probe, pins the probe
+    // order: every structural change needs it exclusively.
     LookupResult res;
-    sync::EpochGuard pin(epoch_domain_);
-    const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
-    for (std::size_t r = 0; r < oracle->subs.size(); ++r) {
-        const ShardState::Sub& sub = oracle->subs[r];
+    Shard& oracle = *shards_[0];
+    sync::SharedLockGuard guard(oracle.mu);
+    OVSX_SAN_ACCESS_AT(&oracle, "ovs.megaflow", false);
+    for (std::size_t r = 0; r < oracle.subs.size(); ++r) {
+        const Sub& sub = oracle.subs[r];
         ++res.probes;
         const std::uint64_t h = sub.plan.hash(key);
         const std::uint32_t s = shard_of_hash(h);
-        const ShardState* st =
-            s == 0 ? oracle : shards_[s]->state.load(std::memory_order_acquire);
-        if (const CachedFlowPtr* flow = probe(oracle, st, r, h, key)) {
+        if (s == 0) {
+            if (const CachedFlowPtr* flow = probe(sub, h, key)) res.flow = *flow;
+        } else {
+            Shard& sh = *shards_[s];
+            sync::SharedLockGuard routed(sh.mu);
+            OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", false);
+            if (const CachedFlowPtr* flow = probe(sh.subs[r], h, key)) res.flow = *flow;
+        }
+        if (res.flow) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             sub.stats->hit_count.fetch_add(1, std::memory_order_relaxed);
-            res.flow = *flow;
             return res;
         }
     }
@@ -321,23 +308,18 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
                                  LookupResult out[]) const
 {
     for (std::size_t i = 0; i < n; ++i) out[i] = LookupResult{};
-    sync::EpochGuard pin(epoch_domain_);
-    // One skeleton load per shard for the whole burst: every key in
-    // the batch probes the same snapshot.
-    const ShardState* states[kMaxShards];
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-        states[s] = shards_[s]->state.load(std::memory_order_acquire);
-    }
-    const ShardState* oracle = states[0];
+    AllShardsGuard guard(*this, /*shared=*/true);
+    for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", false);
+    const std::vector<Sub>& order = shards_[0]->subs;
     std::size_t unresolved = n;
-    for (std::size_t r = 0; r < oracle->subs.size() && unresolved > 0; ++r) {
-        const net::MaskPlan& plan = oracle->subs[r].plan;
+    for (std::size_t r = 0; r < order.size() && unresolved > 0; ++r) {
+        const net::MaskPlan& plan = order[r].plan;
         for (std::size_t i = 0; i < n; ++i) {
             if (out[i].flow) continue;
             ++out[i].probes;
             const std::uint64_t h = plan.hash(*keys[i]);
-            if (const CachedFlowPtr* flow =
-                    probe(oracle, states[shard_of_hash(h)], r, h, *keys[i])) {
+            const Sub& sub = shards_[shard_of_hash(h)]->subs[r];
+            if (const CachedFlowPtr* flow = probe(sub, h, *keys[i])) {
                 out[i].flow = *flow;
                 --unresolved;
             }
@@ -345,54 +327,38 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
     }
 }
 
-CachedFlowPtr MegaflowCache::insert_into(std::uint32_t s, std::size_t r,
-                                         const net::FlowKey& masked, std::uint64_t h,
+CachedFlowPtr MegaflowCache::insert_into(Sub& sub, const net::FlowKey& masked, std::uint64_t h,
                                          const net::FlowMask& mask, CachedFlowPtr flow)
 {
-    Shard& sh = *shards_[s];
-    const ShardState* st = sh.state.load(std::memory_order_relaxed);
-    const ShardState::Sub& sub = st->subs[r];
-    BucketArray* ba = sub.buckets.get();
-    const std::size_t slot = ba->slot_of(h, shard_shift_);
-    const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
-    const std::size_t n = old ? old->size : 0;
+    Slice& slice = sub.slice;
+    Bucket::Ptr& slot = slice.slots[slice.slot_of(h, shard_shift_)];
+    const std::size_t n = slot ? slot->size : 0;
 
     // An identical masked entry is replaced in place; otherwise the new
     // flow is appended.
-    std::size_t at = n;
     for (std::size_t j = 0; j < n; ++j) {
-        if (old->hashes()[j] == h && old->flows()[j]->masked_key == masked) {
-            at = j;
-            break;
+        if (slot->hashes()[j] == h && slot->flows()[j]->masked_key == masked) {
+            slot->flows()[j] = flow;
+            return flow;
         }
     }
-    const bool replaced = at < n;
-    Bucket* next = Bucket::create(replaced ? n : n + 1);
-    for (std::size_t j = 0; j < n; ++j) next->set(j, old->hashes()[j], old->flows()[j]);
-    next->set(at, h, flow);
-    ba->slots[slot].store(next, std::memory_order_release);
-    if (old) {
-        epoch_domain_.retire([old] { Bucket::destroy(old); });
+    Bucket::Ptr next = Bucket::create(n + 1);
+    for (std::size_t j = 0; j < n; ++j) next->set(j, slot->hashes()[j], slot->flows()[j]);
+    next->set(n, h, flow);
+    slot = std::move(next);
+    ++slice.count;
+    sub.stats->size.fetch_add(1, std::memory_order_relaxed);
+    flows_.fetch_add(1, std::memory_order_relaxed);
+    san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
+    if (slice.count > slice.slots.size() * kFlowsPerSlot) {
+        // Regroup this shard's slice at kGrowth times the slots.
+        std::vector<Tagged> entries;
+        entries.reserve(slice.count);
+        slice.drain_into(entries);
+        Slice grown(slice.slots.size() * kGrowth);
+        grown.fill(entries, shard_shift_);
+        slice = std::move(grown);
     }
-    if (!replaced) {
-        ++ba->count;
-        sub.stats->size.fetch_add(1, std::memory_order_relaxed);
-        san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
-        if (ba->count > ba->cap * kFlowsPerSlot) {
-            // Regroup this shard's slice at kGrowth times the slots. The
-            // new array rides a fresh skeleton; the old one (and all its
-            // buckets) is reclaimed once no reader can still hold it.
-            std::vector<Tagged> entries;
-            entries.reserve(ba->count);
-            ba->drain_into(entries);
-            auto grown = std::make_shared<BucketArray>(ba->cap * kGrowth);
-            grown->fill(entries, shard_shift_);
-            auto* next_state = new ShardState(*st);
-            next_state->subs[r].buckets = std::move(grown);
-            publish_state(s, next_state);
-        }
-    }
-    epoch_domain_.try_advance();
     return flow;
 }
 
@@ -408,78 +374,52 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
     // Fresh flows get one sweep of grace before idle expiry applies.
     flow->hits_at_last_sweep = ~std::uint64_t{0};
 
-    const std::uint32_t s = shard_of_hash(h);
+    Shard& sh = *shards_[shard_of_hash(h)];
     {
         // Fast path: the mask already has a subtable. The rank scan is
         // safe under one shard lock because structural ops (which move
         // ranks) hold every shard lock.
-        sync::LockGuard guard(shards_[s]->mu);
-        OVSX_SAN_ACCESS_AT(shards_[s].get(), "ovs.megaflow", true);
-        const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-        for (std::size_t r = 0; r < st->subs.size(); ++r) {
-            if (st->subs[r].mask == mask) {
-                return insert_into(s, r, masked, h, mask, std::move(flow));
-            }
+        sync::LockGuard guard(sh.mu);
+        OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", true);
+        for (Sub& sub : sh.subs) {
+            if (sub.mask == mask) return insert_into(sub, masked, h, mask, std::move(flow));
         }
     }
 
-    // Slow path: a new mask appends a subtable to every shard's
-    // skeleton so the probe order stays identical across shards.
+    // Slow path: a new mask appends a subtable to every shard so the
+    // probe order stays identical across shards.
     AllShardsGuard guard(*this);
-    for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
+    for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), "ovs.megaflow", true);
     // Re-check: another writer may have added the mask between the
     // fast-path unlock and this all-shard lock.
-    const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-    for (std::size_t r = 0; r < st->subs.size(); ++r) {
-        if (st->subs[r].mask == mask) {
-            return insert_into(s, r, masked, h, mask, std::move(flow));
-        }
+    for (Sub& sub : sh.subs) {
+        if (sub.mask == mask) return insert_into(sub, masked, h, mask, std::move(flow));
     }
     auto stats = std::make_shared<MegaflowSubtableStats>();
     const net::MaskPlan plan(mask);
-    const std::size_t r = st->subs.size();
-    for (std::uint32_t i = 0; i < nshards_; ++i) {
-        const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
-        auto* next = new ShardState(*cur);
-        next->subs.push_back(
-            ShardState::Sub{std::make_shared<BucketArray>(kMinBuckets), stats, plan, mask});
-        publish_state(i, next);
-    }
-    return insert_into(s, r, masked, h, mask, std::move(flow));
+    for (const auto& s : shards_) s->subs.push_back(Sub{Slice(kMinBuckets), stats, plan, mask});
+    return insert_into(sh.subs.back(), masked, h, mask, std::move(flow));
 }
 
 bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
 {
     const net::FlowKey masked = mask.apply(key);
     const std::uint64_t h = masked.hash();
-    const std::uint32_t s = shard_of_hash(h);
-    sync::LockGuard guard(shards_[s]->mu);
-    OVSX_SAN_ACCESS_AT(shards_[s].get(), "ovs.megaflow", true);
-    const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-    for (std::size_t r = 0; r < st->subs.size(); ++r) {
-        const ShardState::Sub& sub = st->subs[r];
+    Shard& sh = *shards_[shard_of_hash(h)];
+    sync::LockGuard guard(sh.mu);
+    OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", true);
+    for (Sub& sub : sh.subs) {
         if (!(sub.mask == mask)) continue;
-        BucketArray* ba = sub.buckets.get();
-        const std::size_t slot = ba->slot_of(h, shard_shift_);
-        const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
+        Bucket::Ptr& old = sub.slice.slots[sub.slice.slot_of(h, shard_shift_)];
         if (!old) return false;
         for (std::size_t j = 0; j < old->size; ++j) {
             if (old->hashes()[j] != h || !(old->flows()[j]->masked_key == masked)) continue;
             old->flows()[j]->dead.store(true, std::memory_order_release);
-            Bucket* next = nullptr;
-            if (old->size > 1) {
-                next = Bucket::create(old->size - 1);
-                std::size_t at = 0;
-                for (std::size_t k = 0; k < old->size; ++k) {
-                    if (k != j) next->set(at++, old->hashes()[k], old->flows()[k]);
-                }
-            }
-            ba->slots[slot].store(next, std::memory_order_release);
-            --ba->count;
+            old = Bucket::live_entries(*old, old->size - 1);
+            --sub.slice.count;
             sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
+            flows_.fetch_sub(1, std::memory_order_relaxed);
             san::audit_remove(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
-            epoch_domain_.retire([old] { Bucket::destroy(old); });
-            epoch_domain_.try_advance();
             return true;
         }
         return false;
@@ -491,55 +431,45 @@ void MegaflowCache::clear()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    for (std::uint32_t i = 0; i < nshards_; ++i) {
-        const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
-        for (const auto& sub : cur->subs) {
-            for (std::size_t slot = 0; slot < sub.buckets->cap; ++slot) {
-                const Bucket* b = sub.buckets->slots[slot].load(std::memory_order_relaxed);
+    for (const auto& sh : shards_) {
+        for (const Sub& sub : sh->subs) {
+            for (const Bucket::Ptr& b : sub.slice.slots) {
                 if (!b) continue;
                 for (std::size_t j = 0; j < b->size; ++j) {
                     b->flows()[j]->dead.store(true, std::memory_order_release);
                 }
             }
         }
-        publish_state(i, new ShardState{});
+        sh->subs.clear();
     }
+    flows_.store(0, std::memory_order_relaxed);
     san::audit_clear(san_scope_, "mfc.flow");
-    epoch_domain_.try_advance();
-}
-
-std::size_t MegaflowCache::flow_count() const
-{
-    sync::EpochGuard pin(epoch_domain_);
-    const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
-    std::size_t n = 0;
-    for (const auto& sub : oracle->subs) n += sub.stats->size.load(std::memory_order_relaxed);
-    return n;
 }
 
 std::size_t MegaflowCache::mask_count() const
 {
-    sync::EpochGuard pin(epoch_domain_);
-    return shards_[0]->state.load(std::memory_order_acquire)->subs.size();
+    Shard& oracle = *shards_[0];
+    sync::SharedLockGuard guard(oracle.mu);
+    OVSX_SAN_ACCESS_AT(&oracle, "ovs.megaflow", false);
+    return oracle.subs.size();
 }
 
 std::size_t MegaflowCache::shard_flow_count(std::uint32_t s) const
 {
     if (s >= nshards_) return 0;
-    sync::LockGuard guard(shards_[s]->mu);
-    OVSX_SAN_ACCESS_AT(shards_[s].get(), "ovs.megaflow", false);
-    const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
+    Shard& sh = *shards_[s];
+    sync::SharedLockGuard guard(sh.mu);
+    OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", false);
     std::size_t n = 0;
-    for (const auto& sub : st->subs) n += sub.buckets->count;
+    for (const Sub& sub : sh.subs) n += sub.slice.count;
     return n;
 }
 
 std::size_t MegaflowCache::flow_count_all_locked() const
 {
     std::size_t n = 0;
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-        const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-        for (const auto& sub : st->subs) n += sub.buckets->count;
+    for (const auto& sh : shards_) {
+        for (const Sub& sub : sh->subs) n += sub.slice.count;
     }
     return n;
 }
@@ -549,12 +479,9 @@ std::size_t MegaflowCache::expire_idle()
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
     std::size_t removed = 0;
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-        const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-        for (const auto& sub : st->subs) {
-            BucketArray* ba = sub.buckets.get();
-            for (std::size_t slot = 0; slot < ba->cap; ++slot) {
-                const Bucket* old = ba->slots[slot].load(std::memory_order_relaxed);
+    for (const auto& sh : shards_) {
+        for (Sub& sub : sh->subs) {
+            for (Bucket::Ptr& old : sub.slice.slots) {
                 if (!old) continue;
                 std::size_t expired = 0;
                 for (std::size_t j = 0; j < old->size; ++j) {
@@ -570,27 +497,13 @@ std::size_t MegaflowCache::expire_idle()
                 }
                 if (expired == 0) continue;
                 removed += expired;
-                ba->count -= expired;
+                sub.slice.count -= expired;
                 sub.stats->size.fetch_sub(expired, std::memory_order_relaxed);
-                // A published bucket never holds a dead flow (every path
-                // that kills a flow also unlinks it), so the live entries
-                // are exactly the kept ones.
-                Bucket* next = nullptr;
-                if (expired < old->size) {
-                    next = Bucket::create(old->size - expired);
-                    std::size_t at = 0;
-                    for (std::size_t j = 0; j < old->size; ++j) {
-                        if (!old->flows()[j]->dead.load(std::memory_order_relaxed)) {
-                            next->set(at++, old->hashes()[j], old->flows()[j]);
-                        }
-                    }
-                }
-                ba->slots[slot].store(next, std::memory_order_release);
-                epoch_domain_.retire([old] { Bucket::destroy(old); });
+                old = Bucket::live_entries(*old, old->size - expired);
             }
         }
     }
-    epoch_domain_.try_advance();
+    flows_.fetch_sub(removed, std::memory_order_relaxed);
     return removed;
 }
 
@@ -598,38 +511,36 @@ void MegaflowCache::rerank()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    const ShardState* oracle = shards_[0]->state.load(std::memory_order_relaxed);
-    const std::size_t nsubs = oracle->subs.size();
+    const std::vector<Sub>& order = shards_[0]->subs;
+    const std::size_t nsubs = order.size();
     // Snapshot the counters so the sort comparator is stable, then
     // reset them for the next ranking window.
     std::vector<std::uint64_t> hit(nsubs);
     std::vector<std::size_t> size(nsubs);
     for (std::size_t r = 0; r < nsubs; ++r) {
-        hit[r] = oracle->subs[r].stats->hit_count.exchange(0, std::memory_order_relaxed);
-        size[r] = oracle->subs[r].stats->size.load(std::memory_order_relaxed);
+        hit[r] = order[r].stats->hit_count.exchange(0, std::memory_order_relaxed);
+        size[r] = order[r].stats->size.load(std::memory_order_relaxed);
     }
-    std::vector<std::size_t> order(nsubs);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
+    std::vector<std::size_t> ranked(nsubs);
+    std::iota(ranked.begin(), ranked.end(), std::size_t{0});
+    std::stable_sort(ranked.begin(), ranked.end(),
                      [&](std::size_t a, std::size_t b) { return hit[a] > hit[b]; });
     // Drop empty subtables so dead masks stop costing probes.
     std::vector<std::size_t> kept;
     kept.reserve(nsubs);
-    for (const std::size_t r : order) {
+    for (const std::size_t r : ranked) {
         if (size[r] > 0) kept.push_back(r);
     }
     // Occupancy gauge, sampled once per revalidator cycle.
     std::size_t total = 0;
     for (const std::size_t r : kept) total += size[r];
     if (total > 0) OVSX_COVERAGE_N("mf.shard.occupancy", total);
-    for (std::uint32_t i = 0; i < nshards_; ++i) {
-        const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
-        auto* next = new ShardState;
-        next->subs.reserve(kept.size());
-        for (const std::size_t r : kept) next->subs.push_back(cur->subs[r]);
-        publish_state(i, next);
+    for (const auto& sh : shards_) {
+        std::vector<Sub> next;
+        next.reserve(kept.size());
+        for (const std::size_t r : kept) next.push_back(std::move(sh->subs[r]));
+        sh->subs = std::move(next);
     }
-    epoch_domain_.try_advance();
 }
 
 void MegaflowCache::san_check(san::Site site) const
@@ -643,11 +554,9 @@ void MegaflowCache::for_each_entry(
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", false);
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-        const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-        for (const auto& sub : st->subs) {
-            for (std::size_t slot = 0; slot < sub.buckets->cap; ++slot) {
-                const Bucket* b = sub.buckets->slots[slot].load(std::memory_order_relaxed);
+    for (const auto& sh : shards_) {
+        for (const Sub& sub : sh->subs) {
+            for (const Bucket::Ptr& b : sub.slice.slots) {
                 if (!b) continue;
                 for (std::size_t j = 0; j < b->size; ++j) fn(*b->flows()[j], sub.mask);
             }
@@ -671,22 +580,18 @@ void MegaflowCache::reshard(std::uint32_t n)
     std::vector<Drained> rows;
     {
         AllShardsGuard guard(*this);
-        const ShardState* oracle = shards_[0]->state.load(std::memory_order_relaxed);
-        rows.reserve(oracle->subs.size());
-        for (const auto& sub : oracle->subs) {
-            rows.push_back(Drained{sub.mask, sub.plan, sub.stats, {}});
-        }
-        for (std::uint32_t s = 0; s < nshards_; ++s) {
-            const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
-            for (std::size_t r = 0; r < st->subs.size(); ++r) {
-                st->subs[r].buckets->drain_into(rows[r].entries);
+        const std::vector<Sub>& order = shards_[0]->subs;
+        rows.reserve(order.size());
+        for (const Sub& sub : order) rows.push_back(Drained{sub.mask, sub.plan, sub.stats, {}});
+        for (const auto& sh : shards_) {
+            for (std::size_t r = 0; r < sh->subs.size(); ++r) {
+                sh->subs[r].slice.drain_into(rows[r].entries);
             }
         }
     }
-    // Config-time contract: no concurrent readers or writers. Drain
-    // the reclamation backlog, then swap the shard array wholesale.
-    epoch_domain_.synchronize();
 
+    // Config-time contract: no concurrent readers or writers, so the
+    // shard array is swapped wholesale.
     const std::uint32_t shift = log2_pow2(target);
     ShardArray next;
     next.reserve(target);
@@ -701,29 +606,26 @@ void MegaflowCache::reshard(std::uint32_t n)
         }
     }
     for (std::uint32_t i = 0; i < target; ++i) {
-        auto* st = new ShardState;
-        st->subs.reserve(rows.size());
+        std::vector<Sub>& subs = next[i]->subs;
+        subs.reserve(rows.size());
         for (std::size_t r = 0; r < rows.size(); ++r) {
-            auto ba = std::make_shared<BucketArray>(slots_for(per_shard[i][r].size()));
-            ba->fill(per_shard[i][r], shift);
-            st->subs.push_back(
-                ShardState::Sub{std::move(ba), rows[r].stats, rows[r].plan, rows[r].mask});
+            Slice slice(slots_for(per_shard[i][r].size()));
+            slice.fill(per_shard[i][r], shift);
+            subs.push_back(Sub{std::move(slice), rows[r].stats, rows[r].plan, rows[r].mask});
         }
-        next[i]->state.store(st, std::memory_order_release);
     }
-    shards_ = std::move(next); // old shards delete their final skeletons
+    shards_ = std::move(next);
     nshards_ = target;
     shard_shift_ = shift;
 }
 
 std::size_t MegaflowCache::test_seam_unguarded_probe() const
 {
-    // Deliberately no LockGuard and no epoch pin: the lockset checker
-    // must observe this access with an empty held set and flag the
-    // empty candidate intersection against the locked write API's
-    // accesses on the same shard.
+    // Deliberately no lock: the lockset checker must observe this access
+    // with an empty held set and flag the empty candidate intersection
+    // against the locked write API's accesses on the same shard.
     OVSX_SAN_ACCESS_AT(shards_[0].get(), "ovs.megaflow", true);
-    return shards_[0]->state.load(std::memory_order_relaxed)->subs.size();
+    return shards_[0]->subs.size();
 }
 
 } // namespace ovsx::ovs

@@ -5,16 +5,17 @@
 //
 // Concurrency: the classifier is sharded by the masked-key hash (the
 // same RSS-style routing the conntracks use), one capability-annotated
-// mutex per shard ("ovs.megaflow.shard.<i>"). Lookups take NO lock:
-// each shard publishes an immutable subtable skeleton through an
-// atomic pointer and readers pin a sync/epoch.h domain for the length
-// of the probe, so a whole batch classifies lock-free while writers
-// copy-on-write individual hash buckets under their shard's lock.
-// Structural changes (a new mask, rerank, clear, expire) lock every
-// shard in ascending order and republish every skeleton so the probe
-// order stays identical across shards. Shard 0's skeleton is the probe
-// -order oracle: a reader that catches another shard mid-republish
-// skips the torn subtable (a safe miss) instead of blocking.
+// reader/writer lock per shard ("ovs.megaflow.shard.<i>") over that
+// shard's subtables and buckets. Every shard holds the same masks in
+// the same probe order, because structural changes (a new mask, rerank,
+// clear, expire) lock every shard exclusively in ascending order. So a
+// lookup holds shard 0's lock shared for the whole probe (shard 0's
+// subtable order is the probe order) and takes the routed shard's lock
+// shared for each probe that lands on another shard, and a batch takes
+// every shard's lock shared once. Writers change subtables and buckets
+// in place under their shard's exclusive lock and free what they
+// replace at once, so a reader never sees an unlinked flow. Readers and
+// writers both mark their shard for the lockset checker.
 //
 // Probe layout: each subtable carries a net::MaskPlan built once from
 // its mask. The plan hashes only the mask's non-zero 64-bit lanes and
@@ -26,9 +27,7 @@
 // their flows; a probe compares hashes and dereferences a CachedFlow
 // only on an equal one, so a miss touches the slot and one bucket and
 // a hit touches one flow. A slice regroups at one flow per slot into
-// four times the slots, moving each flow with its stored hash. When
-// the key's shard is the oracle (always, with one shard), the probe
-// skips the torn-skeleton mask comparison.
+// four times the slots, moving each flow with its stored hash.
 //
 // Determinism contract: at any shard count, single-threaded semantics
 // are bit-identical to the old single-mutex classifier — same probe
@@ -46,7 +45,6 @@
 #include "ovs/emc.h"
 #include "san/lockset.h"
 #include "san/report.h"
-#include "sync/epoch.h"
 #include "sync/mutex.h"
 
 namespace ovsx::ovs {
@@ -63,7 +61,7 @@ public:
     explicit MegaflowCache(std::uint32_t shards = 1);
     ~MegaflowCache();
 
-    // Lock-free (epoch-pinned) classification of one key; applies the
+    // Classifies one key under the shard reader locks; applies the
     // hit/miss and subtable-ranking stats through atomics.
     OVSX_HOT LookupResult lookup(const net::FlowKey& key);
 
@@ -75,7 +73,7 @@ public:
     // hit/miss and ranking stats are not touched. The datapath
     // classifies with lookup(); the wall-clock benchmark's per-layer
     // replay, bench_mt_smoke and the shard model tests call this.
-    // Lock-free: the batch runs under one epoch pin, no shard lock.
+    // Takes every shard's lock shared, in ascending order, once per batch.
     OVSX_HOT void lookup_batch(const net::FlowKey* const keys[], std::size_t n,
                                LookupResult out[]) const;
 
@@ -86,7 +84,9 @@ public:
     bool remove(const net::FlowKey& key, const net::FlowMask& mask);
     void clear();
 
-    std::size_t flow_count() const;
+    // One relaxed counter that writers keep: no lock (the datapath reads
+    // it per packet).
+    std::size_t flow_count() const { return flows_.load(std::memory_order_relaxed); }
     std::size_t mask_count() const;
     std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
     std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -117,22 +117,21 @@ public:
     std::size_t shard_flow_count(std::uint32_t s) const;
 
     // Test seam (negative lockset tests only): probes the classifier
-    // WITHOUT taking the shard lock and WITHOUT an epoch pin — the
-    // deliberately unguarded access the Eraser checker must catch when
-    // another thread uses the locked write API. Returns the subtable
-    // count it raced over.
+    // WITHOUT taking the shard lock — the deliberately unguarded access
+    // the Eraser checker must catch when another thread uses the locked
+    // write API. Returns the subtable count it raced over.
     std::size_t test_seam_unguarded_probe() const OVSX_NO_THREAD_SAFETY_ANALYSIS;
 
 private:
-    struct Shard;      // per-shard lock + published skeleton (megaflow.cpp)
-    struct ShardState; // immutable subtable skeleton
-    struct BucketArray;
+    struct Shard; // per-shard lock + subtables (megaflow.cpp)
+    struct Sub;   // one subtable's slice in one shard
+    struct Slice;
     struct Bucket;
     class AllShardsGuard;
 
     // Immutable while the datapath runs: built at construction,
     // replaced only by config-time reshard(). Per-shard state is
-    // guarded by each Shard's mutex or published via atomics.
+    // guarded by each Shard's lock.
     using ShardArray = std::vector<std::unique_ptr<Shard>>;
 
     // Routing: low hash bits pick the shard, the bits above them pick
@@ -143,24 +142,21 @@ private:
         return static_cast<std::uint32_t>(h) & (nshards_ - 1);
     }
 
-    // The flow of subtable `r` matching `key`, whose masked hash is `h`,
-    // in `st`, the state of the shard `h` routes to; null on a miss. A
-    // miss touches the slot and one bucket, a hit one flow.
-    OVSX_HOT const CachedFlowPtr* probe(const ShardState* oracle, const ShardState* st,
-                                        std::size_t r, std::uint64_t h,
+    // The flow of `sub`, the slice of the shard `h` routes to, matching
+    // `key`, whose masked hash is `h`; null on a miss. A miss touches
+    // the slot and one bucket, a hit one flow.
+    OVSX_HOT const CachedFlowPtr* probe(const Sub& sub, std::uint64_t h,
                                         const net::FlowKey& key) const;
-    CachedFlowPtr insert_into(std::uint32_t s, std::size_t r, const net::FlowKey& masked,
-                              std::uint64_t h, const net::FlowMask& mask,
-                              CachedFlowPtr flow) OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    void publish_state(std::uint32_t s, const ShardState* next) OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    std::size_t flow_count_all_locked() const OVSX_NO_THREAD_SAFETY_ANALYSIS;
+    // Runs under the exclusive lock of the shard that holds `sub`.
+    CachedFlowPtr insert_into(Sub& sub, const net::FlowKey& masked, std::uint64_t h,
+                              const net::FlowMask& mask, CachedFlowPtr flow);
+    // Runs under every shard's lock.
+    std::size_t flow_count_all_locked() const;
 
     std::uint32_t nshards_ = 1;
     std::uint32_t shard_shift_ = 0; // log2(nshards_)
     ShardArray shards_;
-    // Reclamation domain for retired skeletons/buckets: writers retire,
-    // readers pin. Mutable so const (reader) methods can pin.
-    mutable sync::EpochDomain epoch_domain_{"ovs.megaflow"};
+    std::atomic<std::size_t> flows_{0}; // flow_count(): writers keep it
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
     std::uint64_t san_scope_ = san::new_scope();

@@ -44,13 +44,6 @@ public:
     virtual void tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
                           sim::ExecContext& ctx) = 0;
 
-    void tx_one(std::uint32_t queue, net::Packet&& pkt, sim::ExecContext& ctx)
-    {
-        std::vector<net::Packet> batch;
-        batch.push_back(std::move(pkt));
-        tx_burst(queue, std::move(batch), ctx);
-    }
-
     NetdevStats& stats() { return stats_; }
     const NetdevStats& stats() const { return stats_; }
 

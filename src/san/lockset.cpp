@@ -265,6 +265,13 @@ Stats stats()
     return st;
 }
 
+void forget(const void* obj)
+{
+    State& s = state();
+    std::lock_guard<std::mutex> g(s.mu);
+    s.objects.erase(obj);
+}
+
 void reset()
 {
     State& s = state();

@@ -93,6 +93,12 @@ struct Stats {
 };
 Stats stats();
 
+// Forgets the tracked state of `obj`, whether or not hardened mode is
+// on (the state may date from a hardened scope). Objects call it when
+// destroyed, so a later object at the same address does not inherit
+// their candidate lockset.
+void forget(const void* obj);
+
 // Forgets the acquisition DAG, every tracked object state and every
 // held-lock set (test isolation; the determinism test replays the same
 // scenario across two reset() boundaries).

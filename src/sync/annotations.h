@@ -52,9 +52,9 @@
 #define OVSX_RETURN_CAPABILITY(x) OVSX_TS_ATTR(lock_returned(x))
 
 // Escape hatch — every use must carry a comment saying why the analysis
-// cannot see the synchronization (e.g. prefetch address computation,
-// lock-free publication). tools/ovsx_lint has no budget for these, but
-// reviewers do.
+// cannot see the synchronization (e.g. a guard that locks every shard of
+// a table in a loop, a quiescent-harness accessor). tools/ovsx_lint has
+// no budget for these, but reviewers do.
 #define OVSX_NO_THREAD_SAFETY_ANALYSIS OVSX_TS_ATTR(no_thread_safety_analysis)
 
 // Marks a per-packet hot-path function. Besides the compiler hint, this

@@ -232,6 +232,22 @@ public:
         return allocs;
     }
 
+    // Sends `n` packets from outside any rx burst, one execute() with a
+    // single output action each, on the PMD's context. Returns the
+    // datapath's allocations.
+    std::uint64_t execute(int n)
+    {
+        const kern::OdpActions actions{kern::OdpAction::output(ports_[1])};
+        std::uint64_t allocs = 0;
+        for (int i = 0; i < n; ++i) {
+            net::Packet pkt = udp(static_cast<std::uint16_t>(1000 + i % kFlows));
+            const std::uint64_t before = allocations();
+            dpif_.execute(std::move(pkt), actions, dpif_.pmd_ctx(pmd_));
+            allocs += allocations() - before;
+        }
+        return allocs;
+    }
+
     std::uint64_t forwarded() const { return forwarded_; }
     std::uint64_t upcalls() const { return upcalls_; }
     std::uint64_t hits() const { return dpif_.stats().hits; }
@@ -274,6 +290,25 @@ TEST(AllocGate, AfxdpUserspaceDatapathForwardsWithoutAllocating)
 TEST(AllocGate, DpdkUserspaceDatapathForwardsWithoutAllocating)
 {
     userspace_forwards_without_allocating(/*afxdp=*/false);
+}
+
+TEST(AllocGate, UserspaceExecuteOutsideABurstSendsWithoutAllocating)
+{
+    // An execute() outside an rx burst (a packet-out) queues its output
+    // on the port's batch and flushes it, as a burst does.
+    constexpr int kExecutes = 256;
+    for (const bool afxdp : {true, false}) {
+        HardenedOff hardened_off;
+        UserspaceP2p p2p(afxdp);
+        p2p.offer(4 * UserspaceP2p::kFlows);
+        const std::uint64_t forwarded = p2p.forwarded();
+        const std::uint64_t allocs = p2p.execute(kExecutes);
+
+        EXPECT_EQ(allocs, 0u) << (afxdp ? "afxdp: " : "dpdk: ")
+                              << static_cast<double>(allocs) / kExecutes
+                              << " allocations per packet";
+        EXPECT_EQ(p2p.forwarded() - forwarded, static_cast<std::uint64_t>(kExecutes));
+    }
 }
 
 TEST(AllocGate, UserspaceUpcallAllocatesAtMostABound)

@@ -673,6 +673,110 @@ TEST(MegaflowShards, ReshardPreservesEntriesAndOccupancySums)
     EXPECT_NE(cache.lookup(mf_key(11)).flow, nullptr);
 }
 
+// ---- megaflow: readers through structural changes -----------------------
+
+// Two reader threads classify churn keys with lookup() and lookup_batch()
+// while this thread installs under masks the cache has not seen yet,
+// reranks, removes, expires and clears: every structural change runs
+// while readers hold shard locks. Every flow a reader gets back must
+// match its key under the flow's own mask, and after each change the
+// shard occupancies must sum to flow_count(). Hardened, so the lockset
+// checker sees every reader and writer; it must stay ahead of
+// FuzzShardSweep, whose caches may reuse this one's shard addresses.
+void readers_match_their_keys_through_structural_changes(std::uint32_t shards)
+{
+    san::ScopedHardened hardened;
+    san::ScopedCollect collect;
+    const std::vector<net::FlowMask> masks = churn::masks();
+    const std::vector<churn::Flow> flows = churn::flows(91, 2000);
+    ovs::MegaflowCache cache(shards);
+    auto install = [&](bool first_half_of_masks) {
+        for (const churn::Flow& f : flows) {
+            if ((f.mask < churn::kMasks / 2) != first_half_of_masks) continue;
+            cache.insert(f.key, masks[f.mask], {kern::OdpAction::output(1)});
+        }
+    };
+    auto occupancy_matches = [&](const char* after) {
+        std::size_t sum = 0;
+        for (std::uint32_t s = 0; s < cache.shard_count(); ++s) sum += cache.shard_flow_count(s);
+        EXPECT_EQ(sum, cache.flow_count()) << "after " << after << " at " << shards << " shards";
+    };
+    install(true);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> warm{0};
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> mismatches{0};
+    auto check = [&](const ovs::MegaflowCache::LookupResult& res, const net::FlowKey& key) {
+        if (!res.flow) return;
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (!res.flow->mask.same_masked(key, res.flow->masked_key)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+    };
+    std::vector<std::thread> readers;
+    readers.emplace_back([&] {
+        for (bool first = true; first || !stop.load(); first = false) {
+            for (const churn::Flow& f : flows) check(cache.lookup(f.key), f.key);
+            if (first) warm.fetch_add(1);
+        }
+    });
+    readers.emplace_back([&] {
+        constexpr std::size_t kBurst = 32;
+        for (bool first = true; first || !stop.load(); first = false) {
+            for (std::size_t base = 0; base < flows.size(); base += kBurst) {
+                const std::size_t n = std::min(kBurst, flows.size() - base);
+                const net::FlowKey* keys[kBurst];
+                ovs::MegaflowCache::LookupResult res[kBurst];
+                for (std::size_t i = 0; i < n; ++i) keys[i] = &flows[base + i].key;
+                cache.lookup_batch(keys, n, res);
+                for (std::size_t i = 0; i < n; ++i) check(res[i], *keys[i]);
+            }
+            if (first) warm.fetch_add(1);
+        }
+    });
+    while (warm.load() < 2) std::this_thread::yield();
+
+    install(false); // four new masks: structural inserts under readers
+    occupancy_matches("new masks");
+    cache.rerank();
+    occupancy_matches("rerank");
+    for (std::size_t i = 0; i < flows.size(); i += 3) {
+        (void)cache.remove(flows[i].key, masks[flows[i].mask]);
+    }
+    occupancy_matches("remove");
+    (void)cache.expire_idle(); // consumes the fresh flows' grace
+    // Hit every other flow, as the datapath would, so the second sweep
+    // keeps those and drops the rest.
+    for (std::size_t i = 0; i < flows.size(); i += 2) {
+        if (const ovs::CachedFlowPtr flow = cache.lookup(flows[i].key).flow) ++flow->hits;
+    }
+    const std::size_t expired = cache.expire_idle();
+    occupancy_matches("expire");
+    cache.rerank();
+    occupancy_matches("second rerank");
+    const std::size_t masks_after_rerank = cache.mask_count();
+    cache.clear();
+    occupancy_matches("clear");
+    stop.store(true);
+    for (auto& th : readers) th.join();
+
+    EXPECT_EQ(mismatches.load(), 0u) << "flows that do not match their key at " << shards
+                                     << " shards";
+    EXPECT_GT(hits.load(), 0u);
+    EXPECT_GT(expired, 0u);
+    EXPECT_GT(masks_after_rerank, 0u);
+    EXPECT_EQ(cache.flow_count(), 0u);
+    EXPECT_EQ(cache.mask_count(), 0u);
+    EXPECT_TRUE(collect.violations().empty());
+}
+
+TEST(MegaflowShards, ReadersMatchTheirKeysThroughStructuralChanges)
+{
+    readers_match_their_keys_through_structural_changes(1);
+    readers_match_their_keys_through_structural_changes(4);
+}
+
 // ---- datapath wiring ---------------------------------------------------
 
 TEST(DpifSharding, AddPmdAutoReshardsAndExplicitCountPins)

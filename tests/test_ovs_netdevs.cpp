@@ -32,6 +32,14 @@ net::Packet udp64(std::uint16_t sport = 1000)
     return net::build_udp(spec);
 }
 
+// A tx burst of one packet.
+std::vector<net::Packet> one_packet(net::Packet&& pkt)
+{
+    std::vector<net::Packet> burst;
+    burst.push_back(std::move(pkt));
+    return burst;
+}
+
 // ---- netdev-afxdp ------------------------------------------------------
 
 TEST(NetdevAfxdpTest, RxDeliversWirePackets)
@@ -111,7 +119,7 @@ TEST(NetdevAfxdpTest, TxMaterializesOffloadedChecksum)
     spec.fill_tcp_csum = false;
     net::Packet pkt = net::build_tcp(spec);
     pkt.meta().csum_tx_offload = true;
-    dev.tx_one(0, std::move(pkt), pmd);
+    dev.tx_burst(0, one_packet(std::move(pkt)), pmd);
     ASSERT_EQ(wire.size(), 1u);
     EXPECT_TRUE(net::verify_l4_csum(wire[0], 14));
     EXPECT_FALSE(wire[0].meta().csum_tx_offload);
@@ -205,7 +213,7 @@ TEST(NetdevLinuxTest, TxBatchAmortizesSyscall)
 
     NetdevLinux dev(tap);
     sim::ExecContext one("one", sim::CpuClass::User);
-    dev.tx_one(0, udp64(), one);
+    dev.tx_burst(0, one_packet(udp64()), one);
     const auto single_cost = one.total_busy();
 
     sim::ExecContext batch_ctx("batch", sim::CpuClass::User);
@@ -248,7 +256,7 @@ TEST(NetdevVhostTest, BidirectionalWithStats)
     sim::ExecContext pmd("pmd", sim::CpuClass::User);
     sim::ExecContext vcpu("vcpu", sim::CpuClass::Guest);
 
-    dev.tx_one(0, udp64(), pmd);
+    dev.tx_burst(0, one_packet(udp64()), pmd);
     EXPECT_EQ(guest_got, 1);
     EXPECT_EQ(dev.stats().tx_packets, 1u);
 
