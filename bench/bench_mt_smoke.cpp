@@ -1,7 +1,9 @@
-// Multi-threaded hardened-mode smoke: N worker threads hammer the three
-// shared tables the PMD scale-out will contend on — the megaflow cache,
-// the EMC and the userspace conntrack — with the lockset/lock-order
-// checkers live (san::ScopedHardened). Every access goes through the
+// Multi-threaded hardened-mode smoke: N worker threads hammer the two
+// shared tables the PMD scale-out will contend on — the megaflow cache
+// and the userspace conntrack — with the lockset/lock-order checkers
+// live (san::ScopedHardened). Each thread owns its EMC, as a PMD does,
+// and reads the `dead` flags of the shared flows it caches, which the
+// megaflow cache's writers set. Every shared access goes through the
 // tables' own internal locks, so a clean run proves the annotated
 // locking composes under real contention: any lockset race or ABBA
 // inversion aborts the process with the violation report (there is no
@@ -71,7 +73,6 @@ int main(int argc, char** argv)
     by_sport.bits.nw_proto = 0xff;
     by_sport.bits.tp_src = 0xffff;
     by_sport.bits.tp_dst = 0xffff;
-    ovs::Emc emc;
     ovs::UserspaceConntrack uct;
     uct.reshard(shards);
 
@@ -83,6 +84,7 @@ int main(int argc, char** argv)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             sim::ExecContext ctx{"pmd", sim::CpuClass::User};
+            ovs::Emc emc;
             // Per-thread disjoint sport range: threads share the tables
             // (that is the point) but not the 5-tuples, so conntrack
             // state stays deterministic per thread.

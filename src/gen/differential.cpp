@@ -82,6 +82,34 @@ std::uint64_t flow_entry_digest(const net::FlowKey& masked, const net::FlowMask&
     return h;
 }
 
+// A table's entries rendered and sorted, for naming divergences.
+template <typename Entries>
+std::vector<std::string> sorted_strings(const Entries& entries)
+{
+    std::vector<std::string> out;
+    for (const auto& e : entries) out.push_back(e.to_string());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+// Reports an end-state divergence naming every entry that only one side
+// holds; nothing when the two sorted dumps agree.
+void report_table_difference(const char* table, const char* unit, const char* a_name,
+                             const std::vector<std::string>& a, const char* b_name,
+                             const std::vector<std::string>& b, DiffReport& report)
+{
+    if (a == b) return;
+    std::vector<std::string> only_a, only_b;
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(only_a));
+    std::set_difference(b.begin(), b.end(), a.begin(), a.end(), std::back_inserter(only_b));
+    std::ostringstream os;
+    os << table << " tables differ: " << a_name << "=" << a.size() << " " << unit << ", "
+       << b_name << "=" << b.size();
+    for (const auto& e : only_a) os << "\n    only-" << a_name << ": " << e;
+    for (const auto& e : only_b) os << "\n    only-" << b_name << ": " << e;
+    report.unexplained.push_back({report.packets_run, os.str(), "", ""});
+}
+
 net::FlowMask ebpf_expressible_mask()
 {
     net::FlowMask m = ovs::DpifEbpf::required_mask();
@@ -320,6 +348,41 @@ struct DifferentialHarness::Instance {
         return v;
     }
 
+    // Order-independent flow-table digest: the XOR of every entry's
+    // digest plus the entry count, walked copy-free. eBPF has none; its
+    // flows compare by dump.
+    std::optional<std::pair<std::uint64_t, std::size_t>> flow_digest() const
+    {
+        std::uint64_t d = 0;
+        std::size_t n = 0;
+        auto acc = [&](const net::FlowKey& k, const net::FlowMask& m,
+                       const kern::OdpActions& acts) {
+            d ^= flow_entry_digest(k, m, acts);
+            ++n;
+        };
+        if (netdev) {
+            netdev->megaflow().for_each_entry(
+                [&](const ovs::CachedFlow& f, const net::FlowMask& m) {
+                    acc(f.masked_key, m, f.actions);
+                });
+        } else if (kdp) {
+            kdp->for_each_entry(acc);
+        } else {
+            return std::nullopt;
+        }
+        return std::pair{d, n};
+    }
+
+    // san cross-checks: the instance's table audits must agree with the
+    // structures themselves (no-ops unless hardened mode is on;
+    // violations route to the active ScopedCollect / abort).
+    void san_check() const
+    {
+        dpif->san_check(OVSX_SITE);
+        kernel->conntrack().san_check(OVSX_SITE);
+        if (netdev) netdev->ct().san_check(OVSX_SITE);
+    }
+
     // Splits everything captured since the last take into per-step
     // verdicts for the `count` steps with trace ids [base_id, base_id +
     // count), attributing each frame to the injected packet it descends
@@ -486,6 +549,30 @@ DifferentialHarness::make_instances() const
     return out;
 }
 
+void DifferentialHarness::diff_end_state(const Instance& a, const char* a_name,
+                                         const Instance& b, const char* b_name, bool flows,
+                                         DiffReport& report)
+{
+    if (flows) {
+        // Digest-first: the per-entry dump only runs on a mismatch.
+        const auto digest = a.flow_digest();
+        if (!digest || digest != b.flow_digest()) {
+            report_table_difference("flow", "entries", a_name, sorted_strings(a.dpif->flow_dump()),
+                                    b_name, sorted_strings(b.dpif->flow_dump()), report);
+        }
+    }
+    // Entries sort and compare as values; the strings are rendered only
+    // to name a divergence.
+    auto ct_a = a.dpif->ct_snapshot();
+    auto ct_b = b.dpif->ct_snapshot();
+    std::sort(ct_a.begin(), ct_a.end());
+    std::sort(ct_b.begin(), ct_b.end());
+    if (ct_a != ct_b) {
+        report_table_difference("conntrack", "conns", a_name, sorted_strings(ct_a), b_name,
+                                sorted_strings(ct_b), report);
+    }
+}
+
 DiffReport DifferentialHarness::run_once(const std::vector<DiffPacket>& seq, bool)
 {
     auto instances = make_instances();
@@ -531,102 +618,17 @@ DiffReport DifferentialHarness::run_once(const std::vector<DiffPacket>& seq, boo
     if (opts_.compare_end_state) {
         const std::size_t end_step = seq.size();
 
+        // Flow tables: identical upcall translation must yield the same
+        // (key, mask, actions) entries (eBPF is exact-match only,
+        // structurally different — its flows are skipped). Conntrack:
+        // userspace CT against the kernel CT the other two datapaths
+        // share, NAT reply tuples and marks included.
         for (std::size_t i = 1; i < instances.size(); ++i) {
             Instance& other = *instances[i];
             const bool vs_ebpf = other.kind == DpKind::Ebpf;
             if (vs_ebpf ? ebpf_tainted : kernel_tainted) continue;
-
-            // Flow tables: identical upcall translation must yield the
-            // same (key, mask, actions) entries, compared per entry so a
-            // divergence names the exact flow, not just a count (eBPF is
-            // exact-match only, structurally different — skip it).
-            if (!vs_ebpf) {
-                // Digest-first: netdev and kernel walk their tables
-                // copy-free; the per-entry dump below only runs on a
-                // digest mismatch.
-                auto digest_of = [](const Instance& inst) {
-                    std::uint64_t d = 0;
-                    std::size_t n = 0;
-                    auto acc = [&](const net::FlowKey& k, const net::FlowMask& m,
-                                   const kern::OdpActions& acts) {
-                        d ^= flow_entry_digest(k, m, acts);
-                        ++n;
-                    };
-                    if (inst.netdev) {
-                        inst.netdev->megaflow().for_each_entry(
-                            [&](const ovs::CachedFlow& f, const net::FlowMask& m) {
-                                acc(f.masked_key, m, f.actions);
-                            });
-                    } else if (inst.kdp) {
-                        inst.kdp->for_each_entry(acc);
-                    }
-                    return std::pair<std::uint64_t, std::size_t>{d, n};
-                };
-                if (digest_of(*instances[0]) != digest_of(other)) {
-                    auto dump_sorted = [](const Instance& inst) {
-                        std::vector<std::string> out;
-                        for (const auto& e : inst.dpif->flow_dump()) out.push_back(e.to_string());
-                        std::sort(out.begin(), out.end());
-                        return out;
-                    };
-                    const auto a = dump_sorted(*instances[0]);
-                    const auto b = dump_sorted(other);
-                    if (a != b) {
-                        std::vector<std::string> only_a, only_b;
-                        std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                                            std::back_inserter(only_a));
-                        std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                                            std::back_inserter(only_b));
-                        std::ostringstream os;
-                        os << "flow tables differ: netdev=" << a.size() << " entries, "
-                           << to_string(other.kind) << "=" << b.size();
-                        for (const auto& s : only_a) os << "\n    only-netdev: " << s;
-                        for (const auto& s : only_b) {
-                            os << "\n    only-" << to_string(other.kind) << ": " << s;
-                        }
-                        report.unexplained.push_back({end_step, os.str(), ""});
-                    }
-                }
-            }
-
-            // Conntrack tables (userspace CT vs the kernel CT the other
-            // two datapaths share), compared per entry — NAT reply
-            // tuples and marks included — so a divergence names the
-            // exact connection that drifted.
-            {
-                // Structural compare first (entries sort and compare as
-                // values); the string rendering below only runs when a
-                // divergence has to be named.
-                auto snap_sorted = [](const Instance& inst) {
-                    auto v = inst.dpif->ct_snapshot();
-                    std::sort(v.begin(), v.end());
-                    return v;
-                };
-                const bool ct_equal = snap_sorted(*instances[0]) == snap_sorted(other);
-                auto dump_ct = [](const Instance& inst) {
-                    std::vector<std::string> out;
-                    for (const auto& e : inst.dpif->ct_snapshot()) out.push_back(e.to_string());
-                    std::sort(out.begin(), out.end());
-                    return out;
-                };
-                const auto a = ct_equal ? std::vector<std::string>{} : dump_ct(*instances[0]);
-                const auto b = ct_equal ? std::vector<std::string>{} : dump_ct(other);
-                if (!ct_equal && a != b) {
-                    std::vector<std::string> only_a, only_b;
-                    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                                        std::back_inserter(only_a));
-                    std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                                        std::back_inserter(only_b));
-                    std::ostringstream os;
-                    os << "conntrack tables differ: netdev=" << a.size() << " conns, "
-                       << to_string(other.kind) << "=" << b.size();
-                    for (const auto& s : only_a) os << "\n    only-netdev: " << s;
-                    for (const auto& s : only_b) {
-                        os << "\n    only-" << to_string(other.kind) << ": " << s;
-                    }
-                    report.unexplained.push_back({end_step, os.str(), ""});
-                }
-            }
+            diff_end_state(*instances[0], "netdev", other, to_string(other.kind), !vs_ebpf,
+                           report);
         }
 
         // eBPF-internal invariant: the flow map and its userspace action
@@ -650,14 +652,7 @@ DiffReport DifferentialHarness::run_once(const std::vector<DiffPacket>& seq, boo
             }
         }
 
-        // san cross-checks: every instance's table audits must agree with
-        // the structures themselves (no-ops unless hardened mode is on;
-        // violations route to the active ScopedCollect / abort).
-        for (auto& inst : instances) {
-            inst->dpif->san_check(OVSX_SITE);
-            inst->kernel->conntrack().san_check(OVSX_SITE);
-            if (inst->netdev) inst->netdev->ct().san_check(OVSX_SITE);
-        }
+        for (auto& inst : instances) inst->san_check();
     }
 
     // pmd/perf-show and pmd-stats-show must agree on packet totals: the
@@ -843,62 +838,7 @@ DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& s
                                           " b=" + std::to_string(y),
                                       ""});
     };
-    auto joined = [](std::vector<std::string> v) {
-        std::sort(v.begin(), v.end());
-        std::string out;
-        for (const auto& s : v) {
-            out += s;
-            out += "; ";
-        }
-        return out;
-    };
-    {
-        auto flows = [&](const Instance& inst) {
-            std::vector<std::string> out;
-            for (const auto& e : inst.dpif->flow_dump()) out.push_back(e.to_string());
-            return joined(std::move(out));
-        };
-        auto ct = [&](const Instance& inst) {
-            std::vector<std::string> out;
-            for (const auto& e : inst.dpif->ct_snapshot()) out.push_back(e.to_string());
-            return joined(std::move(out));
-        };
-        // Fast path for the fuzz soak: an order-independent digest over
-        // the megaflow entries (no copies, no strings). The full string
-        // dump — which names the exact divergent flow — is built only
-        // when the digests disagree.
-        bool flows_match_cheaply = false;
-        if (kind == DpKind::Netdev) {
-            auto digest = [](Instance& inst) {
-                std::uint64_t d = 0;
-                std::size_t n = 0;
-                inst.netdev->megaflow().for_each_entry(
-                    [&](const ovs::CachedFlow& f, const net::FlowMask& m) {
-                        d ^= flow_entry_digest(f.masked_key, m, f.actions);
-                        ++n;
-                    });
-                return std::pair<std::uint64_t, std::size_t>{d, n};
-            };
-            flows_match_cheaply = digest(*a) == digest(*b);
-        }
-        if (!flows_match_cheaply) {
-            const std::string af = flows(*a), bf = flows(*b);
-            if (af != bf) {
-                report.unexplained.push_back(
-                    {end_step, "flow tables differ: a={" + af + "} b={" + bf + "}", ""});
-            }
-        }
-        auto snap_sorted = [](const Instance& inst) {
-            auto v = inst.dpif->ct_snapshot();
-            std::sort(v.begin(), v.end());
-            return v;
-        };
-        if (snap_sorted(*a) != snap_sorted(*b)) {
-            const std::string ac = ct(*a), bc = ct(*b);
-            report.unexplained.push_back(
-                {end_step, "conntrack differs: a={" + ac + "} b={" + bc + "}", ""});
-        }
-    }
+    diff_end_state(*a, "a", *b, "b", true, report);
     const ovs::Dpif::Stats as = a->dpif->stats(), bs = b->dpif->stats();
     diff_count("hits", as.hits, bs.hits);
     diff_count("misses", as.misses, bs.misses);
@@ -913,11 +853,7 @@ DiffReport DifferentialHarness::run_burst_twins(const std::vector<DiffPacket>& s
         diff_count("dropped", a->netdev->dropped(), b->netdev->dropped());
     }
 
-    for (Instance* inst : sides) {
-        inst->dpif->san_check(OVSX_SITE);
-        inst->kernel->conntrack().san_check(OVSX_SITE);
-        if (inst->netdev) inst->netdev->ct().san_check(OVSX_SITE);
-    }
+    for (Instance* inst : sides) inst->san_check();
     return report;
 }
 

@@ -160,6 +160,12 @@ private:
     std::unique_ptr<Instance> make_instance(DpKind kind) const;
     std::vector<std::unique_ptr<Instance>> make_instances() const;
     DiffReport run_once(const std::vector<DiffPacket>& seq, bool allow_minimize);
+    // Diffs two instances' end state: flow tables when `flows` is set
+    // (digest first where both sides have one), then conntrack. Each
+    // mismatch is one divergence naming every entry only one side holds
+    // (`only-<name>:` lines).
+    static void diff_end_state(const Instance& a, const char* a_name, const Instance& b,
+                               const char* b_name, bool flows, DiffReport& report);
     void attach_traces(const std::vector<DiffPacket>& seq, DiffReport& report);
     bool subsequence_diverges(const std::vector<DiffPacket>& seq,
                               const std::vector<std::size_t>& steps);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <utility>
 
 #include "kern/kernel.h"
 #include "net/hash.h"
@@ -74,7 +75,8 @@ void DpifNetdev::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
 void DpifNetdev::flow_flush()
 {
     megaflow_.clear();
-    emc_.clear();
+    nonpmd_.emc.clear();
+    for (Pmd& pmd : pmds_) pmd.emc.clear();
 }
 
 std::vector<kern::OdpFlowEntry> DpifNetdev::flow_dump() const
@@ -268,6 +270,7 @@ int DpifNetdev::add_pmd(const std::string& name)
     // Always-on profiler, attached from birth so its class-cycle split
     // matches the context's busy() exactly.
     pmd.ctx.attach_perf(name);
+    pmd.emc = Emc(emc_entries_);
     pmds_.push_back(std::move(pmd));
     if (!shards_explicit_) {
         // Default scale-out: one shard per PMD, rounded up to a power
@@ -278,6 +281,13 @@ int DpifNetdev::add_pmd(const std::string& name)
         ct_.reshard(target);
     }
     return static_cast<int>(pmds_.size()) - 1;
+}
+
+void DpifNetdev::set_emc_entries(std::uint32_t entries)
+{
+    emc_entries_ = entries;
+    nonpmd_.emc = Emc(entries);
+    for (Pmd& pmd : pmds_) pmd.emc = Emc(entries);
 }
 
 void DpifNetdev::pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue)
@@ -294,6 +304,7 @@ std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
     // classifies again), which is what keeps pmd/perf-show packet
     // totals equal to pmd-stats-show hits+misses.
     const std::uint64_t classified_before = stats_hits_ + upcall_count_;
+    Pmd* const outer = std::exchange(pmd_, &pmd);
     if (perf) perf->begin_iteration();
     std::uint32_t processed = 0;
     for (Rxq& rxq : pmd.rxqs) {
@@ -306,6 +317,7 @@ std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
         rxq.busy_ns += static_cast<std::uint64_t>(pmd.ctx.total_busy() - busy_before);
     }
     if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
+    pmd_ = outer;
     return processed;
 }
 
@@ -313,6 +325,7 @@ std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
 {
     obs::PmdPerf* perf = ctx.perf();
     const std::uint64_t classified_before = stats_hits_ + upcall_count_;
+    Pmd* const outer = std::exchange(pmd_, &nonpmd_);
     if (perf) perf->begin_iteration();
     std::uint32_t processed = 0;
     for (auto& [port_no, port] : ports_) {
@@ -322,6 +335,7 @@ std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
         }
     }
     if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
+    pmd_ = outer;
     return processed;
 }
 
@@ -398,6 +412,7 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         return;
     }
     obs::PmdPerf* perf = ctx.perf();
+    Pmd& pmd = *pmd_;
 
     // Miniflow extraction.
     obs::PerfStageScope emc_scope(perf, obs::PerfStage::EmcLookup);
@@ -406,16 +421,16 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
     const net::FlowKey key = net::parse_flow(pkt);
     const std::uint64_t hash = key.hash();
 
-    // First level: EMC. Large lookup working sets spill out of the CPU
-    // caches: one extra cold line per packet once the EMC holds many
-    // flows (the 1-flow vs 1000-flow gap of Fig. 9).
+    // First level: this lane's EMC. Large lookup working sets spill out
+    // of the CPU caches: one extra cold line per packet once the EMC
+    // holds many flows (the 1-flow vs 1000-flow gap of Fig. 9).
     ctx.charge(costs_.emc_hit);
     pkt.meta().latency_ns += costs_.emc_hit;
-    if (emc_.occupancy() > 128 || megaflow_.flow_count() > 128) {
+    if (pmd.emc.occupancy() > 128 || megaflow_.flow_count() > 128) {
         ctx.charge(costs_.cache_miss);
         pkt.meta().latency_ns += costs_.cache_miss;
     }
-    if (const CachedFlowPtr flow = emc_.lookup_ref(key, hash)) {
+    if (const CachedFlowPtr flow = pmd.emc.lookup_ref(key, hash)) {
         OVSX_COVERAGE_CTX(ctx, "emc.hit");
         ++stats_hits_;
         if (pkt.meta().trace_id) {
@@ -450,9 +465,9 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         }
         ++res.flow->hits;
         res.flow->bytes += pkt.size();
-        if (++emc_insert_counter_ % emc_insert_inv_prob_ == 0) {
+        if (++pmd.emc_insert_counter % emc_insert_inv_prob_ == 0) {
             obs::PerfStageScope ins(perf, obs::PerfStage::MegaflowLookup);
-            emc_.insert(key, hash, res.flow);
+            pmd.emc.insert(key, hash, res.flow);
             ctx.charge(costs_.emc_hit);
         }
         run_actions(std::move(pkt), res.flow->actions, ctx, depth);
@@ -675,7 +690,8 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
 void DpifNetdev::revalidate()
 {
     megaflow_.expire_idle();
-    emc_.sweep();
+    nonpmd_.emc.sweep();
+    for (Pmd& pmd : pmds_) pmd.emc.sweep();
     megaflow_.rerank();
 }
 

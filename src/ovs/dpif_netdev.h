@@ -1,7 +1,8 @@
 // dpif-netdev: the userspace datapath. Ports are Netdevs; the per-packet
 // pipeline is EMC -> megaflow -> upcall; actions execute in userspace
 // with userspace conntrack, meters and tunnel encap (resolved from the
-// netlink replica cache). PMD threads poll assigned (port, queue) pairs.
+// netlink replica cache). PMD threads poll assigned (port, queue) pairs,
+// each through its own EMC.
 #pragma once
 
 #include <map>
@@ -73,13 +74,14 @@ public:
     // pmd_assign().
     int add_pmd(const std::string& name);
     void pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue);
-    // One poll iteration over a PMD's queues; returns packets processed.
+    // One poll iteration over a PMD's queues, classified through its EMC
+    // (an upcall handler's execute() included); returns packets processed.
     OVSX_NO_ALLOC std::uint32_t pmd_poll_once(int pmd);
     sim::ExecContext& pmd_ctx(int pmd) { return pmds_[static_cast<std::size_t>(pmd)].ctx; }
     int pmd_count() const { return static_cast<int>(pmds_.size()); }
 
     // Non-PMD processing entry: poll every port once on the main thread
-    // (the pre-O1 configuration).
+    // (the pre-O1 configuration), through the non-PMD lane's EMC.
     std::uint32_t main_thread_poll_once(sim::ExecContext& ctx);
 
     // Datapath entry for one rx burst: counts the burst (batch.flush,
@@ -101,7 +103,8 @@ public:
     const net::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- subsystems ---------------------------------------------------------------
-    Emc& emc() { return emc_; }
+    // The first PMD's EMC, or the non-PMD lane's when there is no PMD.
+    Emc& emc() { return pmds_.empty() ? nonpmd_.emc : pmds_.front().emc; }
     MegaflowCache& megaflow() { return megaflow_; }
     UserspaceConntrack& ct() { return ct_; }
     MeterTable& meters() { return meters_; }
@@ -142,22 +145,23 @@ public:
     // Packets punted by an explicit Userspace action.
     std::vector<net::Packet>& punted() { return punted_; }
 
-    // Revalidation sweep: drops dead EMC entries and re-ranks subtables.
+    // Revalidation sweep: drops dead entries from every EMC and re-ranks
+    // subtables.
     void revalidate();
 
     // EMC insertion sampling: insert one in `inv_prob` megaflow hits
-    // (OVS's emc-insert-inv-prob, default 100; counter-based here so
+    // (OVS's emc-insert-inv-prob, default 100; counted per PMD here so
     // runs are deterministic). 1 = always insert.
     void set_emc_insert_inv_prob(std::uint32_t inv_prob)
     {
         emc_insert_inv_prob_ = inv_prob ? inv_prob : 1;
     }
 
-    // Replaces the EMC with a fresh table of `entries` slots (discards
-    // any cached flows — meant for configuration time, before traffic).
-    // The differential harness sizes its thousands of short-lived
-    // instances well below OVS's per-PMD 8192 default.
-    void set_emc_entries(std::uint32_t entries) { emc_.resize(entries); }
+    // Gives every PMD (also those added later) and the non-PMD lane a
+    // fresh EMC of `entries` slots, discarding cached flows: meant for
+    // configuration time. The differential harness sizes its thousands
+    // of short-lived instances well below OVS's per-PMD 8192 default.
+    void set_emc_entries(std::uint32_t entries);
 
     // Every packet the datapath dropped: lost misses, recursion,
     // missing ports, tunnel resolution and meters.
@@ -183,10 +187,14 @@ private:
         std::uint64_t busy_ns = 0; // cumulative processing time, survives moves
     };
 
+    // A PMD thread, or the non-PMD lane. Only the thread running it
+    // touches its EMC, so the EMC takes no lock.
     struct Pmd {
         std::string name;
         sim::ExecContext ctx;
         std::vector<Rxq> rxqs;
+        Emc emc;
+        std::uint64_t emc_insert_counter = 0;
     };
 
     std::string port_name(std::uint32_t port_no) const;
@@ -210,13 +218,19 @@ private:
     std::map<std::uint32_t, Port> ports_;
     std::map<int, std::uint32_t> ifindex_to_port_; // underlay resolution
     std::uint32_t next_port_no_ = 1;
-    Emc emc_;
     MegaflowCache megaflow_;
     UserspaceConntrack ct_;
     MeterTable meters_;
     NetlinkCache netlink_;
     UpcallHandler upcall_;
     std::vector<Pmd> pmds_;
+    // OVS's non-PMD thread: main-thread polls, and any execute() or
+    // process_batch() made outside a PMD poll, use its EMC.
+    Pmd nonpmd_;
+    // The lane whose poll is running. Dpif::execute() carries no PMD,
+    // so the pipeline finds its EMC here.
+    Pmd* pmd_ = &nonpmd_;
+    std::uint32_t emc_entries_ = Emc::kDefaultEntries;
     std::vector<net::Packet> rx_batch_; // keeps its capacity from poll to poll
     bool batching_outputs_ = false;
     bool flushing_ = false;
@@ -229,7 +243,6 @@ private:
     // coverage counters aggregate across instances.
     std::uint64_t stats_hits_ = 0;
     std::uint32_t emc_insert_inv_prob_ = 100;
-    std::uint64_t emc_insert_counter_ = 0;
     net::IntConfig int_cfg_;
     std::uint16_t last_batch_occupancy_ = 1; // INT occupancy field: last rx burst size
     obs::Window window_;

@@ -39,24 +39,18 @@ const Emc::Entry* Emc::probe(const net::FlowKey& key, std::uint64_t hash)
 
 CachedFlow* Emc::lookup(const net::FlowKey& key, std::uint64_t hash)
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true); // mutates stats + evicts dead ways
     const Entry* e = probe(key, hash);
     return e ? e->flow.get() : nullptr;
 }
 
 CachedFlowPtr Emc::lookup_ref(const net::FlowKey& key, std::uint64_t hash)
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
     const Entry* e = probe(key, hash);
     return e ? e->flow : nullptr;
 }
 
 void Emc::insert(const net::FlowKey& key, std::uint64_t hash, CachedFlowPtr flow)
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
     if (table_.empty()) table_.resize(static_cast<std::size_t>(entries_) * kWays);
     const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
     // Prefer an invalid way; otherwise evict the way with fewer hits.
@@ -81,8 +75,6 @@ void Emc::insert(const net::FlowKey& key, std::uint64_t hash, CachedFlowPtr flow
 
 std::size_t Emc::sweep()
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
     std::size_t swept = 0;
     for (auto& e : table_) {
         if (e.valid && e.flow->dead) {
@@ -97,52 +89,11 @@ std::size_t Emc::sweep()
 
 void Emc::clear()
 {
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
     for (auto& e : table_) {
         e.valid = false;
         e.flow.reset();
     }
     occupancy_ = 0;
-}
-
-void Emc::resize(std::uint32_t entries)
-{
-    if (entries == 0 || (entries & (entries - 1)) != 0) {
-        throw std::invalid_argument("Emc: entries must be a power of two");
-    }
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", true);
-    entries_ = entries;
-    mask_ = entries - 1;
-    table_.clear(); // re-materialized lazily on first insert
-    hits_ = 0;
-    misses_ = 0;
-    occupancy_ = 0;
-}
-
-std::uint32_t Emc::capacity() const
-{
-    sync::LockGuard guard(mu_);
-    return entries_;
-}
-
-std::uint64_t Emc::hits() const
-{
-    sync::LockGuard guard(mu_);
-    return hits_;
-}
-
-std::uint64_t Emc::misses() const
-{
-    sync::LockGuard guard(mu_);
-    return misses_;
-}
-
-std::uint32_t Emc::occupancy() const
-{
-    sync::LockGuard guard(mu_);
-    return occupancy_;
 }
 
 } // namespace ovsx::ovs

@@ -334,10 +334,13 @@ CachedFlowPtr MegaflowCache::insert_into(Sub& sub, const net::FlowKey& masked, s
     Bucket::Ptr& slot = slice.slots[slice.slot_of(h, shard_shift_)];
     const std::size_t n = slot ? slot->size : 0;
 
-    // An identical masked entry is replaced in place; otherwise the new
-    // flow is appended.
+    // An identical masked entry is replaced in place, and the flow it
+    // held dies like a removed one, so an EMC entry still pointing at it
+    // misses and falls through to the new flow; otherwise the new flow
+    // is appended.
     for (std::size_t j = 0; j < n; ++j) {
         if (slot->hashes()[j] == h && slot->flows()[j]->masked_key == masked) {
+            slot->flows()[j]->dead.store(true, std::memory_order_release);
             slot->flows()[j] = flow;
             return flow;
         }

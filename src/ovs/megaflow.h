@@ -77,7 +77,8 @@ public:
     OVSX_HOT void lookup_batch(const net::FlowKey* const keys[], std::size_t n,
                                LookupResult out[]) const;
 
-    // Installs a flow; replaces an existing identical masked entry.
+    // Installs a flow; replaces an existing identical masked entry,
+    // whose flow is marked dead as a removed one is.
     CachedFlowPtr insert(const net::FlowKey& key, const net::FlowMask& mask,
                          kern::OdpActions actions);
 

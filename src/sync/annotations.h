@@ -1,7 +1,7 @@
 // Portable clang thread-safety ("capability") annotation macros.
 //
 // The PMD scale-out on the roadmap turns the simulation's shared tables
-// (megaflow, EMC, both conntracks, the eBPF map + shadow, the netlink
+// (megaflow, both conntracks, the eBPF map + shadow, the netlink
 // replica, the obs registries) into genuinely concurrent state — the
 // regime where the paper's OVS lineage historically grew its worst bugs
 // (RCU misuse, classifier races). These macros make the locking

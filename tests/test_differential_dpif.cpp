@@ -5,6 +5,8 @@
 // are pinned here as regressions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 
 #include "gen/ct_corpus.h"
@@ -693,6 +695,42 @@ TEST(BurstTwins, TunnelEncapCorpusAgreesOnEveryProvider)
         const DiffReport report = harness.run_burst_twins(seq, kind, 8);
         EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
         EXPECT_TRUE(report.explained.empty()) << to_string(kind);
+    }
+}
+
+// The end-state compare must catch a flow that differs between the
+// twins and name it from both sides. The fault's counter is shared by
+// both twins, and each chunk drains twin a before twin b, so only twin
+// a's first upcall installs the corrupted output port.
+TEST(BurstTwins, EndStateDivergenceNamesTheFlow)
+{
+    DiffRuleset rs;
+    DiffRule r = rule(10, {kern::OdpAction::output(2)});
+    r.mask.bits.nw_proto = 0xff;
+    r.match.nw_proto = 17;
+    rs.rules.push_back(std::move(r));
+    std::vector<DiffPacket> seq;
+    for (int i = 0; i < 4; ++i) seq.push_back({0, udp(1000, 80)});
+
+    for (const DpKind kind : kAllKinds) {
+        DifferentialHarness harness(rs);
+        auto upcalls = std::make_shared<int>(0);
+        harness.set_fault(kind, [upcalls](kern::OdpActions& actions) {
+            if ((*upcalls)++ > 0) return;
+            for (auto& a : actions) {
+                if (a.type == kern::OdpAction::Type::Output) a.port = 3;
+            }
+        });
+        const DiffReport report = harness.run_burst_twins(seq, kind, 4);
+        const auto end_state =
+            std::find_if(report.unexplained.begin(), report.unexplained.end(),
+                         [&](const Divergence& d) { return d.step == seq.size(); });
+        ASSERT_NE(end_state, report.unexplained.end()) << to_string(kind) << ": "
+                                                       << report.summary();
+        EXPECT_NE(end_state->detail.find("flow tables differ"), std::string::npos)
+            << end_state->detail;
+        EXPECT_NE(end_state->detail.find("only-a:"), std::string::npos) << end_state->detail;
+        EXPECT_NE(end_state->detail.find("only-b:"), std::string::npos) << end_state->detail;
     }
 }
 

@@ -77,6 +77,29 @@ TEST(EmcTest, RequiresPowerOfTwo)
     EXPECT_THROW(Emc(1000), std::invalid_argument);
 }
 
+// Re-installing a flow under the same key and mask replaces the
+// megaflow entry with a new CachedFlow; the replaced one must die, so an
+// EMC entry that still points at it misses and the packet falls through
+// to the new flow.
+TEST(EmcTest, ReplacedMegaflowFlowLeavesTheEmc)
+{
+    MegaflowCache cache;
+    Emc emc(1024);
+    net::FlowMask mask;
+    mask.bits.in_port = 0xffffffff;
+    const auto key = key_for(1);
+    const CachedFlowPtr old_flow = cache.insert(key, mask, {kern::OdpAction::output(1)});
+    emc.insert(key, key.hash(), old_flow);
+    cache.insert(key, mask, {kern::OdpAction::output(2)});
+
+    EXPECT_EQ(emc.lookup(key, key.hash()), nullptr);
+    const auto res = cache.lookup(key);
+    ASSERT_NE(res.flow, nullptr);
+    EXPECT_EQ(res.flow->actions[0].port, 2u);
+    EXPECT_TRUE(old_flow->dead.load());
+    EXPECT_EQ(cache.flow_count(), 1u);
+}
+
 TEST(MegaflowTest, WildcardHit)
 {
     MegaflowCache cache;

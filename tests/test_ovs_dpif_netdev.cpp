@@ -109,6 +109,28 @@ TEST_F(DpifNetdevTest, EmcShortCircuitsSecondPacket)
     EXPECT_EQ(out1.size(), 2u);
 }
 
+// Re-installing a flow under the same key and mask must move the
+// microflows the EMC already caches: the replaced flow dies, so the next
+// packet misses the EMC and takes the new actions.
+TEST_F(DpifNetdevTest, FlowPutReplacingAFlowMovesItsEmcHits)
+{
+    dpif->set_emc_insert_inv_prob(1);
+    dpif->flow_put(key_on_port(p0), port_mask(), {kern::OdpAction::output(p1)});
+    for (int i = 0; i < 2; ++i) {
+        nic0->rx_from_wire(udp64());
+        dpif->pmd_poll_once(pmd);
+    }
+    ASSERT_EQ(out1.size(), 2u);
+    ASSERT_EQ(dpif->emc().hits(), 1u);
+
+    dpif->flow_put(key_on_port(p0), port_mask(), {kern::OdpAction::output(p0)});
+    nic0->rx_from_wire(udp64());
+    dpif->pmd_poll_once(pmd);
+    EXPECT_EQ(out1.size(), 2u);
+    EXPECT_EQ(out0.size(), 1u);
+    EXPECT_EQ(dpif->emc().hits(), 1u);
+}
+
 TEST_F(DpifNetdevTest, UpcallInstallsAndForwards)
 {
     int upcalls = 0;
@@ -542,6 +564,99 @@ TEST_F(DpifNetdevTest, RxBurstCountersIntOccupancyAndDecapStage)
     ASSERT_EQ(b_out.size(), 10u);
     EXPECT_GT(bare, 0);
     EXPECT_EQ(decapped - bare, 5 * sim::CostModel::baseline().parse_extract);
+}
+
+// Two PMDs over one two-queue NIC, as OVS runs them: pmd0 polls eth0
+// queue 0 and pmd1 polls queue 1, and each owns its EMC.
+class DpifNetdevPerPmd : public ::testing::Test {
+protected:
+    void SetUp() override
+    {
+        kern::NicConfig cfg;
+        cfg.num_queues = 2;
+        nic0 = &kernel.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1), cfg);
+        nic1 = &kernel.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(2));
+        nic1->connect_wire([this](net::Packet&& p) { out1.push_back(std::move(p)); });
+        dpif = std::make_unique<DpifNetdev>(kernel);
+        dpif->set_emc_insert_inv_prob(1);
+        p0 = dpif->add_port(std::make_unique<NetdevAfxdp>(*nic0));
+        p1 = dpif->add_port(std::make_unique<NetdevAfxdp>(*nic1));
+    }
+
+    void add_two_pmds()
+    {
+        pmd0 = dpif->add_pmd("pmd0");
+        pmd1 = dpif->add_pmd("pmd1");
+        dpif->pmd_assign(pmd0, p0, 0);
+        dpif->pmd_assign(pmd1, p0, 1);
+    }
+
+    net::FlowMask port_mask()
+    {
+        net::FlowMask m;
+        m.bits.in_port = 0xffffffff;
+        m.bits.recirc_id = 0xffffffff;
+        return m;
+    }
+
+    kern::Kernel kernel;
+    kern::PhysicalDevice* nic0 = nullptr;
+    kern::PhysicalDevice* nic1 = nullptr;
+    std::unique_ptr<DpifNetdev> dpif;
+    std::uint32_t p0 = 0, p1 = 0;
+    int pmd0 = -1, pmd1 = -1;
+    std::vector<net::Packet> out1;
+};
+
+TEST_F(DpifNetdevPerPmd, EachPmdFillsItsOwnEmc)
+{
+    add_two_pmds();
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    dpif->flow_put(net::parse_flow(probe), port_mask(), {kern::OdpAction::output(p1)});
+
+    // pmd0 caches the flow; pmd1's EMC has not seen it, so pmd1's first
+    // packet misses and its second hits.
+    nic0->rx_from_wire(udp64(), 0);
+    dpif->pmd_poll_once(pmd0);
+    for (int i = 0; i < 2; ++i) {
+        nic0->rx_from_wire(udp64(), 1);
+        dpif->pmd_poll_once(pmd1);
+    }
+    ASSERT_EQ(out1.size(), 3u);
+    EXPECT_EQ(dpif->pmd_ctx(pmd0).counter("emc.miss"), 1u);
+    EXPECT_EQ(dpif->pmd_ctx(pmd1).counter("emc.miss"), 1u);
+    EXPECT_EQ(dpif->pmd_ctx(pmd1).counter("emc.hit"), 1u);
+}
+
+TEST_F(DpifNetdevPerPmd, UpcallExecuteRecirculatesOnThePollingPmdsEmc)
+{
+    add_two_pmds();
+    // Pass 1 recirculates, pass 2 outputs. The handler's execute() enters
+    // through the Dpif interface mid-poll; the recirculated pass must
+    // classify on the polling PMD's EMC, not the non-PMD lane's.
+    dpif->set_upcall_handler([&](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
+                                 sim::ExecContext& ctx) {
+        const kern::OdpActions actions = key.recirc_id == 0
+                                             ? kern::OdpActions{kern::OdpAction::recirc(1)}
+                                             : kern::OdpActions{kern::OdpAction::output(p1)};
+        dpif->flow_put(key, port_mask(), actions);
+        dpif->execute(std::move(pkt), actions, ctx);
+    });
+    nic0->rx_from_wire(udp64(), 0);
+    dpif->pmd_poll_once(pmd0);
+    ASSERT_EQ(out1.size(), 1u);
+    EXPECT_EQ(dpif->emc().misses(), 2u);
+}
+
+TEST_F(DpifNetdevPerPmd, EmcSizeAppliesToPmdsAddedLater)
+{
+    // The differential harness sizes the EMC before it adds its PMD.
+    dpif->set_emc_entries(1024);
+    add_two_pmds();
+    EXPECT_EQ(dpif->emc().capacity(), 1024u);
+    dpif->set_emc_entries(2048);
+    EXPECT_EQ(dpif->emc().capacity(), 2048u);
 }
 
 // A port whose tx_burst can re-enter the datapath once, as a device
