@@ -1,7 +1,10 @@
-// DPDK-style mbuf mempool: a fixed-size, preallocated pool of packet
-// buffers carved out of "hugepage" memory. Part of what makes OVS-DPDK
+// DPDK-style mbuf mempool: a fixed-size pool of packet buffers that
+// real DPDK carves out of hugepage memory. Part of what makes OVS-DPDK
 // heavyweight to deploy (§2.2.1: strict system requirements, dedicated
-// memory) and fast to run.
+// memory) and fast to run. The model keeps the pool's geometry and
+// index free list only: no packet bytes live in the pool (net::Packet
+// owns them), so it allocates no buffer memory, and `memory/show`
+// reports the `count x buf_size` bytes a real pool would reserve.
 //
 // Every in-flight mbuf is registered with the san table audit
 // ("mempool.mbuf"): freeing an mbuf that is not outstanding (double
@@ -24,8 +27,6 @@ namespace ovsx::dpdk {
 
 struct Mbuf {
     std::uint32_t index = 0; // position in the pool
-    std::uint32_t len = 0;
-    std::uint8_t* data = nullptr;
 };
 
 // Concurrency: the free list is guarded by one capability-annotated
@@ -36,9 +37,7 @@ struct Mbuf {
 class Mempool {
 public:
     Mempool(std::uint32_t count, std::uint32_t buf_size)
-        : count_(count), buf_size_(buf_size),
-          memory_(static_cast<std::size_t>(count) * buf_size),
-          san_scope_(san::new_scope())
+        : count_(count), buf_size_(buf_size), san_scope_(san::new_scope())
     {
         if (count == 0 || buf_size < 128) throw std::invalid_argument("Mempool: bad geometry");
         free_.reserve(count);
@@ -49,7 +48,7 @@ public:
             v.set("available", available());
             v.set("in_flight", capacity() - available());
             v.set("buf_size", this->buf_size());
-            v.set("bytes_reserved", static_cast<std::uint64_t>(memory_.size()));
+            v.set("bytes_reserved", static_cast<std::uint64_t>(capacity()) * this->buf_size());
             return v;
         });
     }
@@ -81,7 +80,7 @@ public:
         const std::uint32_t idx = free_.back();
         free_.pop_back();
         san::audit_add(san_scope_, "mempool.mbuf", idx, OVSX_SITE);
-        return Mbuf{idx, 0, memory_.data() + static_cast<std::size_t>(idx) * buf_size_};
+        return Mbuf{idx};
     }
 
     void free(const Mbuf& mbuf) OVSX_EXCLUDES(mu_)
@@ -105,7 +104,6 @@ public:
 private:
     std::uint32_t count_;
     std::uint32_t buf_size_;
-    std::vector<std::uint8_t> memory_; // slots owned by whoever holds the Mbuf
     mutable sync::Mutex mu_{"dpdk.mempool"};
     std::vector<std::uint32_t> free_ OVSX_GUARDED_BY(mu_);
     std::uint64_t san_scope_;

@@ -79,13 +79,13 @@ std::uint32_t OvsKernelDatapath::add_tunnel_port(const std::string& name, net::T
         const std::uint16_t port =
             type == net::TunnelType::Geneve ? net::kGenevePort : net::kVxlanPort;
         stack.bind(static_cast<std::uint8_t>(net::IpProto::Udp), port,
-                   [this](net::Packet&& pkt, const net::FlowKey& key, sim::ExecContext& ctx) {
-                       tunnel_rx(std::move(pkt), key, ctx);
+                   [this](net::Packet&& pkt, const net::FlowKey&, sim::ExecContext& ctx) {
+                       tunnel_rx(std::move(pkt), ctx);
                    });
     } else {
         stack.bind(static_cast<std::uint8_t>(net::IpProto::Gre), 0,
-                   [this](net::Packet&& pkt, const net::FlowKey& key, sim::ExecContext& ctx) {
-                       tunnel_rx(std::move(pkt), key, ctx);
+                   [this](net::Packet&& pkt, const net::FlowKey&, sim::ExecContext& ctx) {
+                       tunnel_rx(std::move(pkt), ctx);
                    });
     }
     return port_no;
@@ -247,25 +247,16 @@ OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& ke
 
 void OvsKernelDatapath::receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
 {
-    obs::PmdPerf* perf = ctx.perf();
-    // A solo receive (not under receive_batch) is its own profiler
-    // iteration of one packet; recirculation still counts extra
-    // classifier passes, matching pmd-stats-show hits+misses.
-    if (!perf || perf->in_iteration()) {
-        receive_one(port_no, std::move(pkt), ctx);
-        return;
-    }
-    const std::uint64_t classified_before = hits_ + misses_;
-    perf->begin_iteration();
-    receive_one(port_no, std::move(pkt), ctx);
-    perf->end_iteration(hits_ + misses_ - classified_before);
-}
-
-void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
-                                    sim::ExecContext& ctx)
-{
     const auto& costs = kernel_.costs();
     obs::PmdPerf* perf = ctx.perf();
+    // A receive outside an open profiler iteration (a packet off the
+    // wire) is an iteration of its own; one nested in an iteration (a
+    // packet the datapath's own output delivers back) joins it.
+    // Iteration packets are classifier passes, so recirculation counts
+    // extra, matching pmd-stats-show hits+misses.
+    const bool iterate = perf && !perf->in_iteration();
+    const std::uint64_t classified_before = hits_ + misses_;
+    if (iterate) perf->begin_iteration();
     san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
     {
         obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
@@ -273,7 +264,14 @@ void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
     }
     pkt.meta().latency_ns += costs.kdp_base;
     pkt.meta().in_port = port_no;
+    process(std::move(pkt), ctx);
+    if (iterate) perf->end_iteration(hits_ + misses_ - classified_before);
+}
 
+void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
+{
+    const auto& costs = kernel_.costs();
+    obs::PmdPerf* perf = ctx.perf();
     const net::FlowKey key = net::parse_flow(pkt);
     LookupResult res;
     {
@@ -312,30 +310,10 @@ void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
     }
     obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
     ctx.charge(costs.upcall / 10); // kernel-side upcall enqueue share
-    upcall_(port_no, std::move(pkt), key, ctx);
+    upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
 }
 
-void OvsKernelDatapath::receive_batch(std::uint32_t port_no, std::vector<net::Packet>&& pkts,
-                                      sim::ExecContext& ctx)
-{
-    if (pkts.empty()) return;
-    obs::PmdPerf* perf = ctx.perf();
-    const bool iterate = perf && !perf->in_iteration();
-    const std::uint64_t classified_before = hits_ + misses_;
-    if (iterate) perf->begin_iteration();
-    OVSX_COVERAGE_CTX(ctx, "batch.flush");
-    OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", pkts.size());
-    last_batch_occupancy_ =
-        static_cast<std::uint16_t>(std::min<std::size_t>(pkts.size(), 0xffff));
-    for (auto& pkt : pkts) {
-        receive_one(port_no, std::move(pkt), ctx);
-    }
-    pkts.clear();
-    if (iterate) perf->end_iteration(hits_ + misses_ - classified_before);
-}
-
-void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, const net::FlowKey& key,
-                                  sim::ExecContext& ctx)
+void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, sim::ExecContext& ctx)
 {
     auto res = net::decapsulate_auto(pkt);
     if (!res) return;
@@ -345,7 +323,6 @@ void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, const net::FlowKey& key,
         if (vport.tunnel && *vport.tunnel == res->type) {
             pkt.meta().tunnel = res->key;
             pkt.meta().csum_verified = true; // validated with the outer frame
-            (void)key;
             receive(no, std::move(pkt), ctx);
             return;
         }
@@ -407,7 +384,8 @@ void OvsKernelDatapath::do_output(net::Packet&& pkt, std::uint32_t port_no,
 
 void OvsKernelDatapath::maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx)
 {
-    if (!net::int_stamp_hop(pkt, int_cfg_, last_batch_occupancy_)) return;
+    // The kernel admits one packet at a time: hop occupancy is always 1.
+    if (!net::int_stamp_hop(pkt, int_cfg_, 1)) return;
     OVSX_COVERAGE_CTX(ctx, "int.stamped");
     const auto c = kernel_.costs().copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
     ctx.charge(c);
@@ -418,7 +396,13 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
                                 sim::ExecContext& ctx)
 {
     if (recursion_ > 8) return; // mirror the kernel's recursion limit
-    ++recursion_;
+    struct Depth { // one level, left on every return
+        explicit Depth(int& d) : n(++d) {}
+        Depth(const Depth&) = delete;
+        Depth& operator=(const Depth&) = delete;
+        ~Depth() { --n; }
+        int& n;
+    } depth(recursion_);
     const auto& costs = kernel_.costs();
     obs::PmdPerf* perf = ctx.perf();
     obs::PerfStageScope act_scope(perf, obs::PerfStage::Actions);
@@ -430,7 +414,6 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
             const bool last = (i + 1 == actions.size());
             if (last) {
                 do_output(std::move(pkt), act.port, ctx);
-                --recursion_;
                 return;
             }
             net::Packet clone = pkt; // multicast/mirror copy
@@ -461,53 +444,27 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
             }
             break;
         }
-        case OdpAction::Type::Recirc: {
+        case OdpAction::Type::Recirc:
             pkt.meta().recirc_id = act.recirc_id;
-            const net::FlowKey key = net::parse_flow(pkt);
             ctx.charge(costs.kdp_base / 2); // recirculation re-entry
             pkt.meta().latency_ns += costs.kdp_base / 2;
-            LookupResult res;
-            {
-                obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-                res = lookup(key, ctx);
-            }
-            if (res.actions) {
-                ++hits_;
-                execute(std::move(pkt), *res.actions, ctx);
-            } else {
-                ++misses_;
-                if (perf) perf->note_upcall();
-                if (upcall_) {
-                    obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
-                    upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
-                } else {
-                    ++lost_;
-                }
-            }
-            --recursion_;
+            process(std::move(pkt), ctx);
             return;
-        }
         case OdpAction::Type::Meter:
             // Token-bucket policing, same semantics as the userspace
             // datapath (kern/meter.h).
-            if (!meters_.admit(act.meter_id, pkt.size(), now_)) {
-                --recursion_;
-                return;
-            }
+            if (!meters_.admit(act.meter_id, pkt.size(), now_)) return;
             break;
         case OdpAction::Type::Userspace:
             if (upcall_) {
                 const net::FlowKey key = net::parse_flow(pkt);
                 upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
             }
-            --recursion_;
             return;
         case OdpAction::Type::Drop:
-            --recursion_;
             return;
         }
     }
-    --recursion_;
 }
 
 } // namespace ovsx::kern

@@ -33,11 +33,6 @@ namespace ovsx::kern {
 
 class Kernel;
 
-struct KernelFlowStats {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-};
-
 // One datapath port.
 struct Vport {
     std::uint32_t port_no = 0;
@@ -105,16 +100,11 @@ public:
     sim::Nanos now() const { return now_; }
 
     // ---- datapath ---------------------------------------------------------------
-    // Ingress entry (wired as the rx handler of every device port).
+    // Ingress entry (wired as the rx handler of every device port and
+    // tunnel vport): admits one packet and classifies it. The kernel
+    // datapath has no compute batching, which is the paper's Table 4
+    // story.
     void receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx);
-
-    // Burst ingress: the whole vector is admitted at once (one rx
-    // doorbell amortized over the burst), then each packet runs the
-    // per-packet path — the kernel datapath has no compute batching,
-    // which is exactly the paper's Table 4 story. Publishes the same
-    // batch.occupancy/batch.flush telemetry as the userspace spine.
-    void receive_batch(std::uint32_t port_no, std::vector<net::Packet>&& pkts,
-                       sim::ExecContext& ctx);
 
     // Executes actions on a packet (also the userspace re-injection path,
     // OVS_PACKET_CMD_EXECUTE).
@@ -171,12 +161,13 @@ private:
     // Returns an owning reference: executing the actions can re-enter
     // flow_put and regrow the bucket array under the entry.
     OVSX_HOT LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
-    // receive() minus the profiler iteration bracket (receive_batch
-    // opens one iteration for the whole burst; a solo receive() opens
-    // its own around a single call).
-    void receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx);
+    // One classifier pass, as Linux's ovs_dp_process_packet: parse,
+    // look up, then execute the flow's actions or upcall the miss with
+    // the packet's in_port. receive() runs it on every admitted packet
+    // and execute()'s Recirc action on every recirculated one.
+    void process(net::Packet&& pkt, sim::ExecContext& ctx);
     void do_output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
-    void tunnel_rx(net::Packet&& pkt, const net::FlowKey& key, sim::ExecContext& ctx);
+    void tunnel_rx(net::Packet&& pkt, sim::ExecContext& ctx);
     void maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx);
 
     Kernel& kernel_;
@@ -191,7 +182,6 @@ private:
     MeterTable meters_;
     sim::Nanos now_ = 0;
     net::IntConfig int_cfg_;
-    std::uint16_t last_batch_occupancy_ = 1; // INT queue/batch occupancy field
     std::uint64_t san_scope_;
 };
 

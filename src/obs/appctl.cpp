@@ -103,21 +103,73 @@ std::string Appctl::run(const std::string& name, const Args& args, Format format
     return format == Format::Json ? v.to_json() : v.to_text();
 }
 
-// --- memory-reporter registry ------------------------------------------
+// --- reporter registries (memory/show, shards/show) ---------------------
 
 namespace {
 
-struct MemoryRegistry {
-    sync::Mutex mu{"obs.memory"};
-    std::uint64_t next_token OVSX_GUARDED_BY(mu) = 1;
-    // Ordered by registration; names may repeat (several mempools).
-    std::vector<std::pair<std::uint64_t, std::pair<std::string, MemoryReportFn>>> entries
-        OVSX_GUARDED_BY(mu);
+// Named reporters in registration order; names may repeat (several
+// mempools). show() copies the list under the registry lock, then runs
+// the reporters unlocked: they take their owners' table locks, and the
+// registry lock must stay a leaf in the lock order.
+class ReporterRegistry {
+public:
+    using ReportFn = std::function<Value()>;
+
+    explicit ReporterRegistry(const char* lock_name) : mu_(lock_name) {}
+
+    std::uint64_t add(std::string name, ReportFn fn) OVSX_EXCLUDES(mu_)
+    {
+        sync::LockGuard guard(mu_);
+        const std::uint64_t token = next_token_++;
+        entries_.push_back(Entry{token, std::move(name), std::move(fn)});
+        return token;
+    }
+
+    void remove(std::uint64_t token) OVSX_EXCLUDES(mu_)
+    {
+        sync::LockGuard guard(mu_);
+        std::erase_if(entries_, [&](const Entry& e) { return e.token == token; });
+    }
+
+    // Object keyed by reporter name, sorted; duplicates get "#2", "#3", ...
+    Value show() const OVSX_EXCLUDES(mu_)
+    {
+        std::vector<Entry> reporters;
+        {
+            sync::LockGuard guard(mu_);
+            reporters = entries_;
+        }
+        std::map<std::string, std::vector<const ReportFn*>> by_name;
+        for (const Entry& e : reporters) by_name[e.name].push_back(&e.fn);
+        Value v = Value::object();
+        for (const auto& [name, fns] : by_name) {
+            for (std::size_t i = 0; i < fns.size(); ++i) {
+                v.set(i == 0 ? name : name + "#" + std::to_string(i + 1), (*fns[i])());
+            }
+        }
+        return v;
+    }
+
+private:
+    struct Entry {
+        std::uint64_t token;
+        std::string name;
+        ReportFn fn;
+    };
+    mutable sync::Mutex mu_;
+    std::uint64_t next_token_ OVSX_GUARDED_BY(mu_) = 1;
+    std::vector<Entry> entries_ OVSX_GUARDED_BY(mu_);
 };
 
-MemoryRegistry& memory_registry()
+ReporterRegistry& memory_registry()
 {
-    static MemoryRegistry r;
+    static ReporterRegistry r("obs.memory");
+    return r;
+}
+
+ReporterRegistry& shards_registry()
+{
+    static ReporterRegistry r("obs.shards");
     return r;
 }
 
@@ -125,110 +177,20 @@ MemoryRegistry& memory_registry()
 
 std::uint64_t memory_register(std::string name, MemoryReportFn fn)
 {
-    MemoryRegistry& r = memory_registry();
-    sync::LockGuard guard(r.mu);
-    const std::uint64_t token = r.next_token++;
-    r.entries.emplace_back(token, std::make_pair(std::move(name), std::move(fn)));
-    return token;
+    return memory_registry().add(std::move(name), std::move(fn));
 }
 
-void memory_unregister(std::uint64_t token)
-{
-    MemoryRegistry& r = memory_registry();
-    sync::LockGuard guard(r.mu);
-    r.entries.erase(std::remove_if(r.entries.begin(), r.entries.end(),
-                                   [&](const auto& e) { return e.first == token; }),
-                    r.entries.end());
-}
+void memory_unregister(std::uint64_t token) { memory_registry().remove(token); }
 
-Value memory_show()
-{
-    // Copy the reporter list under the registry lock, then run the
-    // reporters unlocked: they take their owners' table locks, and
-    // obs.memory must stay a leaf in the lock order.
-    std::vector<std::pair<std::string, MemoryReportFn>> reporters;
-    {
-        MemoryRegistry& r = memory_registry();
-        sync::LockGuard guard(r.mu);
-        reporters.reserve(r.entries.size());
-        for (const auto& [token, entry] : r.entries) reporters.push_back(entry);
-    }
-    // Sort by name; disambiguate duplicates with "#2", "#3", ...
-    std::map<std::string, std::vector<const MemoryReportFn*>> by_name;
-    for (const auto& [name, fn] : reporters) {
-        by_name[name].push_back(&fn);
-    }
-    Value v = Value::object();
-    for (const auto& [name, fns] : by_name) {
-        for (std::size_t i = 0; i < fns.size(); ++i) {
-            const std::string key = i == 0 ? name : name + "#" + std::to_string(i + 1);
-            v.set(key, (*fns[i])());
-        }
-    }
-    return v;
-}
-
-// --- shard-occupancy registry ------------------------------------------
-
-namespace {
-
-struct ShardsRegistry {
-    sync::Mutex mu{"obs.shards"};
-    std::uint64_t next_token OVSX_GUARDED_BY(mu) = 1;
-    std::vector<std::pair<std::uint64_t, std::pair<std::string, ShardReportFn>>> entries
-        OVSX_GUARDED_BY(mu);
-};
-
-ShardsRegistry& shards_registry()
-{
-    static ShardsRegistry r;
-    return r;
-}
-
-} // namespace
+Value memory_show() { return memory_registry().show(); }
 
 std::uint64_t shards_register(std::string name, ShardReportFn fn)
 {
-    ShardsRegistry& r = shards_registry();
-    sync::LockGuard guard(r.mu);
-    const std::uint64_t token = r.next_token++;
-    r.entries.emplace_back(token, std::make_pair(std::move(name), std::move(fn)));
-    return token;
+    return shards_registry().add(std::move(name), std::move(fn));
 }
 
-void shards_unregister(std::uint64_t token)
-{
-    ShardsRegistry& r = shards_registry();
-    sync::LockGuard guard(r.mu);
-    r.entries.erase(std::remove_if(r.entries.begin(), r.entries.end(),
-                                   [&](const auto& e) { return e.first == token; }),
-                    r.entries.end());
-}
+void shards_unregister(std::uint64_t token) { shards_registry().remove(token); }
 
-Value shards_show()
-{
-    // Same two-phase shape as memory_show(): copy reporters under the
-    // registry lock, run them unlocked (they take shard locks; the
-    // obs.shards lock must stay a leaf).
-    std::vector<std::pair<std::string, ShardReportFn>> reporters;
-    {
-        ShardsRegistry& r = shards_registry();
-        sync::LockGuard guard(r.mu);
-        reporters.reserve(r.entries.size());
-        for (const auto& [token, entry] : r.entries) reporters.push_back(entry);
-    }
-    std::map<std::string, std::vector<const ShardReportFn*>> by_name;
-    for (const auto& [name, fn] : reporters) {
-        by_name[name].push_back(&fn);
-    }
-    Value v = Value::object();
-    for (const auto& [name, fns] : by_name) {
-        for (std::size_t i = 0; i < fns.size(); ++i) {
-            const std::string key = i == 0 ? name : name + "#" + std::to_string(i + 1);
-            v.set(key, (*fns[i])());
-        }
-    }
-    return v;
-}
+Value shards_show() { return shards_registry().show(); }
 
 } // namespace ovsx::obs

@@ -148,13 +148,6 @@ void DpifNetdev::set_now(sim::Nanos now)
     if (window_.tick(now)) sample_window();
 }
 
-void DpifNetdev::set_shard_count(std::uint32_t n)
-{
-    shards_explicit_ = true;
-    megaflow_.reshard(n);
-    ct_.reshard(n);
-}
-
 void DpifNetdev::set_window_interval(sim::Nanos interval_ns)
 {
     window_.set_interval(interval_ns);
@@ -272,14 +265,12 @@ int DpifNetdev::add_pmd(const std::string& name)
     pmd.ctx.attach_perf(name);
     pmd.emc = Emc(emc_entries_);
     pmds_.push_back(std::move(pmd));
-    if (!shards_explicit_) {
-        // Default scale-out: one shard per PMD, rounded up to a power
-        // of two. add_pmd is config-time, which is what reshard needs.
-        std::uint32_t target = 1;
-        while (target < pmds_.size() && target < MegaflowCache::kMaxShards) target <<= 1;
-        megaflow_.reshard(target);
-        ct_.reshard(target);
-    }
+    // Scale-out: one shard per PMD, rounded up to a power of two.
+    // add_pmd is config-time, which is what reshard needs.
+    std::uint32_t target = 1;
+    while (target < pmds_.size() && target < MegaflowCache::kMaxShards) target <<= 1;
+    megaflow_.reshard(target);
+    ct_.reshard(target);
     return static_cast<int>(pmds_.size()) - 1;
 }
 

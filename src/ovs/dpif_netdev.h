@@ -117,12 +117,6 @@ public:
     void set_now(sim::Nanos now);
     sim::Nanos now() const { return now_; }
 
-    // ---- sharding --------------------------------------------------------
-    // Pins the shard count of the megaflow cache and the userspace
-    // conntrack (power of two, config-time only) and disables the
-    // default add_pmd() auto-sizing (next power of two >= PMD count).
-    void set_shard_count(std::uint32_t n);
-
     // ---- windowed telemetry + §4.2 auto-load-balancing -------------------
     // 0 disables windowed sampling (the default).
     void set_window_interval(sim::Nanos interval_ns);
@@ -246,7 +240,6 @@ private:
     net::IntConfig int_cfg_;
     std::uint16_t last_batch_occupancy_ = 1; // INT occupancy field: last rx burst size
     obs::Window window_;
-    bool shards_explicit_ = false;
     bool auto_lb_ = false;
     double auto_lb_min_improvement_ = 1.25;
     std::vector<RebalanceEvent> rebalance_events_;

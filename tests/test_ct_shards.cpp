@@ -779,7 +779,7 @@ TEST(MegaflowShards, ReadersMatchTheirKeysThroughStructuralChanges)
 
 // ---- datapath wiring ---------------------------------------------------
 
-TEST(DpifSharding, AddPmdAutoReshardsAndExplicitCountPins)
+TEST(DpifSharding, AddPmdAutoReshards)
 {
     kern::Kernel host;
     ovs::DpifNetdev dpif(host);
@@ -789,12 +789,11 @@ TEST(DpifSharding, AddPmdAutoReshardsAndExplicitCountPins)
     dpif.add_pmd("pmd2");
     EXPECT_EQ(dpif.megaflow().shard_count(), 4u); // next pow2 >= 3 PMDs
     EXPECT_EQ(dpif.ct().shard_count(), 4u);
-
-    dpif.set_shard_count(2);
-    EXPECT_EQ(dpif.megaflow().shard_count(), 2u);
     dpif.add_pmd("pmd3");
-    EXPECT_EQ(dpif.megaflow().shard_count(), 2u) << "explicit shard count must pin auto-sizing";
-    EXPECT_EQ(dpif.ct().shard_count(), 2u);
+    EXPECT_EQ(dpif.megaflow().shard_count(), 4u);
+    dpif.add_pmd("pmd4");
+    EXPECT_EQ(dpif.megaflow().shard_count(), 8u);
+    EXPECT_EQ(dpif.ct().shard_count(), 8u);
 }
 
 // ---- differential: sharded end state across all three providers --------

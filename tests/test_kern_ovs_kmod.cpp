@@ -13,6 +13,9 @@
 #include "net/builder.h"
 #include "net/checksum.h"
 #include "net/headers.h"
+#include "obs/latency.h"
+#include "obs/perf.h"
+#include "obs/trace.h"
 #include "san/report.h"
 
 namespace ovsx::kern {
@@ -330,10 +333,9 @@ TEST_F(KmodTest, GeneveTunnelRoundTripBetweenDatapaths)
     EXPECT_EQ(vm_got, 1);
 }
 
-// Burst ingress: receive_batch admits the whole vector at once but must
-// be observationally identical to N receive() calls — same verdicts in
-// arrival order, same flow stats, mixed hits/misses handled per packet.
-TEST_F(KmodTest, ReceiveBatchMatchesScalarReceivePerPacket)
+// Mixed hits and misses on one port: each packet gets its own verdict,
+// and misses reach the upcall handler in arrival order.
+TEST_F(KmodTest, MixedHitsAndMissesKeepArrivalOrder)
 {
     // Flow for sport 1000 only; sport 2000 packets miss and upcall.
     dp->flow_put(net::parse_flow([&] {
@@ -344,42 +346,121 @@ TEST_F(KmodTest, ReceiveBatchMatchesScalarReceivePerPacket)
                  tuple_mask(), {OdpAction::output(p1)});
 
     std::vector<std::uint16_t> upcall_sports;
-    dp->set_upcall_handler([&](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
+    dp->set_upcall_handler([&](std::uint32_t, net::Packet&&, const net::FlowKey& key,
                                sim::ExecContext&) { upcall_sports.push_back(key.tp_src); });
 
-    // Hit, miss, hit, miss, hit — the batch must split verdicts
-    // per-packet, not per-burst.
-    std::vector<net::Packet> burst;
-    for (const std::uint16_t sport : {1000, 2000, 1000, 2001, 1000}) {
-        net::Packet pkt = udp64(sport);
-        pkt.meta().in_port = p0;
-        burst.push_back(std::move(pkt));
-    }
     sim::ExecContext softirq{"softirq", sim::CpuClass::Softirq};
-    dp->receive_batch(p0, std::move(burst), softirq);
-
-    EXPECT_EQ(out1.size(), 3u);
-    EXPECT_EQ(dp->hits(), 3u);
-    EXPECT_EQ(dp->misses(), 2u);
-    EXPECT_EQ(upcall_sports, (std::vector<std::uint16_t>{2000, 2001})); // arrival order
-
-    // The same traffic delivered one packet at a time lands identically.
-    out1.clear();
-    upcall_sports.clear();
     for (const std::uint16_t sport : {1000, 2000, 1000, 2001, 1000}) {
         net::Packet pkt = udp64(sport);
         pkt.meta().in_port = p0;
         dp->receive(p0, std::move(pkt), softirq);
     }
     EXPECT_EQ(out1.size(), 3u);
-    EXPECT_EQ(dp->hits(), 6u);
-    EXPECT_EQ(dp->misses(), 4u);
+    EXPECT_EQ(dp->hits(), 3u);
+    EXPECT_EQ(dp->misses(), 2u);
     EXPECT_EQ(upcall_sports, (std::vector<std::uint16_t>{2000, 2001}));
+}
 
-    // An empty burst is legal and a no-op.
-    dp->receive_batch(p0, {}, softirq);
-    EXPECT_EQ(dp->hits(), 6u);
-    EXPECT_EQ(dp->misses(), 4u);
+// Tracing on for one test, with the kernel's domain tag.
+struct ScopedTrace {
+    ScopedTrace()
+    {
+        obs::tracer().enable();
+        obs::tracer().set_domain("kernel");
+    }
+    ~ScopedTrace()
+    {
+        obs::tracer().disable();
+        obs::latency_reset();
+    }
+};
+
+std::vector<obs::TraceEvent> spans(std::uint32_t id, obs::Hop hop)
+{
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent& e : obs::tracer().events_for(id)) {
+        if (e.hop == hop) out.push_back(e);
+    }
+    return out;
+}
+
+// A recirculated packet runs the same classifier pass as a received
+// one (Linux's ovs_dp_process_packet): coverage, trace spans, the upcall
+// enqueue charge and the upcall itself.
+TEST_F(KmodTest, RecirculatedPassIsClassifiedLikeTheFirst)
+{
+    ScopedTrace trace;
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    net::FlowMask mask;
+    mask.bits.in_port = 0xffffffff;
+    mask.bits.recirc_id = 0xffffffff;
+    dp->flow_put(net::parse_flow(probe), mask, {OdpAction::recirc(1)}); // no second pass
+    std::vector<std::uint32_t> upcall_ports;
+    std::vector<std::uint32_t> upcall_recirc_ids;
+    dp->set_upcall_handler([&](std::uint32_t port_no, net::Packet&&, const net::FlowKey& key,
+                               sim::ExecContext&) {
+        upcall_ports.push_back(port_no);
+        upcall_recirc_ids.push_back(key.recirc_id);
+    });
+
+    net::Packet pkt = udp64();
+    const std::uint32_t id = obs::tracer().next_packet_id();
+    pkt.meta().trace_id = id;
+    nic0->rx_from_wire(std::move(pkt));
+
+    sim::ExecContext& softirq = nic0->softirq_ctx(0);
+    EXPECT_EQ(dp->hits(), 1u);
+    EXPECT_EQ(dp->misses(), 1u);
+    EXPECT_EQ(softirq.counter(std::string("kdp.hit")), 1u);
+    EXPECT_EQ(softirq.counter(std::string("kdp.miss")), 1u);
+    EXPECT_EQ(spans(id, obs::Hop::Upcall).size(), 1u);
+    ASSERT_NE(softirq.perf(), nullptr);
+    EXPECT_EQ(softirq.perf()->stage_cycles(obs::PerfStage::Upcall),
+              kernel.costs().upcall / 10);
+    EXPECT_EQ(upcall_ports, (std::vector<std::uint32_t>{p0}));
+    EXPECT_EQ(upcall_recirc_ids, (std::vector<std::uint32_t>{1}));
+    const std::vector<obs::TraceEvent> flow = spans(id, obs::Hop::KernelFlow);
+    ASSERT_EQ(flow.size(), 2u);
+    EXPECT_STREQ(flow[0].verdict, "hit");
+    EXPECT_STREQ(flow[1].verdict, "miss");
+}
+
+// The hit variant: both passes trace a hit, and the packet's latency
+// carries the second pass's re-entry and probe cost.
+TEST_F(KmodTest, RecirculatedHitTracesAndChargesItsProbe)
+{
+    ScopedTrace trace;
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    net::FlowKey key = net::parse_flow(probe);
+    net::FlowMask mask;
+    mask.bits.in_port = 0xffffffff;
+    mask.bits.recirc_id = 0xffffffff;
+    dp->flow_put(key, mask, {OdpAction::recirc(1)});
+    key.recirc_id = 1;
+    dp->flow_put(key, mask, {OdpAction::output(p1)});
+
+    net::Packet pkt = udp64();
+    const std::uint32_t id = obs::tracer().next_packet_id();
+    pkt.meta().trace_id = id;
+    nic0->rx_from_wire(std::move(pkt));
+
+    EXPECT_EQ(dp->hits(), 2u);
+    EXPECT_EQ(nic0->softirq_ctx(0).counter(std::string("kdp.hit")), 2u);
+    ASSERT_EQ(out1.size(), 1u);
+    const std::vector<obs::TraceEvent> flow = spans(id, obs::Hop::KernelFlow);
+    const std::vector<obs::TraceEvent> tx = spans(id, obs::Hop::Tx);
+    ASSERT_FALSE(flow.empty());
+    ASSERT_EQ(tx.size(), 1u);
+    // After the first pass: the re-entry charge and the second probe.
+    const auto& costs = kernel.costs();
+    EXPECT_EQ(tx[0].ts - flow[0].ts, costs.kdp_base / 2 + costs.kdp_flow_probe);
+    ASSERT_EQ(flow.size(), 2u);
+    EXPECT_STREQ(flow[0].verdict, "hit");
+    EXPECT_STREQ(flow[1].verdict, "hit");
+    EXPECT_EQ(flow[1].a, 1u); // one mask, one probe
+    EXPECT_EQ(flow[1].ts, tx[0].ts);
 }
 
 // The churn benchmark's table shape at scale (churn_flows.h): ~20k
