@@ -18,7 +18,8 @@ namespace ovsx::kern {
 namespace {
 
 // Audit identity of a flow-table entry: the masked key hashed with the
-// mask (FlowKey bytes are fully defined, so this is deterministic).
+// mask (FlowKey bytes are fully defined, so this is deterministic). It
+// hashes two full keys, so it is computed only under san::hardened().
 std::uint64_t flow_audit_key(const net::FlowKey& masked, const net::FlowMask& mask)
 {
     return masked.hash(mask.hash());
@@ -166,14 +167,18 @@ void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& m
                 }
             }
             sub.add(h, masked, std::move(ref));
-            san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
+            if (san::hardened()) {
+                san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
+            }
             return;
         }
     }
     Subtable sub(mask);
     sub.add(h, masked, std::move(ref));
     subtables_.push_back(std::move(sub));
-    san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
+    if (san::hardened()) {
+        san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
+    }
     // Keep the most specific masks first so probe order favours them.
     std::sort(subtables_.begin(), subtables_.end(), [](const Subtable& a, const Subtable& b) {
         return a.mask.exact_bytes() > b.mask.exact_bytes();
@@ -191,8 +196,10 @@ bool OvsKernelDatapath::flow_del(const net::FlowKey& key, const net::FlowMask& m
             if (it->hash == h && it->key == masked) {
                 bucket.erase(it);
                 --sub.size;
-                san::audit_remove(san_scope_, "kdp.flow", flow_audit_key(masked, mask),
-                                  OVSX_SITE);
+                if (san::hardened()) {
+                    san::audit_remove(san_scope_, "kdp.flow", flow_audit_key(masked, mask),
+                                      OVSX_SITE);
+                }
                 return true;
             }
         }

@@ -123,8 +123,8 @@ struct FlowMask {
     FlowKey apply(const FlowKey& key) const;
 
     // Hash of apply(key) without materializing the masked copy —
-    // identical to apply(key).hash(basis). Ofproto's classifier probes
-    // with it; MaskPlan::hash is tested against it.
+    // identical to apply(key).hash(basis). The reference for
+    // MaskPlan::hash.
     std::uint64_t masked_hash(const FlowKey& key, std::uint64_t basis = 0) const;
 
     // True if `key` masked equals `masked_key` (which must already be
@@ -132,7 +132,8 @@ struct FlowMask {
     bool matches(const FlowKey& key, const FlowKey& masked_key) const;
 
     // True if two unmasked keys agree on every bit this mask covers —
-    // apply(a) == apply(b) without materializing either copy.
+    // apply(a) == apply(b) without materializing either copy. The
+    // reference for MaskPlan::same_masked.
     bool same_masked(const FlowKey& a, const FlowKey& b) const;
 
     // Number of fully exact bytes in the mask — a crude specificity
@@ -146,16 +147,16 @@ struct FlowMask {
     static FlowMask none();  // match-all (no bits significant)
 };
 
-// A FlowMask compiled for the per-packet probe of one tuple-space-search
-// subtable (megaflow cache, kernel flow table). It lists only the mask's
-// non-zero 64-bit lanes: a churn-workload mask covers 4-5 of the key's
-// 13. hash() is bit-identical to masked_hash(key) with basis 0, so
-// buckets, shard routes and everything keyed by that hash keep their
-// values. Why: in the key hash a lane whose masked value is zero mixes
-// to zero and only multiplies the running hash by kLaneMul, so a run of
-// all-zero mask lanes is one multiply by kLaneMul raised to the run's
-// length. The seed absorbs the leading run; each listed lane carries
-// kLaneMul to the power of one plus the run that follows it.
+// A FlowMask compiled for the probe of one tuple-space-search subtable
+// (megaflow cache, kernel flow table, ofproto classifier). It lists
+// only the mask's non-zero 64-bit lanes: a churn-workload mask covers
+// 4-5 of the key's 13. hash() is bit-identical to masked_hash(key) with
+// basis 0, so buckets, shard routes and everything keyed by that hash
+// keep their values. Why: in the key hash a lane whose masked value is
+// zero mixes to zero and only multiplies the running hash by kLaneMul,
+// so a run of all-zero mask lanes is one multiply by kLaneMul raised to
+// the run's length. The seed absorbs the leading run; each listed lane
+// carries kLaneMul to the power of one plus the run that follows it.
 class MaskPlan {
 public:
     explicit MaskPlan(const FlowMask& mask);
@@ -179,6 +180,19 @@ public:
             const Lane& l = lanes_[j];
             if ((detail::key_lane(key, l.index) & l.bits) !=
                 detail::key_lane(masked_key, l.index)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    // FlowMask::same_masked(a, b) for two unmasked keys: the unlisted
+    // lanes are masked out on both sides.
+    bool same_masked(const FlowKey& a, const FlowKey& b) const
+    {
+        for (std::uint32_t j = 0; j < n_; ++j) {
+            const Lane& l = lanes_[j];
+            if ((detail::key_lane(a, l.index) ^ detail::key_lane(b, l.index)) & l.bits) {
                 return false;
             }
         }

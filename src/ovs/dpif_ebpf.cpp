@@ -22,7 +22,8 @@ using namespace ebpf;
 namespace {
 
 // Audit identity of an eBPF map entry: FNV-1a over the raw key bytes
-// (EbpfKey is packed, so every byte is defined).
+// (EbpfKey is packed, so every byte is defined). Computed only under
+// san::hardened().
 std::uint64_t map_audit_key(const void* key, std::size_t len)
 {
     const auto* p = static_cast<const std::uint8_t*>(key);
@@ -206,7 +207,7 @@ void DpifEbpf::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
     san::audit_add(san_scope_, "ebpf.shadow", flow_id, OVSX_SITE);
     flow_map_->update({reinterpret_cast<const std::uint8_t*>(&ek), sizeof ek},
                       {reinterpret_cast<const std::uint8_t*>(&flow_id), sizeof flow_id});
-    if (!old) {
+    if (!old && san::hardened()) {
         san::audit_add(san_scope_, "ebpf.map", map_audit_key(&ek, sizeof ek), OVSX_SITE);
     }
 }

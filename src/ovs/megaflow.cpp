@@ -201,6 +201,8 @@ constexpr std::size_t kMinBuckets = 8;
 constexpr std::size_t kFlowsPerSlot = 1;
 constexpr std::size_t kGrowth = 4;
 
+// Audit identity of a flow: hashes two full keys, so it is computed
+// only under san::hardened().
 std::uint64_t flow_audit_key(const net::FlowKey& masked, const net::FlowMask& mask)
 {
     return masked.hash(mask.hash());
@@ -352,7 +354,9 @@ CachedFlowPtr MegaflowCache::insert_into(Sub& sub, const net::FlowKey& masked, s
     ++slice.count;
     sub.stats->size.fetch_add(1, std::memory_order_relaxed);
     flows_.fetch_add(1, std::memory_order_relaxed);
-    san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
+    if (san::hardened()) {
+        san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
+    }
     if (slice.count > slice.slots.size() * kFlowsPerSlot) {
         // Regroup this shard's slice at kGrowth times the slots.
         std::vector<Tagged> entries;
@@ -422,7 +426,10 @@ bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
             --sub.slice.count;
             sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
             flows_.fetch_sub(1, std::memory_order_relaxed);
-            san::audit_remove(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
+            if (san::hardened()) {
+                san::audit_remove(san_scope_, "mfc.flow", flow_audit_key(masked, mask),
+                                  OVSX_SITE);
+            }
             return true;
         }
         return false;
@@ -492,8 +499,11 @@ std::size_t MegaflowCache::expire_idle()
                     if (flow.hits == flow.hits_at_last_sweep) {
                         flow.dead.store(true, std::memory_order_release);
                         ++expired;
-                        san::audit_remove(san_scope_, "mfc.flow",
-                                          flow_audit_key(flow.masked_key, sub.mask), OVSX_SITE);
+                        if (san::hardened()) {
+                            san::audit_remove(san_scope_, "mfc.flow",
+                                              flow_audit_key(flow.masked_key, sub.mask),
+                                              OVSX_SITE);
+                        }
                     } else {
                         flow.hits_at_last_sweep = flow.hits; // grace consumed
                     }

@@ -1,10 +1,27 @@
 #include "ovs/ofproto.h"
 
+#include <algorithm>
 #include <cstring>
-
 #include <set>
 
 namespace ovsx::ovs {
+
+namespace {
+
+constexpr std::size_t kMinSlots = 8;
+
+// into |= m, a 64-bit lane at a time.
+void or_into(net::FlowMask* into, const net::FlowMask& m)
+{
+    auto* out = reinterpret_cast<std::uint8_t*>(&into->bits);
+    for (std::size_t i = 0; i < net::detail::kKeyLanes; ++i) {
+        const std::uint64_t w =
+            net::detail::key_lane(into->bits, i) | net::detail::key_lane(m.bits, i);
+        std::memcpy(out + i * sizeof w, &w, sizeof w);
+    }
+}
+
+} // namespace
 
 OfAction OfAction::output(std::uint32_t port)
 {
@@ -78,37 +95,51 @@ OfAction OfAction::drop()
 
 Ofproto::Ofproto() = default;
 
-void Ofproto::add_rule(OfRule rule)
+void Ofproto::Subtable::insert(std::uint64_t hash, const OfRule* rule)
 {
-    auto owned = std::make_unique<OfRule>(std::move(rule));
-    const OfRule* ptr = owned.get();
-    Table& table = tables_[ptr->table];
-    const net::FlowKey masked = ptr->match.masked();
-    for (auto& sub : table.subtables) {
-        if (sub.mask == ptr->match.mask) {
-            sub.rules[masked.hash()].push_back(ptr);
-            ++table.n_rules;
-            ++rule_count_;
-            rules_.push_back(std::move(owned));
-            return;
+    // Linear probing from hash & (size - 1) to the first empty slot.
+    auto place = [this](std::uint64_t h, const OfRule* r) {
+        const std::size_t last = slots.size() - 1;
+        std::size_t i = h & last;
+        while (slots[i].rule) i = (i + 1) & last;
+        slots[i] = {h, r};
+    };
+    if (2 * (n_rules + 1) > slots.size()) {
+        std::vector<Slot> old(std::max(kMinSlots, 2 * slots.size()));
+        old.swap(slots);
+        // Re-insert from just past an empty slot: no probe run is then
+        // split, so rules of one hash keep their add order.
+        std::size_t start = 0;
+        while (start < old.size() && old[start].rule) ++start;
+        for (std::size_t k = 1; k <= old.size(); ++k) {
+            const Slot& s = old[(start + k) % old.size()];
+            if (s.rule) place(s.hash, s.rule);
         }
     }
-    Subtable sub;
-    sub.mask = ptr->match.mask;
-    sub.rules[masked.hash()].push_back(ptr);
-    table.subtables.push_back(std::move(sub));
+    place(hash, rule);
+    ++n_rules;
+}
+
+void Ofproto::add_rule(OfRule rule)
+{
+    rules_.push_back(std::make_unique<OfRule>(std::move(rule)));
+    const OfRule* ptr = rules_.back().get();
+    Table& table = tables_[ptr->table];
+    auto sub = std::find_if(table.subtables.begin(), table.subtables.end(),
+                            [&](const Subtable& s) { return s.mask == ptr->match.mask; });
+    if (sub == table.subtables.end()) {
+        sub = table.subtables.emplace(table.subtables.end(), ptr->match.mask);
+        or_into(&table.mask, ptr->match.mask);
+    }
+    sub->insert(sub->plan.hash(ptr->match.key), ptr);
     ++table.n_rules;
     ++rule_count_;
-    rules_.push_back(std::move(owned));
 }
 
 std::size_t Ofproto::table_count() const
 {
-    std::size_t n = 0;
-    for (const auto& [id, table] : tables_) {
-        if (table.n_rules > 0) ++n;
-    }
-    return n;
+    return static_cast<std::size_t>(std::count_if(
+        tables_.begin(), tables_.end(), [](const Table& t) { return t.n_rules > 0; }));
 }
 
 int Ofproto::distinct_match_fields() const
@@ -154,38 +185,30 @@ int Ofproto::distinct_match_fields() const
 void Ofproto::clear()
 {
     rules_.clear();
-    tables_.clear();
+    for (Table& table : tables_) table = Table{};
     rule_count_ = 0;
     recirc_alloc_.clear();
     recirc_resume_.clear();
 }
 
 const OfRule* Ofproto::classify(const Table& table, const net::FlowKey& key,
-                                net::FlowMask* wildcards, int* probes) const
+                                net::FlowMask* wildcards) const
 {
+    // Every subtable is probed, so the decision depends on every mask of
+    // the table: the cached megaflow must be at least as specific.
+    or_into(wildcards, table.mask);
     const OfRule* best = nullptr;
-    for (const auto& sub : table.subtables) {
-        ++*probes;
-        // Every probed mask contributes to the wildcards: the cached
-        // megaflow must be at least as specific as everything examined.
-        auto* wc = reinterpret_cast<std::uint8_t*>(&wildcards->bits);
-        const auto* sm = reinterpret_cast<const std::uint8_t*>(&sub.mask.bits);
-        for (std::size_t i = 0; i < sizeof(net::FlowKey); i += sizeof(std::uint64_t)) {
-            std::uint64_t w, s;
-            std::memcpy(&w, wc + i, sizeof w);
-            std::memcpy(&s, sm + i, sizeof s);
-            w |= s;
-            std::memcpy(wc + i, &w, sizeof w);
-        }
-
-        auto it = sub.rules.find(sub.mask.masked_hash(key));
-        if (it == sub.rules.end()) continue;
-        for (const OfRule* rule : it->second) {
+    for (const Subtable& sub : table.subtables) {
+        const std::uint64_t h = sub.plan.hash(key);
+        const std::size_t last = sub.slots.size() - 1;
+        for (std::size_t i = h & last; sub.slots[i].rule; i = (i + 1) & last) {
             // All rules of a subtable share its mask, so comparing the
-            // unmasked rule key under sub.mask is masked() == masked.
-            if (sub.mask.same_masked(key, rule->match.key) &&
-                (!best || rule->priority > best->priority)) {
-                best = rule;
+            // unmasked rule key under it is masked() == masked. Rules of
+            // one hash come in add order, so a tie keeps the earliest.
+            const Slot& s = sub.slots[i];
+            if (s.hash == h && sub.plan.same_masked(key, s.rule->match.key) &&
+                (!best || s.rule->priority > best->priority)) {
+                best = s.rule;
             }
         }
     }
@@ -225,14 +248,13 @@ XlateResult Ofproto::xlate(const net::FlowKey& key) const
     net::FlowKey working = key;
     int hops = 0;
     while (hops++ < 64) {
-        auto tit = tables_.find(table_id);
-        if (tit == tables_.end()) {
+        const Table& table = tables_[table_id];
+        if (table.n_rules == 0) {
             res.dropped = true; // empty table: OpenFlow table-miss -> drop
             break;
         }
         ++res.tables_visited;
-        int probes = 0;
-        const OfRule* rule = classify(tit->second, working, &res.wildcards, &probes);
+        const OfRule* rule = classify(table, working, &res.wildcards);
         if (!rule) {
             res.dropped = true;
             break;

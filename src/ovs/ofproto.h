@@ -6,17 +6,29 @@
 // actions plus a megaflow wildcard mask — the union of every mask
 // probed, so the installed cache entry is exactly as wildcarded as the
 // decision that produced it.
+//
+// Classifier layout: a table is one tuple-space search, found by its
+// 8-bit id in a 256-entry array. Its subtables (one per distinct mask,
+// in order of first appearance) each carry a net::MaskPlan and one flat
+// open-addressed array of {hash, rule} slots: a power of two of them,
+// at most half full, probed linearly from the plan's hash of the key,
+// which is the masked-key hash. Every subtable of a visited table is
+// probed, so the table keeps the OR of its masks and a visit ORs that
+// into the wildcards once. The highest priority wins; a tie goes to the
+// earlier subtable, then to the earlier-added rule (rules of one hash
+// lie along their probe run in add order, and growth keeps that order).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "kern/odp.h"
 #include "net/flow.h"
 #include "net/tunnel_key.h"
+#include "sync/annotations.h"
 
 namespace ovsx::ovs {
 
@@ -108,22 +120,35 @@ public:
     std::uint64_t xlate_count() const { return xlate_count_; }
 
 private:
+    struct Slot {
+        std::uint64_t hash = 0;       // plan.hash of the rule's key
+        const OfRule* rule = nullptr; // null: empty
+    };
+
+    // The rules of one table that share one mask. Probe-side members
+    // first; the full mask is for add_rule.
     struct Subtable {
+        explicit Subtable(const net::FlowMask& m) : plan(m), mask(m) {}
+        void insert(std::uint64_t hash, const OfRule* rule);
+
+        std::vector<Slot> slots; // a power of two, at most half full
+        net::MaskPlan plan;
+        std::size_t n_rules = 0;
         net::FlowMask mask;
-        std::unordered_map<std::uint64_t, std::vector<const OfRule*>> rules;
     };
 
     struct Table {
         std::vector<Subtable> subtables;
+        net::FlowMask mask; // OR of the subtables' masks
         std::size_t n_rules = 0;
     };
 
-    const OfRule* classify(const Table& table, const net::FlowKey& key,
-                           net::FlowMask* wildcards, int* probes) const;
+    OVSX_NO_ALLOC const OfRule* classify(const Table& table, const net::FlowKey& key,
+                                         net::FlowMask* wildcards) const;
     std::uint32_t recirc_id_for(std::uint8_t resume_table, std::uint16_t zone) const;
 
     std::vector<std::unique_ptr<OfRule>> rules_;
-    std::map<std::uint8_t, Table> tables_;
+    std::array<Table, 256> tables_; // by table id; no rules: table-miss
     std::size_t rule_count_ = 0;
     mutable std::map<std::pair<std::uint8_t, std::uint16_t>, std::uint32_t> recirc_alloc_;
     mutable std::map<std::uint32_t, std::uint8_t> recirc_resume_; // id -> resume table

@@ -270,16 +270,20 @@ TEST(FlowMaskProperty, ApplyIsIdempotentAndMatchConsistent)
         ASSERT_TRUE(mask.same_masked(key, masked));
 
         // The compiled probe plan must be bit-identical to the reference
-        // forms it stands in for on the megaflow and kernel probe paths:
-        // hash with masked_hash at basis 0, match with matches, for the
-        // key and for a key with one random byte changed.
+        // forms it stands in for on the megaflow, kernel and ofproto
+        // probe paths: hash with masked_hash at basis 0, match with
+        // matches, same_masked with same_masked, for the key and for a
+        // key with one random byte changed.
         const net::MaskPlan plan(mask);
         net::FlowKey tweaked = key;
         reinterpret_cast<std::uint8_t*>(&tweaked)[rng.below(sizeof(net::FlowKey))] ^= 0x5a;
         for (const net::FlowKey* k : {&key, &std::as_const(tweaked)}) {
             ASSERT_EQ(plan.hash(*k), mask.masked_hash(*k));
             ASSERT_EQ(plan.matches(*k, masked), mask.matches(*k, masked));
+            ASSERT_EQ(plan.same_masked(*k, masked), mask.same_masked(*k, masked));
         }
+        // Two unmasked keys, as the ofproto probe compares them.
+        ASSERT_EQ(plan.same_masked(key, tweaked), mask.same_masked(key, tweaked));
     }
 }
 
