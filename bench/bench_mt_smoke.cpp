@@ -11,7 +11,7 @@
 // the tier-1 suite is mostly single-threaded, so this binary is what
 // gives -fsanitize=thread actual interleavings to chew on. The megaflow
 // table is big enough (2,048 flows per thread over two masks) that at
-// 8 shards every shard's slice regroups several times while the other
+// 8 shards every shard's slot tables double several times while the other
 // threads hold shard reader locks in lookup() and lookup_batch(); at
 // one shard, readers and writers share one reader/writer lock.
 #include <atomic>

@@ -6,7 +6,7 @@ namespace ovsx::kern {
 
 void MeterTable::set(std::uint32_t meter_id, const MeterConfig& cfg)
 {
-    Bucket bucket;
+    TokenBucket bucket;
     bucket.cfg = cfg;
     bucket.tokens = static_cast<double>(cfg.burst);
     meters_[meter_id] = bucket;
@@ -18,7 +18,7 @@ bool MeterTable::admit(std::uint32_t meter_id, std::size_t bytes, sim::Nanos now
 {
     auto it = meters_.find(meter_id);
     if (it == meters_.end()) return true; // unknown meter: no policing
-    Bucket& b = it->second;
+    TokenBucket& b = it->second;
 
     const double elapsed_s =
         static_cast<double>(std::max<sim::Nanos>(now - b.last_fill, 0)) / 1e9;

@@ -31,14 +31,14 @@ public:
     bool exists(std::uint32_t meter_id) const { return meters_.contains(meter_id); }
 
 private:
-    struct Bucket {
+    struct TokenBucket {
         MeterConfig cfg;
         double tokens = 0; // bits or packets
         sim::Nanos last_fill = 0;
         std::uint64_t dropped = 0;
     };
 
-    std::unordered_map<std::uint32_t, Bucket> meters_;
+    std::unordered_map<std::uint32_t, TokenBucket> meters_;
 };
 
 } // namespace ovsx::kern

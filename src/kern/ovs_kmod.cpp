@@ -15,18 +15,6 @@
 
 namespace ovsx::kern {
 
-namespace {
-
-// Audit identity of a flow-table entry: the masked key hashed with the
-// mask (FlowKey bytes are fully defined, so this is deterministic). It
-// hashes two full keys, so it is computed only under san::hardened().
-std::uint64_t flow_audit_key(const net::FlowKey& masked, const net::FlowMask& mask)
-{
-    return masked.hash(mask.hash());
-}
-
-} // namespace
-
 OvsKernelDatapath::OvsKernelDatapath(Kernel& kernel)
     : kernel_(kernel), san_scope_(san::new_scope())
 {
@@ -124,85 +112,45 @@ std::vector<const Vport*> OvsKernelDatapath::ports() const
     return out;
 }
 
-namespace {
-
-// Load factor: a subtable's bucket array doubles once it holds more
-// than kFlowsPerSlot flows per slot.
-constexpr std::size_t kMinSlots = 8;
-constexpr std::size_t kFlowsPerSlot = 1;
-
-} // namespace
-
-OvsKernelDatapath::Subtable::Subtable(const net::FlowMask& m)
-    : plan(m), slots(kMinSlots), mask(m)
-{
-}
-
-void OvsKernelDatapath::Subtable::add(std::uint64_t h, const net::FlowKey& masked,
-                                      ActionsRef actions)
-{
-    if (++size > slots.size() * kFlowsPerSlot) {
-        // Entries carry their hashes, so regrowing rehashes nothing.
-        std::vector<Bucket> grown(slots.size() * 2);
-        for (auto& b : slots) {
-            for (auto& e : b) grown[e.hash & (grown.size() - 1)].push_back(std::move(e));
-        }
-        slots = std::move(grown);
-    }
-    bucket(h).push_back(Entry{h, std::move(actions), masked});
-}
-
 void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
                                  OdpActions actions)
 {
-    const net::FlowKey masked = mask.apply(key);
-    const std::uint64_t h = masked.hash();
-    auto ref = std::make_shared<const OdpActions>(std::move(actions));
-    for (auto& sub : subtables_) {
-        if (sub.mask == mask) {
-            for (auto& e : sub.bucket(h)) {
-                if (e.hash == h && e.key == masked) {
-                    e.actions = std::move(ref);
-                    return;
-                }
-            }
-            sub.add(h, masked, std::move(ref));
-            if (san::hardened()) {
-                san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
-            }
+    FlowRef flow = std::make_shared<const Flow>(Flow{mask.apply(key), std::move(actions)});
+    const std::uint64_t h = flow->key.hash();
+    const auto same = [&](const FlowRef& f) { return f->key == flow->key; };
+    auto sub = std::find_if(subtables_.begin(), subtables_.end(),
+                            [&](const Subtable& s) { return s.mask == mask; });
+    if (sub != subtables_.end()) {
+        if (FlowRef* old = sub->flows.find(h, same)) {
+            *old = std::move(flow); // a running lookup keeps the old one alive
             return;
         }
+        sub->flows.insert(h, flow);
+    } else {
+        subtables_.emplace_back(mask).flows.insert(h, flow);
+        // Keep the most specific masks first so probe order favours them.
+        std::sort(subtables_.begin(), subtables_.end(), [](const Subtable& a, const Subtable& b) {
+            return a.mask.exact_bytes() > b.mask.exact_bytes();
+        });
     }
-    Subtable sub(mask);
-    sub.add(h, masked, std::move(ref));
-    subtables_.push_back(std::move(sub));
     if (san::hardened()) {
-        san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
+        san::audit_add(san_scope_, "kdp.flow", net::flow_audit_key(flow->key, mask), OVSX_SITE);
     }
-    // Keep the most specific masks first so probe order favours them.
-    std::sort(subtables_.begin(), subtables_.end(), [](const Subtable& a, const Subtable& b) {
-        return a.mask.exact_bytes() > b.mask.exact_bytes();
-    });
 }
 
 bool OvsKernelDatapath::flow_del(const net::FlowKey& key, const net::FlowMask& mask)
 {
     const net::FlowKey masked = mask.apply(key);
-    const std::uint64_t h = masked.hash();
     for (auto& sub : subtables_) {
         if (!(sub.mask == mask)) continue;
-        auto& bucket = sub.bucket(h);
-        for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-            if (it->hash == h && it->key == masked) {
-                bucket.erase(it);
-                --sub.size;
-                if (san::hardened()) {
-                    san::audit_remove(san_scope_, "kdp.flow", flow_audit_key(masked, mask),
-                                      OVSX_SITE);
-                }
-                return true;
-            }
+        if (!sub.flows.erase(masked.hash(), [&](const FlowRef& f) { return f->key == masked; })) {
+            return false;
         }
+        if (san::hardened()) {
+            san::audit_remove(san_scope_, "kdp.flow", net::flow_audit_key(masked, mask),
+                              OVSX_SITE);
+        }
+        return true;
     }
     return false;
 }
@@ -216,7 +164,7 @@ void OvsKernelDatapath::flow_flush()
 std::size_t OvsKernelDatapath::flow_count() const
 {
     std::size_t n = 0;
-    for (const auto& sub : subtables_) n += sub.size;
+    for (const auto& sub : subtables_) n += sub.flows.size();
     return n;
 }
 
@@ -241,12 +189,11 @@ OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& ke
     for (const auto& sub : subtables_) {
         ++res.probes;
         ctx.charge(kernel_.costs().kdp_flow_probe);
-        const std::uint64_t h = sub.plan.hash(key);
-        for (const auto& e : sub.bucket(h)) {
-            if (e.hash == h && sub.plan.matches(key, e.key)) {
-                res.actions = e.actions;
-                return res;
-            }
+        if (const FlowRef* flow = sub.flows.find(sub.plan.hash(key), [&](const FlowRef& f) {
+                return sub.plan.matches(key, f->key);
+            })) {
+            res.flow = *flow;
+            return res;
         }
     }
     return res;
@@ -286,16 +233,16 @@ void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
         res = lookup(key, ctx);
     }
     pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs.kdp_flow_probe;
-    if (res.actions) {
+    if (res.flow) {
         ++hits_;
         OVSX_COVERAGE_CTX(ctx, "kdp.hit");
         if (pkt.meta().trace_id) {
             obs::trace(pkt.meta().trace_id, obs::Hop::KernelFlow, pkt.meta().latency_ns,
                        "hit", res.probes);
         }
-        // The shared reference keeps the actions alive even if execution
-        // installs a replacement flow and re-enters.
-        execute(std::move(pkt), *res.actions, ctx);
+        // The owning reference keeps the actions alive even if execution
+        // re-enters flow_put and replaces the flow or grows its table.
+        execute(std::move(pkt), res.flow->actions, ctx);
         return;
     }
     ++misses_;

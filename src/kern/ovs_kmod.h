@@ -4,14 +4,14 @@
 // misses, and an action executor using kernel facilities (conntrack,
 // tunnels, devices).
 //
-// Flow table: one subtable per mask, each a power-of-two array of
-// buckets whose entries keep their masked hash next to the masked key.
+// Flow table: one subtable per mask, probed most-specific first, each
+// holding its flows in one net::SlotTable of {masked hash, flow} slots.
 // A probe hashes the key through the subtable's net::MaskPlan, which
 // visits only the mask's non-zero lanes and is bit-identical to
 // FlowMask::masked_hash (a zero lane only multiplies the running hash
-// by a constant, folded per run of zero lanes). It then compares hashes
-// within one bucket and the key only on an equal hash, so a miss
-// touches the slot and one bucket.
+// by a constant, folded per run of zero lanes). It then compares the
+// stored hashes along one probe run and the key only on an equal hash,
+// so a miss reads slots only.
 #pragma once
 
 #include <functional>
@@ -25,6 +25,7 @@
 #include "kern/odp.h"
 #include "net/flow.h"
 #include "net/int_hdr.h"
+#include "net/slot_table.h"
 #include "net/tunnel.h"
 #include "san/report.h"
 #include "sim/time.h"
@@ -78,9 +79,8 @@ public:
     template <typename Fn> void for_each_entry(Fn&& fn) const
     {
         for (const auto& sub : subtables_) {
-            for (const auto& bucket : sub.slots) {
-                for (const auto& e : bucket) fn(e.key, sub.mask, *e.actions);
-            }
+            sub.flows.for_each(
+                [&](std::uint64_t, const FlowRef& f) { fn(f->key, sub.mask, f->actions); });
         }
     }
 
@@ -127,39 +127,30 @@ public:
     std::size_t mask_count() const { return subtables_.size(); }
 
 private:
-    // Actions are held by shared_ptr so a lookup result stays valid
-    // while its packet executes, even when execution re-enters flow_put
-    // and replaces the entry (previously guarded by a per-packet deep
-    // copy of the action list).
-    using ActionsRef = std::shared_ptr<const OdpActions>;
+    // One installed flow, held by shared_ptr: a lookup result stays
+    // valid while its packet executes, even when execution re-enters
+    // flow_put, which replaces the flow or grows its table.
+    struct Flow {
+        net::FlowKey key; // masked
+        OdpActions actions;
+    };
+    using FlowRef = std::shared_ptr<const Flow>;
 
     struct Subtable {
-        struct Entry {
-            std::uint64_t hash = 0; // masked hash, compared before the key
-            ActionsRef actions;
-            net::FlowKey key; // masked
-        };
-        using Bucket = std::vector<Entry>;
-
-        explicit Subtable(const net::FlowMask& m);
-        Bucket& bucket(std::uint64_t h) { return slots[h & (slots.size() - 1)]; }
-        const Bucket& bucket(std::uint64_t h) const { return slots[h & (slots.size() - 1)]; }
-        // Appends a new entry; regrows the array past one flow per slot.
-        void add(std::uint64_t h, const net::FlowKey& masked, ActionsRef actions);
+        explicit Subtable(const net::FlowMask& m) : plan(m), mask(m) {}
 
         net::MaskPlan plan;
-        std::vector<Bucket> slots; // power of two, indexed by the low hash bits
-        std::size_t size = 0;
+        net::SlotTable<FlowRef> flows;
         net::FlowMask mask;
     };
 
     struct LookupResult {
-        ActionsRef actions;
+        FlowRef flow; // null on a miss
         int probes = 0;
     };
 
-    // Returns an owning reference: executing the actions can re-enter
-    // flow_put and regrow the bucket array under the entry.
+    // Returns an owning reference: executing the flow's actions can
+    // re-enter flow_put and replace the flow or grow its table.
     OVSX_HOT LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
     // One classifier pass, as Linux's ovs_dp_process_packet: parse,
     // look up, then execute the flow's actions or upcall the miss with

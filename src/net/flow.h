@@ -147,16 +147,27 @@ struct FlowMask {
     static FlowMask none();  // match-all (no bits significant)
 };
 
+// Audit identity of a masked flow-table entry in the san table audits
+// of the megaflow cache and the kernel flow table: the masked key hashed
+// with the mask (FlowKey bytes are fully defined, so it is
+// deterministic). It hashes two full keys, so callers compute it only
+// under san::hardened().
+inline std::uint64_t flow_audit_key(const FlowKey& masked, const FlowMask& mask)
+{
+    return masked.hash(mask.hash());
+}
+
 // A FlowMask compiled for the probe of one tuple-space-search subtable
 // (megaflow cache, kernel flow table, ofproto classifier). It lists
 // only the mask's non-zero 64-bit lanes: a churn-workload mask covers
 // 4-5 of the key's 13. hash() is bit-identical to masked_hash(key) with
-// basis 0, so buckets, shard routes and everything keyed by that hash
-// keep their values. Why: in the key hash a lane whose masked value is
-// zero mixes to zero and only multiplies the running hash by kLaneMul,
-// so a run of all-zero mask lanes is one multiply by kLaneMul raised to
-// the run's length. The seed absorbs the leading run; each listed lane
-// carries kLaneMul to the power of one plus the run that follows it.
+// basis 0, so net::SlotTable homes, shard routes and everything keyed
+// by that hash keep their values. Why: in the key hash a lane whose
+// masked value is zero mixes to zero and only multiplies the running
+// hash by kLaneMul, so a run of all-zero mask lanes is one multiply by
+// kLaneMul raised to the run's length. The seed absorbs the leading
+// run; each listed lane carries kLaneMul to the power of one plus the
+// run that follows it.
 class MaskPlan {
 public:
     explicit MaskPlan(const FlowMask& mask);

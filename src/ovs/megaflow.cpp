@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <utility>
 
+#include "net/slot_table.h"
 #include "obs/appctl.h"
 #include "obs/coverage.h"
 #include "san/audit.h"
 
 namespace ovsx::ovs {
 
-// Per-mask statistics, shared by every shard's slice of the subtable
+// Per-mask statistics, shared by every shard's part of the subtable
 // so ranking and flow counts are shard-count-invariant. Defined at
 // namespace scope (not anonymous) because Sub members name it.
 struct MegaflowSubtableStats {
@@ -20,126 +20,12 @@ struct MegaflowSubtableStats {
     std::atomic<std::size_t> size{0}; // flows under this mask, all shards
 };
 
-namespace {
-
-// A flow and its stored masked hash, as writers move them between
-// buckets (regroup, reshard). The hash is never recomputed.
-struct Tagged {
-    std::uint64_t hash = 0;
-    CachedFlowPtr flow;
-};
-
-} // namespace
-
-// One hash bucket, in one allocation: the entries' 64-bit masked
-// hashes, then their flows. A probe compares the hashes and dereferences
-// a flow only on an equal hash, so a miss touches the slot and this
-// allocation and nothing else. A writer that changes the entry count
-// builds a new bucket and frees the old one at once.
-struct MegaflowCache::Bucket {
-    struct Free {
-        void operator()(Bucket* b) const
-        {
-            std::destroy_n(b->flows(), b->size);
-            ::operator delete(b);
-        }
-    };
-    using Ptr = std::unique_ptr<Bucket, Free>;
-
-    static Ptr create(std::size_t n)
-    {
-        static_assert(sizeof(Bucket) % alignof(CachedFlowPtr) == 0);
-        void* mem = ::operator new(sizeof(Bucket) +
-                                   n * (sizeof(std::uint64_t) + sizeof(CachedFlowPtr)));
-        auto* b = new (mem) Bucket{n};
-        std::uninitialized_value_construct_n(b->hashes(), n);
-        std::uninitialized_value_construct_n(b->flows(), n);
-        return Ptr(b);
-    }
-
-    std::uint64_t* hashes() { return reinterpret_cast<std::uint64_t*>(this + 1); }
-    const std::uint64_t* hashes() const
-    {
-        return reinterpret_cast<const std::uint64_t*>(this + 1);
-    }
-    CachedFlowPtr* flows() { return reinterpret_cast<CachedFlowPtr*>(hashes() + size); }
-    const CachedFlowPtr* flows() const
-    {
-        return reinterpret_cast<const CachedFlowPtr*>(hashes() + size);
-    }
-    void set(std::size_t j, std::uint64_t hash, CachedFlowPtr flow)
-    {
-        hashes()[j] = hash;
-        flows()[j] = std::move(flow);
-    }
-
-    // The `live` entries of `b` whose flow is not dead, in order, as a
-    // new bucket; null when none is left. A writer marks the flows it
-    // unlinks dead, then replaces their bucket with this; no bucket holds
-    // any other dead flow, because every path that kills a flow unlinks it.
-    static Ptr live_entries(const Bucket& b, std::size_t live)
-    {
-        if (live == 0) return nullptr;
-        Ptr next = create(live);
-        std::size_t at = 0;
-        for (std::size_t j = 0; j < b.size; ++j) {
-            if (!b.flows()[j]->dead.load(std::memory_order_relaxed)) {
-                next->set(at++, b.hashes()[j], b.flows()[j]);
-            }
-        }
-        return next;
-    }
-
-    std::size_t size = 0;
-};
-
-// One shard's slot array for one subtable.
-struct MegaflowCache::Slice {
-    explicit Slice(std::size_t capacity) : slots(capacity) {}
-
-    std::size_t slot_of(std::uint64_t hash, std::uint32_t shard_shift) const
-    {
-        return (hash >> shard_shift) & (slots.size() - 1);
-    }
-
-    // Appends every entry, in slot order.
-    void drain_into(std::vector<Tagged>& out) const
-    {
-        for (const Bucket::Ptr& b : slots) {
-            if (!b) continue;
-            for (std::size_t j = 0; j < b->size; ++j) {
-                out.push_back({b->hashes()[j], b->flows()[j]});
-            }
-        }
-    }
-
-    // Fills an empty slice: one exact-size bucket per used slot, entries
-    // placed by their stored hashes.
-    void fill(std::vector<Tagged>& entries, std::uint32_t shard_shift)
-    {
-        std::vector<std::size_t> used(slots.size(), 0);
-        for (const Tagged& e : entries) ++used[slot_of(e.hash, shard_shift)];
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (used[i] > 0) slots[i] = Bucket::create(used[i]);
-            used[i] = 0;
-        }
-        for (Tagged& e : entries) {
-            const std::size_t i = slot_of(e.hash, shard_shift);
-            slots[i]->set(used[i]++, e.hash, std::move(e.flow));
-        }
-        count = entries.size();
-    }
-
-    std::vector<Bucket::Ptr> slots; // a power of two of them
-    std::size_t count = 0;          // flows in this shard's slice
-};
-
 // One subtable as one shard holds it. Every shard's `subs` has the same
 // masks in the same order, which is what lets shard 0's order be the
-// probe order. Probe-side members first: a probe reads the slice, the
+// probe order. Probe-side members first: a probe reads the flows, the
 // plan and, on a hit, the stats; the full mask is for writers.
 struct MegaflowCache::Sub {
-    Slice slice;                                  // this shard's buckets
+    net::SlotTable<CachedFlowPtr> flows;          // this shard's flows of the mask
     std::shared_ptr<MegaflowSubtableStats> stats; // shared across shards
     net::MaskPlan plan;                           // built once per subtable
     net::FlowMask mask;
@@ -193,21 +79,6 @@ private:
 
 namespace {
 
-constexpr std::size_t kMinBuckets = 8;
-// Load factor: a slice regroups once it holds more than kFlowsPerSlot
-// flows per slot, into kGrowth times the slots. At one flow per slot a
-// probe's bucket holds about one entry, so a miss rarely compares more
-// than one hash.
-constexpr std::size_t kFlowsPerSlot = 1;
-constexpr std::size_t kGrowth = 4;
-
-// Audit identity of a flow: hashes two full keys, so it is computed
-// only under san::hardened().
-std::uint64_t flow_audit_key(const net::FlowKey& masked, const net::FlowMask& mask)
-{
-    return masked.hash(mask.hash());
-}
-
 std::uint32_t clamp_shards(std::uint32_t n)
 {
     std::uint32_t p = 1;
@@ -220,19 +91,6 @@ std::uint32_t log2_pow2(std::uint32_t n)
     std::uint32_t s = 0;
     while ((1u << s) < n) ++s;
     return s;
-}
-
-std::size_t pow2_at_least(std::size_t n)
-{
-    std::size_t p = kMinBuckets;
-    while (p < n) p <<= 1;
-    return p;
-}
-
-// Slots for a slice of `flows` flows at the load factor.
-std::size_t slots_for(std::size_t flows)
-{
-    return pow2_at_least((flows + kFlowsPerSlot - 1) / kFlowsPerSlot);
 }
 
 } // namespace
@@ -264,15 +122,8 @@ MegaflowCache::~MegaflowCache()
 const CachedFlowPtr* MegaflowCache::probe(const Sub& sub, std::uint64_t h,
                                           const net::FlowKey& key) const
 {
-    const Bucket* b = sub.slice.slots[sub.slice.slot_of(h, shard_shift_)].get();
-    if (!b) return nullptr;
-    const std::uint64_t* hashes = b->hashes();
-    for (std::size_t j = 0; j < b->size; ++j) {
-        if (hashes[j] != h) continue;
-        const CachedFlowPtr& flow = b->flows()[j];
-        if (sub.plan.matches(key, flow->masked_key)) return &flow;
-    }
-    return nullptr;
+    return sub.flows.find(
+        h, [&](const CachedFlowPtr& flow) { return sub.plan.matches(key, flow->masked_key); });
 }
 
 MegaflowCache::LookupResult MegaflowCache::lookup(const net::FlowKey& key)
@@ -332,39 +183,20 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
 CachedFlowPtr MegaflowCache::insert_into(Sub& sub, const net::FlowKey& masked, std::uint64_t h,
                                          const net::FlowMask& mask, CachedFlowPtr flow)
 {
-    Slice& slice = sub.slice;
-    Bucket::Ptr& slot = slice.slots[slice.slot_of(h, shard_shift_)];
-    const std::size_t n = slot ? slot->size : 0;
-
     // An identical masked entry is replaced in place, and the flow it
     // held dies like a removed one, so an EMC entry still pointing at it
-    // misses and falls through to the new flow; otherwise the new flow
-    // is appended.
-    for (std::size_t j = 0; j < n; ++j) {
-        if (slot->hashes()[j] == h && slot->flows()[j]->masked_key == masked) {
-            slot->flows()[j]->dead.store(true, std::memory_order_release);
-            slot->flows()[j] = flow;
-            return flow;
-        }
+    // misses and falls through to the new flow.
+    if (CachedFlowPtr* same = sub.flows.find(
+            h, [&](const CachedFlowPtr& f) { return f->masked_key == masked; })) {
+        (*same)->dead.store(true, std::memory_order_release);
+        *same = flow;
+        return flow;
     }
-    Bucket::Ptr next = Bucket::create(n + 1);
-    for (std::size_t j = 0; j < n; ++j) next->set(j, slot->hashes()[j], slot->flows()[j]);
-    next->set(n, h, flow);
-    slot = std::move(next);
-    ++slice.count;
+    sub.flows.insert(h, flow);
     sub.stats->size.fetch_add(1, std::memory_order_relaxed);
     flows_.fetch_add(1, std::memory_order_relaxed);
     if (san::hardened()) {
-        san::audit_add(san_scope_, "mfc.flow", flow_audit_key(masked, mask), OVSX_SITE);
-    }
-    if (slice.count > slice.slots.size() * kFlowsPerSlot) {
-        // Regroup this shard's slice at kGrowth times the slots.
-        std::vector<Tagged> entries;
-        entries.reserve(slice.count);
-        slice.drain_into(entries);
-        Slice grown(slice.slots.size() * kGrowth);
-        grown.fill(entries, shard_shift_);
-        slice = std::move(grown);
+        san::audit_add(san_scope_, "mfc.flow", net::flow_audit_key(masked, mask), OVSX_SITE);
     }
     return flow;
 }
@@ -404,7 +236,9 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
     }
     auto stats = std::make_shared<MegaflowSubtableStats>();
     const net::MaskPlan plan(mask);
-    for (const auto& s : shards_) s->subs.push_back(Sub{Slice(kMinBuckets), stats, plan, mask});
+    for (const auto& s : shards_) {
+        s->subs.push_back(Sub{net::SlotTable<CachedFlowPtr>(shard_shift_), stats, plan, mask});
+    }
     return insert_into(sh.subs.back(), masked, h, mask, std::move(flow));
 }
 
@@ -417,22 +251,17 @@ bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
     OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", true);
     for (Sub& sub : sh.subs) {
         if (!(sub.mask == mask)) continue;
-        Bucket::Ptr& old = sub.slice.slots[sub.slice.slot_of(h, shard_shift_)];
-        if (!old) return false;
-        for (std::size_t j = 0; j < old->size; ++j) {
-            if (old->hashes()[j] != h || !(old->flows()[j]->masked_key == masked)) continue;
-            old->flows()[j]->dead.store(true, std::memory_order_release);
-            old = Bucket::live_entries(*old, old->size - 1);
-            --sub.slice.count;
-            sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
-            flows_.fetch_sub(1, std::memory_order_relaxed);
-            if (san::hardened()) {
-                san::audit_remove(san_scope_, "mfc.flow", flow_audit_key(masked, mask),
-                                  OVSX_SITE);
-            }
-            return true;
+        const CachedFlowPtr gone =
+            sub.flows.erase(h, [&](const CachedFlowPtr& f) { return f->masked_key == masked; });
+        if (!gone) return false;
+        gone->dead.store(true, std::memory_order_release);
+        sub.stats->size.fetch_sub(1, std::memory_order_relaxed);
+        flows_.fetch_sub(1, std::memory_order_relaxed);
+        if (san::hardened()) {
+            san::audit_remove(san_scope_, "mfc.flow", net::flow_audit_key(masked, mask),
+                              OVSX_SITE);
         }
-        return false;
+        return true;
     }
     return false;
 }
@@ -443,12 +272,9 @@ void MegaflowCache::clear()
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
     for (const auto& sh : shards_) {
         for (const Sub& sub : sh->subs) {
-            for (const Bucket::Ptr& b : sub.slice.slots) {
-                if (!b) continue;
-                for (std::size_t j = 0; j < b->size; ++j) {
-                    b->flows()[j]->dead.store(true, std::memory_order_release);
-                }
-            }
+            sub.flows.for_each([](std::uint64_t, const CachedFlowPtr& f) {
+                f->dead.store(true, std::memory_order_release);
+            });
         }
         sh->subs.clear();
     }
@@ -471,7 +297,7 @@ std::size_t MegaflowCache::shard_flow_count(std::uint32_t s) const
     sync::SharedLockGuard guard(sh.mu);
     OVSX_SAN_ACCESS_AT(&sh, "ovs.megaflow", false);
     std::size_t n = 0;
-    for (const Sub& sub : sh.subs) n += sub.slice.count;
+    for (const Sub& sub : sh.subs) n += sub.flows.size();
     return n;
 }
 
@@ -479,7 +305,7 @@ std::size_t MegaflowCache::flow_count_all_locked() const
 {
     std::size_t n = 0;
     for (const auto& sh : shards_) {
-        for (const Sub& sub : sh->subs) n += sub.slice.count;
+        for (const Sub& sub : sh->subs) n += sub.flows.size();
     }
     return n;
 }
@@ -491,29 +317,21 @@ std::size_t MegaflowCache::expire_idle()
     std::size_t removed = 0;
     for (const auto& sh : shards_) {
         for (Sub& sub : sh->subs) {
-            for (Bucket::Ptr& old : sub.slice.slots) {
-                if (!old) continue;
-                std::size_t expired = 0;
-                for (std::size_t j = 0; j < old->size; ++j) {
-                    CachedFlow& flow = *old->flows()[j];
-                    if (flow.hits == flow.hits_at_last_sweep) {
-                        flow.dead.store(true, std::memory_order_release);
-                        ++expired;
-                        if (san::hardened()) {
-                            san::audit_remove(san_scope_, "mfc.flow",
-                                              flow_audit_key(flow.masked_key, sub.mask),
-                                              OVSX_SITE);
-                        }
-                    } else {
-                        flow.hits_at_last_sweep = flow.hits; // grace consumed
-                    }
+            const std::size_t expired = sub.flows.retain([&](const CachedFlowPtr& f) {
+                CachedFlow& flow = *f;
+                if (flow.hits != flow.hits_at_last_sweep) {
+                    flow.hits_at_last_sweep = flow.hits; // grace consumed
+                    return true;
                 }
-                if (expired == 0) continue;
-                removed += expired;
-                sub.slice.count -= expired;
-                sub.stats->size.fetch_sub(expired, std::memory_order_relaxed);
-                old = Bucket::live_entries(*old, old->size - expired);
-            }
+                flow.dead.store(true, std::memory_order_release);
+                if (san::hardened()) {
+                    san::audit_remove(san_scope_, "mfc.flow",
+                                      net::flow_audit_key(flow.masked_key, sub.mask), OVSX_SITE);
+                }
+                return false;
+            });
+            removed += expired;
+            sub.stats->size.fetch_sub(expired, std::memory_order_relaxed);
         }
     }
     flows_.fetch_sub(removed, std::memory_order_relaxed);
@@ -569,10 +387,8 @@ void MegaflowCache::for_each_entry(
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", false);
     for (const auto& sh : shards_) {
         for (const Sub& sub : sh->subs) {
-            for (const Bucket::Ptr& b : sub.slice.slots) {
-                if (!b) continue;
-                for (std::size_t j = 0; j < b->size; ++j) fn(*b->flows()[j], sub.mask);
-            }
+            sub.flows.for_each(
+                [&](std::uint64_t, const CachedFlowPtr& f) { fn(*f, sub.mask); });
         }
     }
 }
@@ -582,49 +398,29 @@ void MegaflowCache::reshard(std::uint32_t n)
     const std::uint32_t target = clamp_shards(n);
     if (target == nshards_) return;
 
-    // Drain: per subtable (probe order preserved), every resident flow
-    // with its stored hash, in shard-major slot order.
-    struct Drained {
-        net::FlowMask mask;
-        net::MaskPlan plan;
-        std::shared_ptr<MegaflowSubtableStats> stats;
-        std::vector<Tagged> entries;
-    };
-    std::vector<Drained> rows;
-    {
-        AllShardsGuard guard(*this);
-        const std::vector<Sub>& order = shards_[0]->subs;
-        rows.reserve(order.size());
-        for (const Sub& sub : order) rows.push_back(Drained{sub.mask, sub.plan, sub.stats, {}});
-        for (const auto& sh : shards_) {
-            for (std::size_t r = 0; r < sh->subs.size(); ++r) {
-                sh->subs[r].slice.drain_into(rows[r].entries);
-            }
-        }
-    }
-
     // Config-time contract: no concurrent readers or writers, so the
     // shard array is swapped wholesale.
     const std::uint32_t shift = log2_pow2(target);
     ShardArray next;
     next.reserve(target);
     for (std::uint32_t i = 0; i < target; ++i) next.push_back(std::make_unique<Shard>(i));
-    // Redistribute each subtable's flows by the new shard routing.
-    std::vector<std::vector<std::vector<Tagged>>> per_shard(target);
-    for (std::uint32_t i = 0; i < target; ++i) per_shard[i].resize(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (auto& e : rows[r].entries) {
-            per_shard[static_cast<std::uint32_t>(e.hash) & (target - 1)][r].push_back(
-                std::move(e));
+    {
+        AllShardsGuard guard(*this);
+        // Every new shard gets every subtable in probe order, and each
+        // flow moves with its stored hash to the shard the new routing
+        // picks.
+        for (const auto& sh : next) {
+            for (const Sub& sub : shards_[0]->subs) {
+                sh->subs.push_back(
+                    Sub{net::SlotTable<CachedFlowPtr>(shift), sub.stats, sub.plan, sub.mask});
+            }
         }
-    }
-    for (std::uint32_t i = 0; i < target; ++i) {
-        std::vector<Sub>& subs = next[i]->subs;
-        subs.reserve(rows.size());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-            Slice slice(slots_for(per_shard[i][r].size()));
-            slice.fill(per_shard[i][r], shift);
-            subs.push_back(Sub{std::move(slice), rows[r].stats, rows[r].plan, rows[r].mask});
+        for (const auto& sh : shards_) {
+            for (std::size_t r = 0; r < sh->subs.size(); ++r) {
+                sh->subs[r].flows.for_each([&](std::uint64_t h, const CachedFlowPtr& f) {
+                    next[static_cast<std::uint32_t>(h) & (target - 1)]->subs[r].flows.insert(h, f);
+                });
+            }
         }
     }
     shards_ = std::move(next);

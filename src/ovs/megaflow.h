@@ -6,28 +6,28 @@
 // Concurrency: the classifier is sharded by the masked-key hash (the
 // same RSS-style routing the conntracks use), one capability-annotated
 // reader/writer lock per shard ("ovs.megaflow.shard.<i>") over that
-// shard's subtables and buckets. Every shard holds the same masks in
-// the same probe order, because structural changes (a new mask, rerank,
-// clear, expire) lock every shard exclusively in ascending order. So a
-// lookup holds shard 0's lock shared for the whole probe (shard 0's
-// subtable order is the probe order) and takes the routed shard's lock
-// shared for each probe that lands on another shard, and a batch takes
-// every shard's lock shared once. Writers change subtables and buckets
-// in place under their shard's exclusive lock and free what they
-// replace at once, so a reader never sees an unlinked flow. Readers and
-// writers both mark their shard for the lockset checker.
+// shard's subtables. Every shard holds the same masks in the same probe
+// order, because structural changes (a new mask, rerank, clear, expire)
+// lock every shard exclusively in ascending order. So a lookup holds
+// shard 0's lock shared for the whole probe (shard 0's subtable order
+// is the probe order) and takes the routed shard's lock shared for each
+// probe that lands on another shard, and a batch takes every shard's
+// lock shared once. Writers change subtables in place under their
+// shard's exclusive lock and free what they replace at once, so a
+// reader never sees an unlinked flow. Readers and writers both mark
+// their shard for the lockset checker.
 //
 // Probe layout: each subtable carries a net::MaskPlan built once from
-// its mask. The plan hashes only the mask's non-zero 64-bit lanes and
-// is bit-identical to FlowMask::masked_hash (in the key hash a zero
-// lane only multiplies the running hash by a constant, so each run of
-// zero lanes folds into one precomputed power), so bucket slots and
-// shard routes are the masked-hash values they always were. A bucket
-// is one allocation holding its entries' 64-bit masked hashes and then
-// their flows; a probe compares hashes and dereferences a CachedFlow
-// only on an equal one, so a miss touches the slot and one bucket and
-// a hit touches one flow. A slice regroups at one flow per slot into
-// four times the slots, moving each flow with its stored hash.
+// its mask, and each shard holds the subtable's flows in one
+// net::SlotTable of {masked hash, flow} slots, homed by the hash bits
+// above the shard bits. The plan hashes only the mask's non-zero 64-bit
+// lanes and is bit-identical to FlowMask::masked_hash (in the key hash
+// a zero lane only multiplies the running hash by a constant, so each
+// run of zero lanes folds into one precomputed power), so slot homes
+// and shard routes are the masked-hash values they always were. A probe
+// compares the stored hashes along one run and dereferences a
+// CachedFlow only on an equal one, so a miss reads slots only and a hit
+// touches one flow.
 //
 // Determinism contract: at any shard count, single-threaded semantics
 // are bit-identical to the old single-mutex classifier — same probe
@@ -68,7 +68,7 @@ public:
     // Stats-free classification of a whole burst in one subtable-major
     // pass: each subtable's mask is applied to every still-unresolved
     // key before moving to the next subtable, so the mask and its
-    // buckets stay hot across the vector (the VPP trick). Flows and
+    // slots stay hot across the vector (the VPP trick). Flows and
     // probe counts match what per-packet lookup() would report; the
     // hit/miss and ranking stats are not touched. The datapath
     // classifies with lookup(); the wall-clock benchmark's per-layer
@@ -125,9 +125,7 @@ public:
 
 private:
     struct Shard; // per-shard lock + subtables (megaflow.cpp)
-    struct Sub;   // one subtable's slice in one shard
-    struct Slice;
-    struct Bucket;
+    struct Sub;   // one subtable's flows in one shard
     class AllShardsGuard;
 
     // Immutable while the datapath runs: built at construction,
@@ -136,16 +134,16 @@ private:
     using ShardArray = std::vector<std::unique_ptr<Shard>>;
 
     // Routing: low hash bits pick the shard, the bits above them pick
-    // the bucket slot — sharing low bits would leave every shard using
+    // the home slot — sharing low bits would leave every shard using
     // only 1/nshards of its slots.
     std::uint32_t shard_of_hash(std::uint64_t h) const
     {
         return static_cast<std::uint32_t>(h) & (nshards_ - 1);
     }
 
-    // The flow of `sub`, the slice of the shard `h` routes to, matching
-    // `key`, whose masked hash is `h`; null on a miss. A miss touches
-    // the slot and one bucket, a hit one flow.
+    // The flow of `sub`, as held by the shard `h` routes to, matching
+    // `key`, whose masked hash is `h`; null on a miss. A miss reads
+    // slots only, a hit one flow.
     OVSX_HOT const CachedFlowPtr* probe(const Sub& sub, std::uint64_t h,
                                         const net::FlowKey& key) const;
     // Runs under the exclusive lock of the shard that holds `sub`.

@@ -8,8 +8,6 @@ namespace ovsx::ovs {
 
 namespace {
 
-constexpr std::size_t kMinSlots = 8;
-
 // into |= m, a 64-bit lane at a time.
 void or_into(net::FlowMask* into, const net::FlowMask& m)
 {
@@ -95,31 +93,6 @@ OfAction OfAction::drop()
 
 Ofproto::Ofproto() = default;
 
-void Ofproto::Subtable::insert(std::uint64_t hash, const OfRule* rule)
-{
-    // Linear probing from hash & (size - 1) to the first empty slot.
-    auto place = [this](std::uint64_t h, const OfRule* r) {
-        const std::size_t last = slots.size() - 1;
-        std::size_t i = h & last;
-        while (slots[i].rule) i = (i + 1) & last;
-        slots[i] = {h, r};
-    };
-    if (2 * (n_rules + 1) > slots.size()) {
-        std::vector<Slot> old(std::max(kMinSlots, 2 * slots.size()));
-        old.swap(slots);
-        // Re-insert from just past an empty slot: no probe run is then
-        // split, so rules of one hash keep their add order.
-        std::size_t start = 0;
-        while (start < old.size() && old[start].rule) ++start;
-        for (std::size_t k = 1; k <= old.size(); ++k) {
-            const Slot& s = old[(start + k) % old.size()];
-            if (s.rule) place(s.hash, s.rule);
-        }
-    }
-    place(hash, rule);
-    ++n_rules;
-}
-
 void Ofproto::add_rule(OfRule rule)
 {
     rules_.push_back(std::make_unique<OfRule>(std::move(rule)));
@@ -131,7 +104,7 @@ void Ofproto::add_rule(OfRule rule)
         sub = table.subtables.emplace(table.subtables.end(), ptr->match.mask);
         or_into(&table.mask, ptr->match.mask);
     }
-    sub->insert(sub->plan.hash(ptr->match.key), ptr);
+    sub->rules.insert(sub->plan.hash(ptr->match.key), ptr);
     ++table.n_rules;
     ++rule_count_;
 }
@@ -199,18 +172,16 @@ const OfRule* Ofproto::classify(const Table& table, const net::FlowKey& key,
     or_into(wildcards, table.mask);
     const OfRule* best = nullptr;
     for (const Subtable& sub : table.subtables) {
-        const std::uint64_t h = sub.plan.hash(key);
-        const std::size_t last = sub.slots.size() - 1;
-        for (std::size_t i = h & last; sub.slots[i].rule; i = (i + 1) & last) {
+        sub.rules.find(sub.plan.hash(key), [&](const OfRule* rule) {
             // All rules of a subtable share its mask, so comparing the
             // unmasked rule key under it is masked() == masked. Rules of
             // one hash come in add order, so a tie keeps the earliest.
-            const Slot& s = sub.slots[i];
-            if (s.hash == h && sub.plan.same_masked(key, s.rule->match.key) &&
-                (!best || s.rule->priority > best->priority)) {
-                best = s.rule;
+            if (sub.plan.same_masked(key, rule->match.key) &&
+                (!best || rule->priority > best->priority)) {
+                best = rule;
             }
-        }
+            return false; // visit the whole run
+        });
     }
     return best;
 }

@@ -9,14 +9,13 @@
 //
 // Classifier layout: a table is one tuple-space search, found by its
 // 8-bit id in a 256-entry array. Its subtables (one per distinct mask,
-// in order of first appearance) each carry a net::MaskPlan and one flat
-// open-addressed array of {hash, rule} slots: a power of two of them,
-// at most half full, probed linearly from the plan's hash of the key,
-// which is the masked-key hash. Every subtable of a visited table is
-// probed, so the table keeps the OR of its masks and a visit ORs that
+// in order of first appearance) each carry a net::MaskPlan and one
+// net::SlotTable of {hash, rule} slots, homed by the plan's hash of the
+// key, which is the masked-key hash. Every subtable of a visited table
+// is probed, so the table keeps the OR of its masks and a visit ORs that
 // into the wildcards once. The highest priority wins; a tie goes to the
-// earlier subtable, then to the earlier-added rule (rules of one hash
-// lie along their probe run in add order, and growth keeps that order).
+// earlier subtable, then to the earlier-added rule (the slot table keeps
+// the rules of one hash along their probe run in add order).
 #pragma once
 
 #include <array>
@@ -27,6 +26,7 @@
 
 #include "kern/odp.h"
 #include "net/flow.h"
+#include "net/slot_table.h"
 #include "net/tunnel_key.h"
 #include "sync/annotations.h"
 
@@ -120,20 +120,13 @@ public:
     std::uint64_t xlate_count() const { return xlate_count_; }
 
 private:
-    struct Slot {
-        std::uint64_t hash = 0;       // plan.hash of the rule's key
-        const OfRule* rule = nullptr; // null: empty
-    };
-
     // The rules of one table that share one mask. Probe-side members
     // first; the full mask is for add_rule.
     struct Subtable {
         explicit Subtable(const net::FlowMask& m) : plan(m), mask(m) {}
-        void insert(std::uint64_t hash, const OfRule* rule);
 
-        std::vector<Slot> slots; // a power of two, at most half full
+        net::SlotTable<const OfRule*> rules;
         net::MaskPlan plan;
-        std::size_t n_rules = 0;
         net::FlowMask mask;
     };
 

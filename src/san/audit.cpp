@@ -11,15 +11,8 @@ namespace ovsx::san {
 
 namespace {
 
-using Bucket = std::pair<std::uint64_t, std::string>;
-
-struct BucketLess {
-    bool operator()(const Bucket& a, const Bucket& b) const
-    {
-        if (a.first != b.first) return a.first < b.first;
-        return a.second < b.second;
-    }
-};
+// One audited table: {scope, category}.
+using TableId = std::pair<std::uint64_t, std::string>;
 
 // The audit registry is global shared state itself: table methods call
 // in while holding their own table lock, so audit_mu() is a leaf in the
@@ -27,9 +20,9 @@ struct BucketLess {
 // and nothing is acquired under it.
 struct AuditState {
     sync::Mutex mu{"san.audit"};
-    std::map<Bucket, std::unordered_set<std::uint64_t>, BucketLess> tables
+    std::map<TableId, std::unordered_set<std::uint64_t>> tables
         OVSX_GUARDED_BY(mu);
-    std::map<Bucket, std::unordered_map<std::uint64_t, std::int64_t>, BucketLess> refs
+    std::map<TableId, std::unordered_map<std::uint64_t, std::int64_t>> refs
         OVSX_GUARDED_BY(mu);
 };
 

@@ -10,6 +10,7 @@
 #include "kern/ovs_kmod.h"
 #include "kern/stack.h"
 #include "kern/tap.h"
+#include "kern/veth.h"
 #include "net/builder.h"
 #include "net/checksum.h"
 #include "net/headers.h"
@@ -254,6 +255,45 @@ TEST_F(KmodTest, MulticastOutputClones)
     nic0->rx_from_wire(udp64());
     EXPECT_EQ(out1.size(), 1u);
     EXPECT_EQ(out0.size(), 1u);
+}
+
+TEST_F(KmodTest, FlowReplacedDuringItsOwnExecutionFinishesItsActions)
+{
+    // The flow's first output crosses a veth pair back into the datapath.
+    // That pass misses, and its upcall replaces the running flow and
+    // grows its subtable's table before the second output runs.
+    auto [va, vb] = VethDevice::create_pair(kernel, "va", "vb");
+    const std::uint32_t pa = dp->add_port(*va);
+    const std::uint32_t pb = dp->add_port(*vb);
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    const net::FlowKey key = net::parse_flow(probe);
+    net::FlowMask mask;
+    mask.bits.in_port = 0xffffffff;
+    dp->flow_put(key, mask, {OdpAction::output(pa), OdpAction::output(p1)});
+
+    std::vector<std::uint32_t> upcalls;
+    dp->set_upcall_handler(
+        [&](std::uint32_t port_no, net::Packet&&, const net::FlowKey&, sim::ExecContext&) {
+            upcalls.push_back(port_no);
+            dp->flow_put(key, mask, {OdpAction::drop()});
+            net::FlowKey other = key;
+            for (std::uint32_t i = 0; i < 64; ++i) {
+                other.in_port = 1000 + i;
+                dp->flow_put(other, mask, {OdpAction::drop()});
+            }
+        });
+
+    nic0->rx_from_wire(udp64());
+    EXPECT_EQ(upcalls, std::vector<std::uint32_t>{pb});
+    EXPECT_EQ(out1.size(), 1u); // the replaced flow's second output still ran
+    EXPECT_EQ(dp->flow_count(), 65u);
+    EXPECT_EQ(dp->mask_count(), 1u);
+
+    // The next packet takes the replacement.
+    nic0->rx_from_wire(udp64());
+    EXPECT_EQ(out1.size(), 1u);
+    EXPECT_EQ(upcalls.size(), 1u);
 }
 
 TEST_F(KmodTest, FlowDelete)
