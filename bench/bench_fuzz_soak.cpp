@@ -47,130 +47,162 @@ std::uint64_t coverage_count(const char* name)
     return id ? ovsx::obs::coverage_value(*id) : 0;
 }
 
-// One profiler-overhead leg: a fixed, deterministic netdev P2P workload
+// The netdev guard leg: a fixed, deterministic netdev P2P workload
 // (AF_XDP ports, one PMD, a single wildcard flow, seeded traffic).
-// Returns wall-clock seconds. With `artifact` set, snapshots
-// pmd/perf-show + pmd/perf-log JSON while the PMD (and its profiler)
-// is still alive — the CI-uploaded flight-recorder artifact.
-double overhead_leg(bool profiler_on, const std::string& artifact)
-{
-    using namespace ovsx;
-    obs::perf_set_enabled(profiler_on);
-    const auto t0 = std::chrono::steady_clock::now();
+// Profilers attach when the PMD and the NICs are created, so a leg
+// built under obs::perf_set_enabled(false) runs with none at all.
+struct NetdevLeg {
+    NetdevLeg()
+    {
+        using namespace ovsx;
+        nic1.connect_wire([](net::Packet&&) {});
+        ovs::AfxdpOptions aopts;
+        aopts.umem_frames = 512;
+        const auto p0 = dpif.add_port(std::make_unique<ovs::NetdevAfxdp>(nic0, aopts));
+        const auto p1 = dpif.add_port(std::make_unique<ovs::NetdevAfxdp>(nic1, aopts));
+        net::FlowKey key;
+        key.in_port = p0;
+        net::FlowMask mask;
+        mask.bits.in_port = 0xffffffff;
+        mask.bits.recirc_id = 0xffffffff;
+        dpif.flow_put(key, mask, {kern::OdpAction::output(p1)});
+        pmd = dpif.add_pmd("soak-pmd");
+        dpif.pmd_assign(pmd, p0, 0);
+        dpif.pmd_assign(pmd, p1, 0);
+    }
 
-    kern::Kernel host("soak-overhead");
-    kern::NicConfig ncfg;
-    auto& nic0 = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1), ncfg);
-    auto& nic1 = host.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(2), ncfg);
-    nic1.connect_wire([](net::Packet&&) {});
+    // Offers `n` packets, polling the PMD after every 32.
+    void run(std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            nic0.rx_from_wire(traffic.next());
+            if ((i & 31) == 31) drain();
+        }
+        drain();
+    }
 
-    ovs::DpifNetdev dpif(host);
-    ovs::AfxdpOptions aopts;
-    aopts.umem_frames = 512;
-    const auto p0 = dpif.add_port(std::make_unique<ovs::NetdevAfxdp>(nic0, aopts));
-    const auto p1 = dpif.add_port(std::make_unique<ovs::NetdevAfxdp>(nic1, aopts));
-    net::FlowKey key;
-    key.in_port = p0;
-    net::FlowMask mask;
-    mask.bits.in_port = 0xffffffff;
-    mask.bits.recirc_id = 0xffffffff;
-    dpif.flow_put(key, mask, {kern::OdpAction::output(p1)});
-    const int pmd = dpif.add_pmd("soak-pmd");
-    dpif.pmd_assign(pmd, p0, 0);
-    dpif.pmd_assign(pmd, p1, 0);
-
-    gen::TrafficGen traffic({.n_flows = 64, .frame_size = 128});
-    constexpr std::uint64_t kLegPackets = 8192;
-    for (std::uint64_t i = 0; i < kLegPackets; ++i) {
-        nic0.rx_from_wire(traffic.next());
-        if ((i & 31) == 31) {
-            while (dpif.pmd_poll_once(pmd) > 0) {
-            }
+    void drain()
+    {
+        while (dpif.pmd_poll_once(pmd) > 0) {
         }
     }
-    while (dpif.pmd_poll_once(pmd) > 0) {
-    }
 
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    ovsx::kern::Kernel host{"soak-overhead"};
+    ovsx::kern::PhysicalDevice& nic0 = host.add_device<ovsx::kern::PhysicalDevice>(
+        "eth0", ovsx::net::MacAddr::from_id(1), ovsx::kern::NicConfig{});
+    ovsx::kern::PhysicalDevice& nic1 = host.add_device<ovsx::kern::PhysicalDevice>(
+        "eth1", ovsx::net::MacAddr::from_id(2), ovsx::kern::NicConfig{});
+    ovsx::ovs::DpifNetdev dpif{host};
+    ovsx::gen::TrafficGen traffic{{.n_flows = 64, .frame_size = 128}};
+    int pmd = -1;
+};
 
-    if (!artifact.empty() && profiler_on) {
-        ovsx::obs::Value doc = ovsx::obs::Value::object();
-        doc.set("perf_show", ovsx::obs::perf_show());
-        doc.set("perf_log", ovsx::obs::perf_log_show());
-        std::ofstream out(artifact);
-        if (out) out << doc.to_json() << "\n";
-    }
-    obs::perf_set_enabled(true);
-    return secs;
-}
-
-// The per-packet profiler leg: the kernel provider, where every solo
+// The per-packet guard leg: the kernel provider, where every solo
 // receive() opens and closes one profiler iteration (the softirq rows
 // of pmd/perf-show). The upcall handler installs one flow per
 // microflow, so only the first packet of each of a few flows takes an
 // upcall and the rest run upcall-free, far past the ~1,450 iterations
-// after which an unflushed upcall EWMA would go subnormal. Frames are
-// built before the clock starts; only the packet loop is timed.
-double kernel_overhead_leg(bool profiler_on)
-{
-    using namespace ovsx;
-    obs::perf_set_enabled(profiler_on);
+// after which an unflushed upcall EWMA would go subnormal.
+struct KernelLeg {
+    KernelLeg()
+    {
+        using namespace ovsx;
+        nic1.connect_wire([](net::Packet&&) {});
+        dp.add_port(nic0);
+        const auto p1 = dp.add_port(nic1);
+        mask.bits.in_port = 0xffffffff;
+        mask.bits.recirc_id = 0xffffffff;
+        mask.bits.nw_src = 0xffffffff;
+        mask.bits.nw_dst = 0xffffffff;
+        actions = {kern::OdpAction::output(p1)};
+        dp.set_upcall_handler([this](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
+                                     sim::ExecContext& ctx) {
+            dp.flow_put(key, mask, actions);
+            dp.execute(std::move(pkt), actions, ctx);
+        });
+    }
 
-    kern::Kernel host("soak-overhead-kernel");
-    auto& nic0 = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1));
-    auto& nic1 = host.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(2));
-    nic1.connect_wire([](net::Packet&&) {});
-    kern::OvsKernelDatapath& dp = host.ovs_datapath();
-    dp.add_port(nic0);
-    const auto p1 = dp.add_port(nic1);
-    net::FlowMask mask;
-    mask.bits.in_port = 0xffffffff;
-    mask.bits.recirc_id = 0xffffffff;
-    mask.bits.nw_src = 0xffffffff;
-    mask.bits.nw_dst = 0xffffffff;
-    const kern::OdpActions actions{kern::OdpAction::output(p1)};
-    dp.set_upcall_handler([&](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
-                              sim::ExecContext& ctx) {
-        dp.flow_put(key, mask, actions);
-        dp.execute(std::move(pkt), actions, ctx);
-    });
+    // Offers each frame as one solo receive.
+    void run(std::vector<ovsx::net::Packet>& frames)
+    {
+        for (ovsx::net::Packet& f : frames) nic0.rx_from_wire(std::move(f));
+    }
 
-    gen::TrafficGen traffic({.n_flows = 8, .frame_size = 64});
-    constexpr std::size_t kLegPackets = 65536;
-    std::vector<net::Packet> frames;
-    frames.reserve(kLegPackets);
-    for (std::size_t i = 0; i < kLegPackets; ++i) frames.push_back(traffic.next());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (net::Packet& f : frames) nic0.rx_from_wire(std::move(f));
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    obs::perf_set_enabled(true);
-    return secs;
-}
-
-// Minimum wall-clock seconds per side over interleaved profiler-off /
-// profiler-on reps of one leg: min-of-reps cancels scheduler noise.
-struct Overhead {
-    double off = 0.0;
-    double on = 0.0;
-    double pct() const { return off > 0 ? 100.0 * (on - off) / off : 0.0; }
+    ovsx::kern::Kernel host{"soak-overhead-kernel"};
+    ovsx::kern::PhysicalDevice& nic0 =
+        host.add_device<ovsx::kern::PhysicalDevice>("eth0", ovsx::net::MacAddr::from_id(1));
+    ovsx::kern::PhysicalDevice& nic1 =
+        host.add_device<ovsx::kern::PhysicalDevice>("eth1", ovsx::net::MacAddr::from_id(2));
+    ovsx::kern::OvsKernelDatapath& dp = host.ovs_datapath();
+    ovsx::net::FlowMask mask;
+    ovsx::kern::OdpActions actions;
+    ovsx::gen::TrafficGen traffic{{.n_flows = 8, .frame_size = 64}};
 };
 
-// `leg(profiler_on, last_rep)` runs one rep and returns its seconds.
-template <typename Leg> Overhead measure_overhead(Leg&& leg)
+template <typename Leg> std::unique_ptr<Leg> make_leg(bool profiler_on)
 {
-    constexpr int kOverheadReps = 4;
-    Overhead o;
+    ovsx::obs::perf_set_enabled(profiler_on);
+    auto leg = std::make_unique<Leg>();
+    ovsx::obs::perf_set_enabled(true);
+    return leg;
+}
+
+template <typename Fn> double timed(Fn&& fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+double median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+struct Overhead {
+    double off = 0.0;   // median profiler-off seconds per rep
+    double on = 0.0;    // median profiler-on seconds per rep
+    double ratio = 1.0; // median of the per-rep on/off ratios
+    double pct() const { return 100.0 * (ratio - 1.0); }
+};
+
+// A paired estimate of one leg's profiler overhead. Each rep builds the
+// leg twice, profiler off and profiler on, and runs the two a chunk at a
+// time in turn, alternating which goes first, so a slow host phase
+// slows both alike; the rep's ratio is the on leg's summed chunk time
+// over the off leg's. The overhead is the median ratio over the reps,
+// so a host stall that spoils one rep does not move it.
+// `chunk(leg)` runs one chunk and returns its timed seconds; `last_on`
+// sees the last rep's profiler-on leg while it is still alive.
+template <typename Leg, typename Chunk, typename LastOn>
+Overhead measure_overhead(std::size_t chunks, Chunk&& chunk, LastOn&& last_on)
+{
+    constexpr int kOverheadReps = 5;
+    std::vector<double> off;
+    std::vector<double> on;
+    std::vector<double> ratio;
     for (int rep = 0; rep < kOverheadReps; ++rep) {
-        const bool last = rep == kOverheadReps - 1;
-        const double off = leg(false, last);
-        const double on = leg(true, last);
-        o.off = rep == 0 ? off : std::min(o.off, off);
-        o.on = rep == 0 ? on : std::min(o.on, on);
+        const auto off_leg = make_leg<Leg>(false);
+        const auto on_leg = make_leg<Leg>(true);
+        double off_s = 0.0;
+        double on_s = 0.0;
+        for (std::size_t c = 0; c < chunks; ++c) {
+            if (c % 2 == 0) {
+                off_s += chunk(*off_leg);
+                on_s += chunk(*on_leg);
+            } else {
+                on_s += chunk(*on_leg);
+                off_s += chunk(*off_leg);
+            }
+        }
+        if (rep == kOverheadReps - 1) last_on(*on_leg);
+        off.push_back(off_s);
+        on.push_back(on_s);
+        ratio.push_back(on_s / off_s);
     }
-    return o;
+    return {median(off), median(on), median(ratio)};
 }
 
 } // namespace
@@ -268,10 +300,30 @@ int main(int argc, char** argv)
     // against its own profiler-off run and held to its bound.
     const char* artifact_env = std::getenv("OVSX_PERF_ARTIFACT");
     const std::string artifact = artifact_env ? artifact_env : "";
-    const Overhead netdev = measure_overhead(
-        [&](bool on, bool last) { return overhead_leg(on, last ? artifact : ""); });
-    const Overhead kernel =
-        measure_overhead([](bool on, bool) { return kernel_overhead_leg(on); });
+    // Each side of a rep times 16 x 4,096 netdev packets and 24 x 16,384
+    // kernel packets: about 60 ms per side and leg on a 4-core 2 GHz
+    // host. Kernel frames are built before each chunk's clock starts.
+    const Overhead netdev = measure_overhead<NetdevLeg>(
+        16, [](NetdevLeg& leg) { return timed([&] { leg.run(4096); }); },
+        [&](const NetdevLeg&) {
+            // The CI-uploaded flight-recorder artifact: pmd/perf-show and
+            // pmd/perf-log while the PMD's profiler is alive.
+            if (artifact.empty()) return;
+            ovsx::obs::Value doc = ovsx::obs::Value::object();
+            doc.set("perf_show", ovsx::obs::perf_show());
+            doc.set("perf_log", ovsx::obs::perf_log_show());
+            std::ofstream out(artifact);
+            if (out) out << doc.to_json() << "\n";
+        });
+    std::vector<ovsx::net::Packet> frames;
+    const Overhead kernel = measure_overhead<KernelLeg>(
+        24,
+        [&](KernelLeg& leg) {
+            frames.clear();
+            for (int i = 0; i < 16384; ++i) frames.push_back(leg.traffic.next());
+            return timed([&] { leg.run(frames); });
+        },
+        [](const KernelLeg&) {});
     std::printf("profiler overhead (netdev): off=%.4fs on=%.4fs (%+.1f%%, budget %.0f%%)\n",
                 netdev.off, netdev.on, netdev.pct(), kPerfOverheadBudgetPct);
     std::printf("profiler overhead (kernel): off=%.4fs on=%.4fs (%+.1f%%, budget %.0f%%)\n",

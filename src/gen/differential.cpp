@@ -488,9 +488,8 @@ DifferentialHarness::make_instance(DpKind kind) const
     // shard count must yield the same verdicts and end-state digests.
     // reshard() is a no-op at the default of 1. The netdev instance has
     // exactly one PMD, so add_pmd's auto-reshard has already settled at
-    // 1 and won't fight the explicit counts below.
+    // 1 and won't fight the explicit count below.
     if (inst->netdev) {
-        inst->netdev->megaflow().reshard(opts_.mf_shards);
         inst->netdev->ct().reshard(opts_.ct_shards);
     } else {
         inst->kernel->conntrack().reshard(opts_.ct_shards);

@@ -116,12 +116,11 @@ struct DiffOptions {
     // captured frames are INT-stripped (net::int_strip_bytes) before
     // verdict comparison — the inner packet must still be byte-identical.
     bool enable_int = false;
-    // Shard counts applied to every provider's tables (userspace +
-    // kernel conntrack, megaflow cache). The end-state comparison is
-    // order-insensitive, so any shard count must produce bit-identical
-    // verdicts and digests — the soak rotates these to prove it.
+    // Shard count applied to every provider's conntrack (userspace and
+    // kernel). The end-state comparison is order-insensitive, so any
+    // shard count must produce bit-identical verdicts and digests — the
+    // soak rotates it to prove it.
     std::uint32_t ct_shards = 1;
-    std::uint32_t mf_shards = 1;
 };
 
 // Fault injection: mutates the translated actions for one datapath

@@ -371,7 +371,6 @@ DiffReport fuzz_run(std::uint64_t seed, const FuzzConfig& cfg, std::size_t count
     opts.seed = seed;
     opts.enable_int = cfg.use_int;
     opts.ct_shards = cfg.shards ? cfg.shards : 1;
-    opts.mf_shards = cfg.shards ? cfg.shards : 1;
     DifferentialHarness harness(std::move(ruleset), opts);
 
     // Every fuzz iteration doubles as a sanitizer run: hardened mode is

@@ -39,9 +39,9 @@ struct FuzzConfig {
     // folds any divergence (there is no allowlist for this mode) into
     // the report. 0 disables; 1 degenerates to per-packet injection.
     std::size_t batch_size = 32;
-    // Shard count for conntrack tables + the megaflow cache on every
-    // provider (DiffOptions::{ct,mf}_shards). Sharding must be invisible
-    // to the end-state digests; the soak rotates {1,4,16} to prove it.
+    // Shard count for the conntrack tables on every provider
+    // (DiffOptions::ct_shards). Sharding must be invisible to the
+    // end-state digests; the soak rotates {1,4,16} to prove it.
     std::uint32_t shards = 1;
 };
 

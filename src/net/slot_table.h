@@ -8,10 +8,7 @@
 //   an empty slot.
 // - The array is a power of two of slots, at most half full, so every
 //   probe run ends at an empty slot.
-// - An entry's home slot is its hash shifted right by `shift`, taken
-//   modulo the array size: the megaflow cache routes shards by the low
-//   hash bits and passes its shard shift, so every shard fills its
-//   whole array; the other tables pass 0.
+// - An entry's home slot is its hash modulo the array size.
 // - Linear probing. An insert goes to the end of its probe run, so the
 //   entries of one hash lie along their run in add order.
 // - Growth doubles the array and re-inserts from just past an empty
@@ -33,7 +30,7 @@ template <typename T> class SlotTable {
 public:
     static constexpr std::size_t kMinSlots = 8;
 
-    explicit SlotTable(std::uint32_t shift = 0) : slots_(kMinSlots), shift_(shift) {}
+    SlotTable() : slots_(kMinSlots) {}
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return slots_.size(); }
@@ -112,7 +109,7 @@ private:
 
     static constexpr std::size_t kNone = ~std::size_t{0};
 
-    std::size_t home(std::uint64_t h) const { return (h >> shift_) & last_; }
+    std::size_t home(std::uint64_t h) const { return h & last_; }
 
     // The one probe: visits the run of `h` in order and returns the index
     // of the first slot holding hash `h` and a value `match` accepts.
@@ -161,7 +158,6 @@ private:
     std::vector<Slot> slots_;
     std::size_t last_ = kMinSlots - 1; // slots_.size() - 1, kept for the probe
     std::size_t size_ = 0;
-    std::uint32_t shift_ = 0;
 };
 
 } // namespace ovsx::net

@@ -69,23 +69,48 @@ std::optional<std::uint32_t> DpifNetdev::port_by_name(const std::string& name) c
 void DpifNetdev::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
                           kern::OdpActions actions)
 {
-    megaflow_.insert(key, mask, std::move(actions));
+    if (pmd_ != &nonpmd_) {
+        pmd_->megaflow->insert(key, mask, std::move(actions));
+        return;
+    }
+    nonpmd_.megaflow->insert(key, mask, actions);
+    for (Pmd& pmd : pmds_) pmd.megaflow->insert(key, mask, actions);
 }
 
 void DpifNetdev::flow_flush()
 {
-    megaflow_.clear();
-    nonpmd_.emc.clear();
-    for (Pmd& pmd : pmds_) pmd.emc.clear();
+    for_each_lane([](Pmd& lane) {
+        lane.megaflow->clear();
+        lane.emc.clear();
+    });
+}
+
+std::size_t DpifNetdev::flow_count() const
+{
+    if (pmds_.empty()) return nonpmd_.megaflow->flow_count();
+    std::size_t n = 0;
+    for (const Pmd& pmd : pmds_) n += pmd.megaflow->flow_count();
+    return n;
 }
 
 std::vector<kern::OdpFlowEntry> DpifNetdev::flow_dump() const
 {
     std::vector<kern::OdpFlowEntry> out;
-    megaflow_.for_each_entry([&](const CachedFlow& flow, const net::FlowMask& mask) {
-        out.push_back(kern::OdpFlowEntry{flow.masked_key, mask, flow.actions});
-    });
+    auto dump = [&](const MegaflowCache& mf) {
+        mf.for_each_entry([&](const CachedFlow& flow, const net::FlowMask& mask) {
+            out.push_back(kern::OdpFlowEntry{flow.masked_key, mask, flow.actions});
+        });
+    };
+    if (pmds_.empty()) dump(*nonpmd_.megaflow);
+    for (const Pmd& pmd : pmds_) dump(*pmd.megaflow);
     return out;
+}
+
+void DpifNetdev::san_check(san::Site site) const
+{
+    nonpmd_.megaflow->san_check(site);
+    for (const Pmd& pmd : pmds_) pmd.megaflow->san_check(site);
+    netlink_.san_check(site);
 }
 
 std::vector<const obs::PmdPerf*> DpifNetdev::perfs() const
@@ -264,12 +289,14 @@ int DpifNetdev::add_pmd(const std::string& name)
     // matches the context's busy() exactly.
     pmd.ctx.attach_perf(name);
     pmd.emc = Emc(emc_entries_);
+    nonpmd_.megaflow->for_each_entry([&](const CachedFlow& flow, const net::FlowMask& mask) {
+        pmd.megaflow->insert(flow.masked_key, mask, flow.actions);
+    });
     pmds_.push_back(std::move(pmd));
-    // Scale-out: one shard per PMD, rounded up to a power of two.
-    // add_pmd is config-time, which is what reshard needs.
+    // Scale-out: one conntrack shard per PMD, rounded up to a power of
+    // two. add_pmd is config-time, which is what reshard needs.
     std::uint32_t target = 1;
-    while (target < pmds_.size() && target < MegaflowCache::kMaxShards) target <<= 1;
-    megaflow_.reshard(target);
+    while (target < pmds_.size() && target < kern::CtTable::kMaxShards) target <<= 1;
     ct_.reshard(target);
     return static_cast<int>(pmds_.size()) - 1;
 }
@@ -277,8 +304,7 @@ int DpifNetdev::add_pmd(const std::string& name)
 void DpifNetdev::set_emc_entries(std::uint32_t entries)
 {
     emc_entries_ = entries;
-    nonpmd_.emc = Emc(entries);
-    for (Pmd& pmd : pmds_) pmd.emc = Emc(entries);
+    for_each_lane([&](Pmd& lane) { lane.emc = Emc(entries); });
 }
 
 void DpifNetdev::pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue)
@@ -417,7 +443,7 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
     // holds many flows (the 1-flow vs 1000-flow gap of Fig. 9).
     ctx.charge(costs_.emc_hit);
     pkt.meta().latency_ns += costs_.emc_hit;
-    if (pmd.emc.occupancy() > 128 || megaflow_.flow_count() > 128) {
+    if (pmd.emc.occupancy() > 128 || pmd.megaflow->flow_count() > 128) {
         ctx.charge(costs_.cache_miss);
         pkt.meta().latency_ns += costs_.cache_miss;
     }
@@ -439,11 +465,11 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "miss");
     }
 
-    // Second level: megaflow (tuple space search).
+    // Second level: this lane's megaflow cache (tuple space search).
     MegaflowCache::LookupResult res;
     {
         obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-        res = megaflow_.lookup(key);
+        res = pmd.megaflow->lookup(key);
         ctx.charge(static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
         pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe;
     }
@@ -680,10 +706,11 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
 
 void DpifNetdev::revalidate()
 {
-    megaflow_.expire_idle();
-    nonpmd_.emc.sweep();
-    for (Pmd& pmd : pmds_) pmd.emc.sweep();
-    megaflow_.rerank();
+    for_each_lane([](Pmd& lane) {
+        lane.megaflow->expire_idle();
+        lane.emc.sweep();
+        lane.megaflow->rerank();
+    });
 }
 
 } // namespace ovsx::ovs

@@ -2,7 +2,8 @@
 // pipeline is EMC -> megaflow -> upcall; actions execute in userspace
 // with userspace conntrack, meters and tunnel encap (resolved from the
 // netlink replica cache). PMD threads poll assigned (port, queue) pairs,
-// each through its own EMC.
+// each through its own EMC and megaflow cache, as OVS's PMDs own their
+// EMC and dpcls.
 #pragma once
 
 #include <map>
@@ -44,16 +45,18 @@ public:
 
     // ---- flows (Dpif) ---------------------------------------------------------
     void set_upcall_handler(UpcallHandler handler) override { upcall_ = std::move(handler); }
+    // A put made during a PMD's poll (its upcall handler's) installs into
+    // that PMD's megaflow cache only; any other put installs into every
+    // lane, as OVS's put without a PMD id does.
     void flow_put(const net::FlowKey& key, const net::FlowMask& mask,
                   kern::OdpActions actions) override;
+    // Every lane's megaflow cache and EMC.
     void flow_flush() override;
-    std::size_t flow_count() const override { return megaflow_.flow_count(); }
+    // The PMDs' flows summed, as OVS's n_flows; the non-PMD lane's when
+    // there is no PMD. flow_dump() lists the same set.
+    std::size_t flow_count() const override;
     std::vector<kern::OdpFlowEntry> flow_dump() const override;
-    void san_check(san::Site site) const override
-    {
-        megaflow_.san_check(site);
-        netlink_.san_check(site);
-    }
+    void san_check(san::Site site) const override;
     void execute(net::Packet&& pkt, const kern::OdpActions& actions,
                  sim::ExecContext& ctx) override;
 
@@ -70,18 +73,20 @@ public:
     Rebalance rebalance() override;
 
     // ---- PMD threads (O1) --------------------------------------------------------
-    // Adds a PMD thread; returns its index. Queues are then pinned with
-    // pmd_assign().
+    // Adds a PMD thread, its megaflow cache holding the non-PMD lane's
+    // flows (every put made outside a poll); returns its index. Queues
+    // are then pinned with pmd_assign().
     int add_pmd(const std::string& name);
     void pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue);
     // One poll iteration over a PMD's queues, classified through its EMC
-    // (an upcall handler's execute() included); returns packets processed.
+    // and megaflow cache (an upcall handler's execute() included); returns
+    // packets processed.
     OVSX_NO_ALLOC std::uint32_t pmd_poll_once(int pmd);
     sim::ExecContext& pmd_ctx(int pmd) { return pmds_[static_cast<std::size_t>(pmd)].ctx; }
     int pmd_count() const { return static_cast<int>(pmds_.size()); }
 
     // Non-PMD processing entry: poll every port once on the main thread
-    // (the pre-O1 configuration), through the non-PMD lane's EMC.
+    // (the pre-O1 configuration), through the non-PMD lane's caches.
     std::uint32_t main_thread_poll_once(sim::ExecContext& ctx);
 
     // Datapath entry for one rx burst: counts the burst (batch.flush,
@@ -103,9 +108,9 @@ public:
     const net::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- subsystems ---------------------------------------------------------------
-    // The first PMD's EMC, or the non-PMD lane's when there is no PMD.
-    Emc& emc() { return pmds_.empty() ? nonpmd_.emc : pmds_.front().emc; }
-    MegaflowCache& megaflow() { return megaflow_; }
+    // The first PMD's caches, or the non-PMD lane's when there is no PMD.
+    Emc& emc() { return first_lane().emc; }
+    MegaflowCache& megaflow() { return *first_lane().megaflow; }
     UserspaceConntrack& ct() { return ct_; }
     MeterTable& meters() { return meters_; }
     NetlinkCache& netlink_cache() { return netlink_; }
@@ -139,8 +144,8 @@ public:
     // Packets punted by an explicit Userspace action.
     std::vector<net::Packet>& punted() { return punted_; }
 
-    // Revalidation sweep: drops dead entries from every EMC and re-ranks
-    // subtables.
+    // Revalidation sweep, lane by lane: expires idle megaflows, drops
+    // dead entries from the EMC and re-ranks the megaflow subtables.
     void revalidate();
 
     // EMC insertion sampling: insert one in `inv_prob` megaflow hits
@@ -182,14 +187,25 @@ private:
     };
 
     // A PMD thread, or the non-PMD lane. Only the thread running it
-    // touches its EMC, so the EMC takes no lock.
+    // touches its caches, so they take no lock. The megaflow cache sits
+    // behind a pointer because it must not move (its destructor clears
+    // its san audit scope).
     struct Pmd {
         std::string name;
         sim::ExecContext ctx;
         std::vector<Rxq> rxqs;
         Emc emc;
+        std::unique_ptr<MegaflowCache> megaflow = std::make_unique<MegaflowCache>();
         std::uint64_t emc_insert_counter = 0;
     };
+
+    Pmd& first_lane() { return pmds_.empty() ? nonpmd_ : pmds_.front(); }
+    // Visits the non-PMD lane, then every PMD.
+    template <typename Fn> void for_each_lane(Fn&& fn)
+    {
+        fn(nonpmd_);
+        for (Pmd& pmd : pmds_) fn(pmd);
+    }
 
     std::string port_name(std::uint32_t port_no) const;
     std::string rxq_name(const Rxq& rxq) const;
@@ -212,17 +228,16 @@ private:
     std::map<std::uint32_t, Port> ports_;
     std::map<int, std::uint32_t> ifindex_to_port_; // underlay resolution
     std::uint32_t next_port_no_ = 1;
-    MegaflowCache megaflow_;
     UserspaceConntrack ct_;
     MeterTable meters_;
     NetlinkCache netlink_;
     UpcallHandler upcall_;
     std::vector<Pmd> pmds_;
     // OVS's non-PMD thread: main-thread polls, and any execute() or
-    // process_batch() made outside a PMD poll, use its EMC.
+    // process_batch() made outside a PMD poll, use its caches.
     Pmd nonpmd_;
-    // The lane whose poll is running. Dpif::execute() carries no PMD,
-    // so the pipeline finds its EMC here.
+    // The lane whose poll is running. Dpif::execute() and flow_put()
+    // carry no PMD, so the pipeline and puts find their lane here.
     Pmd* pmd_ = &nonpmd_;
     std::uint32_t emc_entries_ = Emc::kDefaultEntries;
     std::vector<net::Packet> rx_batch_; // keeps its capacity from poll to poll

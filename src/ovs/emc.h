@@ -5,10 +5,10 @@
 //
 // Ownership: as in OVS, every PMD owns its EMC (DpifNetdev::Pmd), and
 // only the thread running that PMD touches it, so the table takes no
-// lock. The flows it points at belong to the shared megaflow cache:
+// lock. The flows it points at belong to the same PMD's megaflow cache:
 // entry pointers returned by lookup() stay valid through shared
 // ownership (CachedFlowPtr), and a flow the megaflow cache unlinks is
-// evicted at its next probe through its atomic `dead` flag.
+// evicted at its next probe through its `dead` flag.
 #pragma once
 
 #include <atomic>
@@ -30,9 +30,10 @@ struct CachedFlow {
     std::uint64_t hits = 0;
     std::uint64_t bytes = 0;
     std::uint64_t hits_at_last_sweep = 0; // revalidator idle detection
-    // Tombstone, set when the megaflow cache unlinks or replaces the
-    // flow. Atomic: set under a megaflow shard lock, read with no lock
-    // by the EMC of every PMD that cached the flow.
+    // Tombstone, set when the megaflow cache that holds the flow
+    // unlinks or replaces it, and read by the same PMD's EMC. One thread
+    // runs both; the flag stays atomic so a revalidator on its own
+    // thread could set it.
     std::atomic<bool> dead{false};
 };
 

@@ -1,12 +1,13 @@
-// Sharding equivalence and timer-wheel expiry tests.
+// Sharding equivalence and timer-wheel expiry tests, and the megaflow
+// cache's at-scale model check.
 //
-// The scale-out contract: sharding the conntracks and the megaflow
-// cache by RSS hash is a cache-layout choice, never a semantic one.
-// Every test here pins one face of that contract — identical traffic
-// must yield bit-identical snapshots/renders/lookups at any shard
-// count, the timer wheel must expire exactly what a full scan would
-// (releasing NAT ports on the way), and the san audit must stay
-// shard-count-invariant, catching a leak no matter which shard ate it.
+// The scale-out contract: sharding the conntracks by RSS hash is a
+// cache-layout choice, never a semantic one. Every conntrack test here
+// pins one face of that contract — identical traffic must yield
+// bit-identical snapshots/renders at any shard count, the timer wheel
+// must expire exactly what a full scan would (releasing NAT ports on
+// the way), and the san audit must stay shard-count-invariant, catching
+// a leak no matter which shard ate it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -411,13 +412,7 @@ TEST(CtShardSan, UserspaceLeakCaughtAtAnyShardCount)
     leaked_entry_is_caught<ovs::UserspaceConntrack>(4);
 }
 
-// ---- megaflow: shard-count equivalence ---------------------------------
-
-net::FlowKey mf_key(std::uint16_t sport, std::uint32_t dst = ipv4(10, 0, 0, 2))
-{
-    net::Packet p = udp_packet(ipv4(10, 0, 0, 1), dst, sport, 2000);
-    return net::parse_flow(p);
-}
+// ---- megaflow: the cache against a reference model ---------------------
 
 // Reference model of the megaflow cache, independent of the key hash:
 // per mask a map from the masked key's bytes to the live flow, and the
@@ -524,24 +519,19 @@ private:
 // model. With `churn` it also reranks, sweeps idle flows twice (the
 // first sweep only consumes the fresh flows' grace; the second drops
 // the flows no lookup bumped), removes every third draw's flow,
-// installs more and reranks again. Returns the observable outcomes (port or -1
-// and probes per lookup, then flow and mask counts) for comparison
-// across shard counts.
-std::vector<int> megaflow_probe_outcomes(std::uint32_t shards, bool churn, std::size_t draws)
+// installs more and reranks again.
+void megaflow_matches_model(bool churn, std::size_t draws)
 {
     const std::vector<net::FlowMask> masks = churn::masks();
     const std::vector<churn::Flow> flows = churn::flows(77, draws);
     const std::vector<churn::Flow> later = churn::flows(78, draws / 4);
-    ovs::MegaflowCache cache(shards);
+    ovs::MegaflowCache cache;
     MegaflowModel model(masks);
-    std::vector<int> out;
     std::size_t bad = 0;
     std::string first_bad;
     auto expect = [&](const ovs::MegaflowCache::LookupResult& res,
                       const MegaflowModel::Hit& want, const char* what) {
         const int port = res.flow ? static_cast<int>(res.flow->actions[0].port) : -1;
-        out.push_back(port);
-        out.push_back(res.probes);
         if (port == want.port && res.probes == want.probes) return;
         if (bad++ == 0) {
             first_bad = std::string(what) + ": port " + std::to_string(port) + " probes " +
@@ -614,168 +604,22 @@ std::vector<int> megaflow_probe_outcomes(std::uint32_t shards, bool churn, std::
     probe(later, 0);
     probe_batched(flows);
     probe_batched(later);
-    EXPECT_EQ(bad, 0u) << bad << " lookups disagree with the model at " << shards
-                       << " shards; first: " << first_bad;
+    EXPECT_EQ(bad, 0u) << bad << " lookups disagree with the model; first: " << first_bad;
 
     EXPECT_EQ(cache.flow_count(), model.flow_count());
     EXPECT_EQ(cache.mask_count(), model.mask_count());
-    std::size_t occupancy = 0;
-    for (std::uint32_t s = 0; s < cache.shard_count(); ++s) occupancy += cache.shard_flow_count(s);
-    EXPECT_EQ(occupancy, cache.flow_count());
-    out.push_back(static_cast<int>(cache.flow_count()));
-    out.push_back(static_cast<int>(cache.mask_count()));
-    return out;
+    std::size_t visited = 0;
+    cache.for_each_entry([&](const ovs::CachedFlow&, const net::FlowMask&) { ++visited; });
+    EXPECT_EQ(visited, cache.flow_count());
 }
 
-TEST(MegaflowShards, LookupEquivalentAcrossShardCounts)
-{
-    const auto base = megaflow_probe_outcomes(1, false, 256);
-    EXPECT_EQ(base, megaflow_probe_outcomes(4, false, 256));
-    EXPECT_EQ(base, megaflow_probe_outcomes(16, false, 256));
-}
+TEST(MegaflowModel, LookupsMatchTheModel) { megaflow_matches_model(false, 256); }
 
-TEST(MegaflowShards, RerankExpireRemoveEquivalentAcrossShardCounts)
-{
-    const auto base = megaflow_probe_outcomes(1, true, 256);
-    EXPECT_EQ(base, megaflow_probe_outcomes(4, true, 256));
-    EXPECT_EQ(base, megaflow_probe_outcomes(16, true, 256));
-}
+TEST(MegaflowModel, RerankExpireRemoveMatchTheModel) { megaflow_matches_model(true, 256); }
 
-// The same at the churn benchmark's scale: ~20k live flows, so every
-// shard's slices regroup several times, before and after the removals.
-TEST(MegaflowShards, ChurnScaleTablesMatchModelAcrossShardCounts)
-{
-    const auto base = megaflow_probe_outcomes(1, true, 45000);
-    EXPECT_EQ(base, megaflow_probe_outcomes(4, true, 45000));
-    EXPECT_EQ(base, megaflow_probe_outcomes(16, true, 45000));
-}
-
-TEST(MegaflowShards, ReshardPreservesEntriesAndOccupancySums)
-{
-    ovs::MegaflowCache cache(1);
-    for (std::uint16_t s = 0; s < 40; ++s) {
-        cache.insert(mf_key(s), net::FlowMask::exact(),
-                     {kern::OdpAction::output(static_cast<std::uint32_t>(s))});
-    }
-    cache.reshard(8);
-    EXPECT_EQ(cache.shard_count(), 8u);
-    EXPECT_EQ(cache.flow_count(), 40u);
-    std::size_t sum = 0;
-    for (std::uint32_t s = 0; s < cache.shard_count(); ++s) sum += cache.shard_flow_count(s);
-    EXPECT_EQ(sum, 40u);
-    for (std::uint16_t s = 0; s < 40; ++s) {
-        const auto res = cache.lookup(mf_key(s));
-        ASSERT_NE(res.flow, nullptr) << "flow lost in reshard, sport=" << s;
-        EXPECT_EQ(res.flow->actions[0].port, static_cast<std::uint32_t>(s));
-    }
-    cache.reshard(2); // shrink re-merges shards
-    EXPECT_EQ(cache.flow_count(), 40u);
-    EXPECT_NE(cache.lookup(mf_key(11)).flow, nullptr);
-}
-
-// ---- megaflow: readers through structural changes -----------------------
-
-// Two reader threads classify churn keys with lookup() and lookup_batch()
-// while this thread installs under masks the cache has not seen yet,
-// reranks, removes, expires and clears: every structural change runs
-// while readers hold shard locks. Every flow a reader gets back must
-// match its key under the flow's own mask, and after each change the
-// shard occupancies must sum to flow_count(). Hardened, so the lockset
-// checker sees every reader and writer; it must stay ahead of
-// FuzzShardSweep, whose caches may reuse this one's shard addresses.
-void readers_match_their_keys_through_structural_changes(std::uint32_t shards)
-{
-    san::ScopedHardened hardened;
-    san::ScopedCollect collect;
-    const std::vector<net::FlowMask> masks = churn::masks();
-    const std::vector<churn::Flow> flows = churn::flows(91, 2000);
-    ovs::MegaflowCache cache(shards);
-    auto install = [&](bool first_half_of_masks) {
-        for (const churn::Flow& f : flows) {
-            if ((f.mask < churn::kMasks / 2) != first_half_of_masks) continue;
-            cache.insert(f.key, masks[f.mask], {kern::OdpAction::output(1)});
-        }
-    };
-    auto occupancy_matches = [&](const char* after) {
-        std::size_t sum = 0;
-        for (std::uint32_t s = 0; s < cache.shard_count(); ++s) sum += cache.shard_flow_count(s);
-        EXPECT_EQ(sum, cache.flow_count()) << "after " << after << " at " << shards << " shards";
-    };
-    install(true);
-
-    std::atomic<bool> stop{false};
-    std::atomic<int> warm{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> mismatches{0};
-    auto check = [&](const ovs::MegaflowCache::LookupResult& res, const net::FlowKey& key) {
-        if (!res.flow) return;
-        hits.fetch_add(1, std::memory_order_relaxed);
-        if (!res.flow->mask.same_masked(key, res.flow->masked_key)) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-    };
-    std::vector<std::thread> readers;
-    readers.emplace_back([&] {
-        for (bool first = true; first || !stop.load(); first = false) {
-            for (const churn::Flow& f : flows) check(cache.lookup(f.key), f.key);
-            if (first) warm.fetch_add(1);
-        }
-    });
-    readers.emplace_back([&] {
-        constexpr std::size_t kBurst = 32;
-        for (bool first = true; first || !stop.load(); first = false) {
-            for (std::size_t base = 0; base < flows.size(); base += kBurst) {
-                const std::size_t n = std::min(kBurst, flows.size() - base);
-                const net::FlowKey* keys[kBurst];
-                ovs::MegaflowCache::LookupResult res[kBurst];
-                for (std::size_t i = 0; i < n; ++i) keys[i] = &flows[base + i].key;
-                cache.lookup_batch(keys, n, res);
-                for (std::size_t i = 0; i < n; ++i) check(res[i], *keys[i]);
-            }
-            if (first) warm.fetch_add(1);
-        }
-    });
-    while (warm.load() < 2) std::this_thread::yield();
-
-    install(false); // four new masks: structural inserts under readers
-    occupancy_matches("new masks");
-    cache.rerank();
-    occupancy_matches("rerank");
-    for (std::size_t i = 0; i < flows.size(); i += 3) {
-        (void)cache.remove(flows[i].key, masks[flows[i].mask]);
-    }
-    occupancy_matches("remove");
-    (void)cache.expire_idle(); // consumes the fresh flows' grace
-    // Hit every other flow, as the datapath would, so the second sweep
-    // keeps those and drops the rest.
-    for (std::size_t i = 0; i < flows.size(); i += 2) {
-        if (const ovs::CachedFlowPtr flow = cache.lookup(flows[i].key).flow) ++flow->hits;
-    }
-    const std::size_t expired = cache.expire_idle();
-    occupancy_matches("expire");
-    cache.rerank();
-    occupancy_matches("second rerank");
-    const std::size_t masks_after_rerank = cache.mask_count();
-    cache.clear();
-    occupancy_matches("clear");
-    stop.store(true);
-    for (auto& th : readers) th.join();
-
-    EXPECT_EQ(mismatches.load(), 0u) << "flows that do not match their key at " << shards
-                                     << " shards";
-    EXPECT_GT(hits.load(), 0u);
-    EXPECT_GT(expired, 0u);
-    EXPECT_GT(masks_after_rerank, 0u);
-    EXPECT_EQ(cache.flow_count(), 0u);
-    EXPECT_EQ(cache.mask_count(), 0u);
-    EXPECT_TRUE(collect.violations().empty());
-}
-
-TEST(MegaflowShards, ReadersMatchTheirKeysThroughStructuralChanges)
-{
-    readers_match_their_keys_through_structural_changes(1);
-    readers_match_their_keys_through_structural_changes(4);
-}
+// The same at the churn benchmark's scale: ~20k live flows, so the slot
+// tables double several times, before and after the removals.
+TEST(MegaflowModel, ChurnScaleTablesMatchTheModel) { megaflow_matches_model(true, 45000); }
 
 // ---- datapath wiring ---------------------------------------------------
 
@@ -783,16 +627,14 @@ TEST(DpifSharding, AddPmdAutoReshards)
 {
     kern::Kernel host;
     ovs::DpifNetdev dpif(host);
-    EXPECT_EQ(dpif.megaflow().shard_count(), 1u);
+    EXPECT_EQ(dpif.ct().shard_count(), 1u);
     dpif.add_pmd("pmd0");
     dpif.add_pmd("pmd1");
     dpif.add_pmd("pmd2");
-    EXPECT_EQ(dpif.megaflow().shard_count(), 4u); // next pow2 >= 3 PMDs
-    EXPECT_EQ(dpif.ct().shard_count(), 4u);
+    EXPECT_EQ(dpif.ct().shard_count(), 4u); // next pow2 >= 3 PMDs
     dpif.add_pmd("pmd3");
-    EXPECT_EQ(dpif.megaflow().shard_count(), 4u);
+    EXPECT_EQ(dpif.ct().shard_count(), 4u);
     dpif.add_pmd("pmd4");
-    EXPECT_EQ(dpif.megaflow().shard_count(), 8u);
     EXPECT_EQ(dpif.ct().shard_count(), 8u);
 }
 

@@ -567,7 +567,8 @@ TEST_F(DpifNetdevTest, RxBurstCountersIntOccupancyAndDecapStage)
 }
 
 // Two PMDs over one two-queue NIC, as OVS runs them: pmd0 polls eth0
-// queue 0 and pmd1 polls queue 1, and each owns its EMC.
+// queue 0 and pmd1 polls queue 1, and each owns its EMC and megaflow
+// cache.
 class DpifNetdevPerPmd : public ::testing::Test {
 protected:
     void SetUp() override
@@ -597,6 +598,24 @@ protected:
         m.bits.in_port = 0xffffffff;
         m.bits.recirc_id = 0xffffffff;
         return m;
+    }
+
+    // A flow for source port `sport` on eth0, out eth1.
+    void put_sport_flow(std::uint16_t sport)
+    {
+        net::Packet probe = udp64(sport);
+        probe.meta().in_port = p0;
+        net::FlowMask mask = port_mask();
+        mask.bits.tp_src = 0xffff;
+        dpif->flow_put(net::parse_flow(probe), mask, {kern::OdpAction::output(p1)});
+    }
+
+    // Offers one packet of `sport` on eth0 queue `queue` and polls the
+    // PMD that owns the queue.
+    void offer(std::uint16_t sport, std::uint32_t queue)
+    {
+        nic0->rx_from_wire(udp64(sport), queue);
+        dpif->pmd_poll_once(queue == 0 ? pmd0 : pmd1);
     }
 
     kern::Kernel kernel;
@@ -647,6 +666,83 @@ TEST_F(DpifNetdevPerPmd, UpcallExecuteRecirculatesOnThePollingPmdsEmc)
     dpif->pmd_poll_once(pmd0);
     ASSERT_EQ(out1.size(), 1u);
     EXPECT_EQ(dpif->emc().misses(), 2u);
+}
+
+TEST_F(DpifNetdevPerPmd, EachPmdInstallsItsOwnUpcallsFlow)
+{
+    add_two_pmds();
+    dpif->set_upcall_handler([&](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
+                                 sim::ExecContext& ctx) {
+        const kern::OdpActions actions{kern::OdpAction::output(p1)};
+        dpif->flow_put(key, port_mask(), actions);
+        dpif->execute(std::move(pkt), actions, ctx);
+    });
+    // One microflow on each PMD's queue: the handler's put during pmd0's
+    // poll installs into pmd0's cache only, so pmd1 upcalls too, as an
+    // OVS PMD fills its dpcls from its own upcalls.
+    offer(1, 0);
+    offer(1, 1);
+    ASSERT_EQ(out1.size(), 2u);
+    EXPECT_EQ(dpif->stats().misses, 2u);
+    EXPECT_EQ(dpif->pmd_ctx(pmd0).counter("dpif_netdev.upcall"), 1u);
+    EXPECT_EQ(dpif->pmd_ctx(pmd1).counter("dpif_netdev.upcall"), 1u);
+    EXPECT_EQ(dpif->megaflow().flow_count(), 1u); // pmd0's
+    EXPECT_EQ(dpif->flow_count(), 2u);            // one in each PMD's cache
+    EXPECT_EQ(dpif->flow_dump().size(), 2u);
+
+    // Each PMD now hits its own flow.
+    offer(1, 0);
+    offer(1, 1);
+    EXPECT_EQ(out1.size(), 4u);
+    EXPECT_EQ(dpif->stats().misses, 2u);
+}
+
+TEST_F(DpifNetdevPerPmd, FlowsPutOutsideAPollReachEveryPmd)
+{
+    // No upcall handler: a miss would be lost. A put before add_pmd
+    // reaches the PMDs through the non-PMD lane's flows, which a new
+    // PMD starts with; a put after it goes into every lane.
+    put_sport_flow(1);
+    add_two_pmds();
+    put_sport_flow(2);
+    EXPECT_EQ(dpif->flow_count(), 4u); // both flows in both PMDs' caches
+    for (const std::uint32_t queue : {0u, 1u}) {
+        offer(1, queue);
+        offer(2, queue);
+    }
+    EXPECT_EQ(out1.size(), 4u);
+    EXPECT_EQ(dpif->stats().lost, 0u);
+    EXPECT_EQ(dpif->stats().hits, 4u);
+}
+
+TEST_F(DpifNetdevPerPmd, RevalidationExpiresEachPmdsIdleFlows)
+{
+    add_two_pmds();
+    put_sport_flow(1);
+    dpif->revalidate(); // consumes every fresh flow's grace
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        offer(1, 0);
+        dpif->revalidate();
+        // pmd0 hit its copy, which survives; pmd1's went idle and expired.
+        EXPECT_EQ(dpif->megaflow().flow_count(), 1u) << "sweep " << sweep;
+        EXPECT_EQ(dpif->flow_count(), 1u) << "sweep " << sweep;
+    }
+    EXPECT_EQ(out1.size(), 2u);
+    offer(1, 1);
+    EXPECT_EQ(out1.size(), 2u);
+    EXPECT_EQ(dpif->stats().lost, 1u);
+
+    // A flush empties every lane, the non-PMD lane included: a PMD added
+    // afterwards starts with no flows.
+    put_sport_flow(2);
+    EXPECT_EQ(dpif->flow_count(), 3u);
+    dpif->flow_flush();
+    EXPECT_EQ(dpif->flow_count(), 0u);
+    EXPECT_TRUE(dpif->flow_dump().empty());
+    offer(1, 0);
+    EXPECT_EQ(dpif->stats().lost, 2u);
+    dpif->add_pmd("pmd2");
+    EXPECT_EQ(dpif->flow_count(), 0u);
 }
 
 TEST_F(DpifNetdevPerPmd, EmcSizeAppliesToPmdsAddedLater)

@@ -24,7 +24,7 @@ struct Item {
 
 using Table = SlotTable<const Item*>;
 
-// Home of the last slot at any capacity, for any shift below 40.
+// Home of the last slot at any capacity.
 constexpr std::uint64_t kLast = ~std::uint64_t{0};
 
 // The values of hash `h` along its probe run, in run order.
@@ -120,39 +120,35 @@ TEST(SlotTable, EqualHashesKeepAddOrderThroughThreeDoublings)
 {
     // Two equal-hash groups: one homed at the last slot, whose run
     // wraps, and one homed at slot 0, where the wrapped run lands.
-    for (const std::uint32_t shift : {0u, 3u}) {
-        Table t(shift);
-        Model m;
-        for (int i = 0; i < 40; ++i) {
-            const std::uint64_t h = i % 2 == 0 ? kLast : 0;
-            t.insert(h, m.add(h));
-            m.expect_agrees(t);
-        }
-        EXPECT_EQ(t.capacity(), 128u); // 8 -> 16 -> 32 -> 64 -> 128
-        // find() returns the first match in run order: the earliest add.
-        const Item* const* first = t.find(kLast, [](const Item*) { return true; });
-        ASSERT_NE(first, nullptr);
-        EXPECT_EQ((*first)->id, 0);
+    Table t;
+    Model m;
+    for (int i = 0; i < 40; ++i) {
+        const std::uint64_t h = i % 2 == 0 ? kLast : 0;
+        t.insert(h, m.add(h));
+        m.expect_agrees(t);
     }
+    EXPECT_EQ(t.capacity(), 128u); // 8 -> 16 -> 32 -> 64 -> 128
+    // find() returns the first match in run order: the earliest add.
+    const Item* const* first = t.find(kLast, [](const Item*) { return true; });
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ((*first)->id, 0);
 }
 
 TEST(SlotTable, HashesThatShareAHomeStayApart)
 {
-    // Same home slot (low bits ignored by the shift, or high bits past
-    // the array), different hash: find never returns the other one.
-    for (const std::uint32_t shift : {0u, 3u}) {
-        Table t(shift);
-        Model m;
-        const std::uint64_t a = kLast;
-        const std::uint64_t b = shift > 0 ? kLast ^ 1 : kLast ^ (std::uint64_t{1} << 40);
-        for (int i = 0; i < 6; ++i) {
-            const std::uint64_t h = i % 3 == 0 ? b : a;
-            t.insert(h, m.add(h));
-        }
-        m.expect_agrees(t);
-        EXPECT_EQ(run_of(t, a).size(), 4u);
-        EXPECT_EQ(run_of(t, b).size(), 2u);
+    // Same home slot (they differ only in bits past the array),
+    // different hash: find never returns the other one.
+    Table t;
+    Model m;
+    const std::uint64_t a = kLast;
+    const std::uint64_t b = kLast ^ (std::uint64_t{1} << 40);
+    for (int i = 0; i < 6; ++i) {
+        const std::uint64_t h = i % 3 == 0 ? b : a;
+        t.insert(h, m.add(h));
     }
+    m.expect_agrees(t);
+    EXPECT_EQ(run_of(t, a).size(), 4u);
+    EXPECT_EQ(run_of(t, b).size(), 2u);
 }
 
 // Six entries in a 16-slot table at shift 0, where a hash below 16 is
@@ -233,43 +229,40 @@ TEST(SlotTable, RetainRebuildsOnceKeepingSurvivorsInOrder)
 
 TEST(SlotTable, SeededOperationsAgreeWithAPlainModel)
 {
-    for (const std::uint32_t shift : {0u, 2u}) {
-        std::mt19937_64 rng(0x5107 + shift);
-        // Equal hashes (a small alphabet), homes at the array's end and
-        // at its start, and one pair that shares a home.
-        std::vector<std::uint64_t> alphabet = {kLast, kLast ^ (std::uint64_t{1} << 40), 0,
-                                               std::uint64_t{1} << shift,
-                                               kLast ^ (std::uint64_t{1} << shift)};
-        for (int i = 0; i < 11; ++i) alphabet.push_back(rng());
-        Table t(shift);
-        Model m;
-        // Insert-heavy first (the table doubles to at least 256 slots),
-        // then erase-heavy (it drains through every load).
-        for (int op = 0; op < 3000; ++op) {
-            const std::uint64_t insert_pct = op < 1500 ? 70 : 30;
-            const std::uint64_t roll = rng() % 100;
-            if (roll < insert_pct || m.size() == 0) {
-                const std::uint64_t h = alphabet[rng() % alphabet.size()];
-                t.insert(h, m.add(h));
-            } else if (roll < 99) {
-                const std::size_t i = rng() % m.size();
-                const std::uint64_t h = m.hash_at(i);
-                const Item* v = m.value_at(i);
-                const auto is_v = [&](const Item* x) { return x == v; };
-                EXPECT_EQ(t.erase(h, is_v), v);
-                m.remove(v);
-                EXPECT_EQ(t.erase(h, is_v), nullptr); // already gone
-            } else {
-                const int k = static_cast<int>(rng() % 3);
-                const auto keep = [k](const Item* v) { return v->id % 3 != k; };
-                const std::size_t dropped = m.retain(keep);
-                EXPECT_EQ(t.retain(keep), dropped);
-            }
-            m.expect_agrees(t);
-            if (HasFatalFailure()) return;
+    std::mt19937_64 rng(0x5107);
+    // Equal hashes (a small alphabet), homes at the array's end and at
+    // its start, and one pair that shares a home.
+    std::vector<std::uint64_t> alphabet = {kLast, kLast ^ (std::uint64_t{1} << 40), 0, 1,
+                                           kLast ^ 1};
+    for (int i = 0; i < 11; ++i) alphabet.push_back(rng());
+    Table t;
+    Model m;
+    // Insert-heavy first (the table doubles to at least 256 slots), then
+    // erase-heavy (it drains through every load).
+    for (int op = 0; op < 3000; ++op) {
+        const std::uint64_t insert_pct = op < 1500 ? 70 : 30;
+        const std::uint64_t roll = rng() % 100;
+        if (roll < insert_pct || m.size() == 0) {
+            const std::uint64_t h = alphabet[rng() % alphabet.size()];
+            t.insert(h, m.add(h));
+        } else if (roll < 99) {
+            const std::size_t i = rng() % m.size();
+            const std::uint64_t h = m.hash_at(i);
+            const Item* v = m.value_at(i);
+            const auto is_v = [&](const Item* x) { return x == v; };
+            EXPECT_EQ(t.erase(h, is_v), v);
+            m.remove(v);
+            EXPECT_EQ(t.erase(h, is_v), nullptr); // already gone
+        } else {
+            const int k = static_cast<int>(rng() % 3);
+            const auto keep = [k](const Item* v) { return v->id % 3 != k; };
+            const std::size_t dropped = m.retain(keep);
+            EXPECT_EQ(t.retain(keep), dropped);
         }
-        EXPECT_GE(t.capacity(), 256u);
+        m.expect_agrees(t);
+        if (HasFatalFailure()) return;
     }
+    EXPECT_GE(t.capacity(), 256u);
 }
 
 } // namespace

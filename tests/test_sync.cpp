@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "ebpf/map.h"
 #include "net/builder.h"
 #include "ovs/ct.h"
-#include "ovs/megaflow.h"
 #include "san/lockset.h"
 #include "san/report.h"
 #include "sim/context.h"
@@ -27,19 +27,14 @@ using net::ipv4;
 using san::ScopedCollect;
 using san::ScopedHardened;
 
-net::FlowKey key_for(std::uint16_t sport)
+// A hash map with its own lock ("ebpf.map"), under which every public
+// call marks the map for the lockset checker: the locked table of the
+// lockset tests.
+ebpf::Map locked_table()
 {
-    net::UdpSpec spec;
-    spec.src_ip = ipv4(10, 0, 0, 1);
-    spec.dst_ip = ipv4(10, 0, 0, 2);
-    spec.src_port = sport;
-    spec.dst_port = 2000;
-    net::Packet p = net::build_udp(spec);
-    p.meta().in_port = 1;
-    return net::parse_flow(p);
+    return ebpf::Map(ebpf::MapType::Hash, "lockset", sizeof(std::uint32_t),
+                     sizeof(std::uint64_t), 1024);
 }
-
-net::FlowMask exact_5tuple_mask() { return net::FlowMask::exact(); }
 
 // ---- sync::Mutex primitives --------------------------------------------
 
@@ -97,17 +92,16 @@ TEST(Lockset, LockedTableHammeringIsSilent)
     ScopedHardened hardened;
     san::lockset::reset();
     ScopedCollect collect;
-    ovs::MegaflowCache mfc;
-    const net::FlowMask mask = exact_5tuple_mask();
+    ebpf::Map map = locked_table();
     // Real threads through the locked public API: every access runs
-    // under ovs.megaflow, so the candidate set never empties.
+    // under ebpf.map, so the candidate set never empties.
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
             for (int i = 0; i < 200; ++i) {
-                const auto key = key_for(static_cast<std::uint16_t>(t * 1000 + i + 1));
-                mfc.insert(key, mask, {kern::OdpAction::output(1)});
-                mfc.lookup(key);
+                const auto key = static_cast<std::uint32_t>(t * 1000 + i + 1);
+                map.update_kv(key, std::uint64_t{1});
+                (void)map.lookup_kv<std::uint64_t>(key);
             }
         });
     }
@@ -116,23 +110,23 @@ TEST(Lockset, LockedTableHammeringIsSilent)
     // those threads); reaching here plus an empty main-thread collector
     // means the clean path stayed silent.
     EXPECT_TRUE(collect.violations().empty());
-    EXPECT_EQ(mfc.flow_count(), 4u * 200u);
+    EXPECT_EQ(map.size(), 4u * 200u);
     const auto st = san::lockset::stats();
     EXPECT_GT(st.acquisitions, 0u);
     EXPECT_GT(st.accesses, 0u);
 }
 
-TEST(Lockset, MegaflowReadsAreLocksetVisible)
+TEST(Lockset, MapReadsAreLocksetVisible)
 {
     ScopedHardened hardened;
     san::lockset::reset();
     ScopedCollect collect;
-    ovs::MegaflowCache mfc;
-    mfc.insert(key_for(1), exact_5tuple_mask(), {kern::OdpAction::output(1)});
-    // Readers hold their shard's lock shared and mark the shard, so a
-    // lookup is an access the checker refines like any other.
+    ebpf::Map map = locked_table();
+    map.update_kv(std::uint32_t{1}, std::uint64_t{1});
+    // Readers hold the map's lock and mark the map, so a lookup is an
+    // access the checker refines like any other.
     const std::uint64_t before = san::lockset::stats().accesses;
-    for (std::uint16_t sport = 1; sport <= 8; ++sport) (void)mfc.lookup(key_for(sport));
+    for (std::uint32_t key = 1; key <= 8; ++key) (void)map.lookup_kv<std::uint64_t>(key);
     EXPECT_GE(san::lockset::stats().accesses - before, 8u);
     EXPECT_TRUE(collect.violations().empty());
 }
@@ -180,30 +174,30 @@ TEST(Lockset, SingleThreadInitializationWithoutLocksIsSilent)
 
 // ---- lockset: seeded negatives must fire -------------------------------
 
-TEST(Lockset, SeededUnguardedMegaflowProbeFiresLocksetRace)
+TEST(Lockset, SeededUnguardedMapAccessFiresLocksetRace)
 {
     ScopedHardened hardened;
     san::lockset::reset();
     ScopedCollect collect;
-    ovs::MegaflowCache mfc;
-    const net::FlowMask mask = exact_5tuple_mask();
+    ebpf::Map map = locked_table();
     {
         // Logical thread 1 uses the locked API (accesses under
-        // ovs.megaflow)...
+        // ebpf.map)...
         san::lockset::ScopedThread t1(201);
-        mfc.insert(key_for(1), mask, {kern::OdpAction::output(1)});
-        mfc.lookup(key_for(1));
+        map.update_kv(std::uint32_t{1}, std::uint64_t{1});
+        (void)map.lookup_kv<std::uint64_t>(std::uint32_t{1});
     }
     {
-        // ...logical thread 2 probes through the deliberately unguarded
-        // test seam: candidate set intersects to empty on a write.
+        // ...logical thread 2 writes the map holding no lock, as a path
+        // that skipped the map's lock would: the candidate set
+        // intersects to empty on a write.
         san::lockset::ScopedThread t2(202);
-        (void)mfc.test_seam_unguarded_probe();
+        OVSX_SAN_ACCESS_AT(&map, "ebpf.map", true);
     }
     ASSERT_FALSE(collect.violations().empty());
     const auto& v = collect.violations()[0];
     EXPECT_EQ(v.checker, "lockset-race");
-    EXPECT_NE(v.message.find("ovs.megaflow"), std::string::npos) << v.to_string();
+    EXPECT_NE(v.message.find("ebpf.map"), std::string::npos) << v.to_string();
 }
 
 TEST(Lockset, SeededRaceOnPlainObjectFires)
