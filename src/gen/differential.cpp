@@ -199,6 +199,8 @@ std::string DiffReport::summary() const
 std::string explain_expected_divergence(const DiffRuleset& ruleset, const net::FlowKey& key,
                                         bool ebpf_involved)
 {
+    // Every tag left is a limit of the eBPF datapath.
+    if (!ebpf_involved) return "";
     // Conservative reachability walk: the rule the packet hits plus, for
     // every reachable Recirc id, every rule that can match that id.
     std::vector<const DiffRule*> reachable;
@@ -228,39 +230,26 @@ std::string explain_expected_divergence(const DiffRuleset& ruleset, const net::F
         if (reachable.size() > 256) break; // defensive bound
     }
 
+    // The eBPF datapath drops a packet whose own pipeline, the rules
+    // reachable from its key, holds an action it cannot express.
     for (const auto* r : reachable) {
         for (const auto& a : r->actions) {
             using Type = kern::OdpAction::Type;
-            if (a.type == Type::Userspace) {
-                // netdev punts to a local queue; the kernel module
-                // re-invokes the upcall handler, which re-executes.
-                return "userspace-action";
+            if (a.type == Type::Recirc || a.type == Type::SetTunnel || a.type == Type::Meter) {
+                return "ebpf-unsupported-action";
             }
         }
     }
-
-    // eBPF checks scan the WHOLE ruleset, not just reachable rules: the
-    // exact-match map collapses every dimension outside its key, so a
-    // rule matching e.g. vlan_tci installs entries that frames hitting
-    // *other* rules can alias into. Any such rule poisons the keyspace.
-    if (ebpf_involved) {
-        const net::FlowMask ebpf_ok = ebpf_expressible_mask();
-        for (const auto& r : ruleset.rules) {
-            for (const auto& a : r.actions) {
-                using Type = kern::OdpAction::Type;
-                if (a.type == Type::Recirc || a.type == Type::SetTunnel ||
-                    a.type == Type::Meter) {
-                    return "ebpf-unsupported-action";
-                }
-            }
-            if (!mask_within(r.mask, ebpf_ok)) {
-                // The eBPF map key covers in_port/IPs/ports/proto plus
-                // VLAN TCI and IP ToS, but not MACs or dl_type: two
-                // microflows distinguished only by a missing dimension
-                // share one map entry.
-                return "ebpf-key-dimensions";
-            }
-        }
+    // The key-dimension check scans the WHOLE ruleset, not just the
+    // reachable rules: the exact-match map collapses every dimension
+    // outside its key, so a rule matching e.g. dl_src installs entries
+    // that frames hitting *other* rules can alias into. Any such rule
+    // poisons the keyspace. The map key covers in_port/IPs/ports/proto
+    // plus VLAN TCI and IP ToS, but not MACs or dl_type: two microflows
+    // distinguished only by a missing dimension share one map entry.
+    const net::FlowMask ebpf_ok = ebpf_expressible_mask();
+    for (const auto& r : ruleset.rules) {
+        if (!mask_within(r.mask, ebpf_ok)) return "ebpf-key-dimensions";
     }
     return "";
 }
@@ -270,7 +259,6 @@ const std::vector<std::string>& known_divergence_tags()
     static const std::vector<std::string> tags = {
         "ebpf-key-dimensions",
         "ebpf-unsupported-action",
-        "userspace-action",
     };
     return tags;
 }
@@ -349,27 +337,20 @@ struct DifferentialHarness::Instance {
     }
 
     // Order-independent flow-table digest: the XOR of every entry's
-    // digest plus the entry count, walked copy-free. eBPF has none; its
+    // digest plus the entry count, walked copy-free over the netdev
+    // PMD's or the kernel module's megaflow cache. eBPF has none; its
     // flows compare by dump.
     std::optional<std::pair<std::uint64_t, std::size_t>> flow_digest() const
     {
+        const kern::MegaflowCache* flows =
+            netdev ? &netdev->megaflow() : kdp ? &kdp->flows() : nullptr;
+        if (!flows) return std::nullopt;
         std::uint64_t d = 0;
         std::size_t n = 0;
-        auto acc = [&](const net::FlowKey& k, const net::FlowMask& m,
-                       const kern::OdpActions& acts) {
-            d ^= flow_entry_digest(k, m, acts);
+        flows->for_each_entry([&](const kern::CachedFlow& f, const net::FlowMask& m) {
+            d ^= flow_entry_digest(f.masked_key, m, f.actions);
             ++n;
-        };
-        if (netdev) {
-            netdev->megaflow().for_each_entry(
-                [&](const ovs::CachedFlow& f, const net::FlowMask& m) {
-                    acc(f.masked_key, m, f.actions);
-                });
-        } else if (kdp) {
-            kdp->for_each_entry(acc);
-        } else {
-            return std::nullopt;
-        }
+        });
         return std::pair{d, n};
     }
 

@@ -178,7 +178,8 @@ private:
 // Classifies a (packet key, ruleset) pair against the structural
 // feature allowlist. Returns an empty string when every datapath should
 // agree, else the explanation tag (e.g. "ebpf-unsupported-action").
-// `ebpf_involved` limits eBPF-only explanations to eBPF comparisons.
+// Every tag is a limit of the eBPF datapath, so a comparison without it
+// (`ebpf_involved` false) is never explained.
 std::string explain_expected_divergence(const DiffRuleset& ruleset, const net::FlowKey& key,
                                         bool ebpf_involved);
 

@@ -1,11 +1,11 @@
-#include "ovs/megaflow.h"
+#include "kern/megaflow.h"
 
 #include <algorithm>
 #include <utility>
 
 #include "san/audit.h"
 
-namespace ovsx::ovs {
+namespace ovsx::kern {
 
 MegaflowCache::~MegaflowCache() { san::audit_clear(san_scope_, "mfc.flow"); }
 
@@ -51,13 +51,12 @@ void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n
 }
 
 CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask& mask,
-                                    kern::OdpActions actions)
+                                    OdpActions actions)
 {
     const net::FlowKey masked = mask.apply(key);
     const std::uint64_t h = masked.hash();
     auto flow = std::make_shared<CachedFlow>();
     flow->masked_key = masked;
-    flow->mask = mask;
     flow->actions = std::move(actions);
     // Fresh flows get one sweep of grace before idle expiry applies.
     flow->hits_at_last_sweep = ~std::uint64_t{0};
@@ -65,7 +64,7 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
     auto sub = std::find_if(subs_.begin(), subs_.end(),
                             [&](const Sub& s) { return s.mask == mask; });
     if (sub == subs_.end()) {
-        // A new mask is probed last until the next rerank.
+        // A new mask is probed last until its owner reorders the cache.
         subs_.push_back(Sub{{}, 0, net::MaskPlan(mask), mask});
         sub = subs_.end() - 1;
     }
@@ -140,6 +139,13 @@ std::size_t MegaflowCache::expire_idle()
     return removed;
 }
 
+void MegaflowCache::order_most_specific_first()
+{
+    std::sort(subs_.begin(), subs_.end(), [](const Sub& a, const Sub& b) {
+        return a.mask.exact_bytes() > b.mask.exact_bytes();
+    });
+}
+
 void MegaflowCache::rerank()
 {
     // A stable sort by hits since the last rerank, whose counters then
@@ -165,4 +171,4 @@ void MegaflowCache::for_each_entry(
     }
 }
 
-} // namespace ovsx::ovs
+} // namespace ovsx::kern

@@ -1,7 +1,5 @@
 #include "kern/ovs_kmod.h"
 
-#include <algorithm>
-
 #include "kern/kernel.h"
 #include "kern/stack.h"
 #include "net/headers.h"
@@ -15,10 +13,7 @@
 
 namespace ovsx::kern {
 
-OvsKernelDatapath::OvsKernelDatapath(Kernel& kernel)
-    : kernel_(kernel), san_scope_(san::new_scope())
-{
-}
+OvsKernelDatapath::OvsKernelDatapath(Kernel& kernel) : kernel_(kernel) {}
 
 void OvsKernelDatapath::set_now(sim::Nanos now)
 {
@@ -33,7 +28,6 @@ OvsKernelDatapath::~OvsKernelDatapath()
     for (const auto& [no, vport] : ports_) {
         if (vport.dev) san::ref_dec(0, "netdev.ref", vport.dev->ifindex(), OVSX_SITE);
     }
-    san::audit_clear(san_scope_, "kdp.flow");
 }
 
 std::uint32_t OvsKernelDatapath::add_port(Device& dev)
@@ -115,89 +109,31 @@ std::vector<const Vport*> OvsKernelDatapath::ports() const
 void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& mask,
                                  OdpActions actions)
 {
-    FlowRef flow = std::make_shared<const Flow>(Flow{mask.apply(key), std::move(actions)});
-    const std::uint64_t h = flow->key.hash();
-    const auto same = [&](const FlowRef& f) { return f->key == flow->key; };
-    auto sub = std::find_if(subtables_.begin(), subtables_.end(),
-                            [&](const Subtable& s) { return s.mask == mask; });
-    if (sub != subtables_.end()) {
-        if (FlowRef* old = sub->flows.find(h, same)) {
-            *old = std::move(flow); // a running lookup keeps the old one alive
-            return;
-        }
-        sub->flows.insert(h, flow);
-    } else {
-        subtables_.emplace_back(mask).flows.insert(h, flow);
-        // Keep the most specific masks first so probe order favours them.
-        std::sort(subtables_.begin(), subtables_.end(), [](const Subtable& a, const Subtable& b) {
-            return a.mask.exact_bytes() > b.mask.exact_bytes();
-        });
-    }
-    if (san::hardened()) {
-        san::audit_add(san_scope_, "kdp.flow", net::flow_audit_key(flow->key, mask), OVSX_SITE);
-    }
+    const std::size_t masks = flows_.mask_count();
+    flows_.insert(key, mask, std::move(actions));
+    // Keep the most specific masks first so probe order favours them.
+    if (flows_.mask_count() > masks) flows_.order_most_specific_first();
 }
 
 bool OvsKernelDatapath::flow_del(const net::FlowKey& key, const net::FlowMask& mask)
 {
-    const net::FlowKey masked = mask.apply(key);
-    for (auto& sub : subtables_) {
-        if (!(sub.mask == mask)) continue;
-        if (!sub.flows.erase(masked.hash(), [&](const FlowRef& f) { return f->key == masked; })) {
-            return false;
-        }
-        if (san::hardened()) {
-            san::audit_remove(san_scope_, "kdp.flow", net::flow_audit_key(masked, mask),
-                              OVSX_SITE);
-        }
-        return true;
-    }
-    return false;
+    return flows_.remove(key, mask);
 }
 
-void OvsKernelDatapath::flow_flush()
-{
-    subtables_.clear();
-    san::audit_clear(san_scope_, "kdp.flow");
-}
+void OvsKernelDatapath::flow_flush() { flows_.clear(); }
 
-std::size_t OvsKernelDatapath::flow_count() const
-{
-    std::size_t n = 0;
-    for (const auto& sub : subtables_) n += sub.flows.size();
-    return n;
-}
+std::size_t OvsKernelDatapath::flow_count() const { return flows_.flow_count(); }
 
 std::vector<OdpFlowEntry> OvsKernelDatapath::flow_dump() const
 {
     std::vector<OdpFlowEntry> out;
-    for_each_entry([&](const net::FlowKey& k, const net::FlowMask& m, const OdpActions& a) {
-        out.push_back(OdpFlowEntry{k, m, a});
+    flows_.for_each_entry([&](const CachedFlow& f, const net::FlowMask& m) {
+        out.push_back(OdpFlowEntry{f.masked_key, m, f.actions});
     });
     return out;
 }
 
-void OvsKernelDatapath::san_check(san::Site site) const
-{
-    san::audit_expect_size(san_scope_, "kdp.flow", flow_count(), site);
-}
-
-OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& key,
-                                                          sim::ExecContext& ctx)
-{
-    LookupResult res;
-    for (const auto& sub : subtables_) {
-        ++res.probes;
-        ctx.charge(kernel_.costs().kdp_flow_probe);
-        if (const FlowRef* flow = sub.flows.find(sub.plan.hash(key), [&](const FlowRef& f) {
-                return sub.plan.matches(key, f->key);
-            })) {
-            res.flow = *flow;
-            return res;
-        }
-    }
-    return res;
-}
+void OvsKernelDatapath::san_check(san::Site site) const { flows_.san_check(site); }
 
 void OvsKernelDatapath::receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
 {
@@ -209,7 +145,7 @@ void OvsKernelDatapath::receive(std::uint32_t port_no, net::Packet&& pkt, sim::E
     // Iteration packets are classifier passes, so recirculation counts
     // extra, matching pmd-stats-show hits+misses.
     const bool iterate = perf && !perf->in_iteration();
-    const std::uint64_t classified_before = hits_ + misses_;
+    const std::uint64_t classified_before = hits() + misses();
     if (iterate) perf->begin_iteration();
     san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
     {
@@ -219,7 +155,7 @@ void OvsKernelDatapath::receive(std::uint32_t port_no, net::Packet&& pkt, sim::E
     pkt.meta().latency_ns += costs.kdp_base;
     pkt.meta().in_port = port_no;
     process(std::move(pkt), ctx);
-    if (iterate) perf->end_iteration(hits_ + misses_ - classified_before);
+    if (iterate) perf->end_iteration(hits() + misses() - classified_before);
 }
 
 void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
@@ -227,14 +163,16 @@ void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
     const auto& costs = kernel_.costs();
     obs::PmdPerf* perf = ctx.perf();
     const net::FlowKey key = net::parse_flow(pkt);
-    LookupResult res;
+    MegaflowCache::LookupResult res;
+    sim::Nanos probe_cost = 0;
     {
         obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-        res = lookup(key, ctx);
+        res = flows_.lookup(key);
+        probe_cost = res.probes * costs.kdp_flow_probe;
+        ctx.charge(probe_cost);
     }
-    pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs.kdp_flow_probe;
+    pkt.meta().latency_ns += probe_cost;
     if (res.flow) {
-        ++hits_;
         OVSX_COVERAGE_CTX(ctx, "kdp.hit");
         if (pkt.meta().trace_id) {
             obs::trace(pkt.meta().trace_id, obs::Hop::KernelFlow, pkt.meta().latency_ns,
@@ -245,7 +183,6 @@ void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
         execute(std::move(pkt), res.flow->actions, ctx);
         return;
     }
-    ++misses_;
     OVSX_COVERAGE_CTX(ctx, "kdp.miss");
     if (perf) perf->note_upcall();
     if (pkt.meta().trace_id) {
@@ -407,13 +344,23 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
         case OdpAction::Type::Meter:
             // Token-bucket policing, same semantics as the userspace
             // datapath (kern/meter.h).
-            if (!meters_.admit(act.meter_id, pkt.size(), now_)) return;
+            if (!meters_.admit(act.meter_id, pkt.size(), now_)) {
+                OVSX_COVERAGE_CTX(ctx, "meter.drop");
+                if (pkt.meta().trace_id) {
+                    obs::trace(pkt.meta().trace_id, obs::Hop::Meter, pkt.meta().latency_ns,
+                               "drop", act.meter_id);
+                }
+                return;
+            }
             break;
         case OdpAction::Type::Userspace:
-            if (upcall_) {
-                const net::FlowKey key = net::parse_flow(pkt);
-                upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
+            // An action upcall (Linux's output_userspace): ovs-vswitchd
+            // takes the packet and does not execute it again.
+            if (pkt.meta().trace_id) {
+                obs::trace(pkt.meta().trace_id, obs::Hop::Action, pkt.meta().latency_ns,
+                           "userspace-punt");
             }
+            punted_.push_back(std::move(pkt));
             return;
         case OdpAction::Type::Drop:
             return;

@@ -4,28 +4,23 @@
 // misses, and an action executor using kernel facilities (conntrack,
 // tunnels, devices).
 //
-// Flow table: one subtable per mask, probed most-specific first, each
-// holding its flows in one net::SlotTable of {masked hash, flow} slots.
-// A probe hashes the key through the subtable's net::MaskPlan, which
-// visits only the mask's non-zero lanes and is bit-identical to
-// FlowMask::masked_hash (a zero lane only multiplies the running hash
-// by a constant, folded per run of zero lanes). It then compares the
-// stored hashes along one probe run and the key only on an equal hash,
-// so a miss reads slots only.
+// Flow table: one kern::MegaflowCache (kern/megaflow.h), the classifier
+// every PMD of the userspace datapath owns too. The kernel probes it
+// most specific mask first: a put that adds a mask reorders it by exact
+// bytes, and nothing reranks it by hits.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "kern/device.h"
+#include "kern/megaflow.h"
 #include "kern/meter.h"
 #include "kern/odp.h"
 #include "net/flow.h"
 #include "net/int_hdr.h"
-#include "net/slot_table.h"
 #include "net/tunnel.h"
 #include "san/report.h"
 #include "sim/time.h"
@@ -72,22 +67,18 @@ public:
     std::size_t flow_count() const;
     // Every installed flow, for per-entry end-state diffing.
     std::vector<OdpFlowEntry> flow_dump() const;
-
-    // Copy-free walk over (masked key, mask, actions): the differential
-    // harness digests end state through this and only materializes the
-    // full dump when digests disagree.
-    template <typename Fn> void for_each_entry(Fn&& fn) const
-    {
-        for (const auto& sub : subtables_) {
-            sub.flows.for_each(
-                [&](std::uint64_t, const FlowRef& f) { fn(f->key, sub.mask, f->actions); });
-        }
-    }
+    // The flow table itself: the differential harness digests end state
+    // through its copy-free walk and only dumps when digests disagree.
+    const MegaflowCache& flows() const { return flows_; }
 
     // Cross-checks the san table audit against the real table.
     void san_check(san::Site site) const;
 
     void set_upcall_handler(UpcallHandler handler) { upcall_ = std::move(handler); }
+    // Packets punted by an explicit Userspace action: an action upcall
+    // (Linux's OVS_PACKET_CMD_ACTION), which ovs-vswitchd receives
+    // without executing it again.
+    std::vector<net::Packet>& punted() { return punted_; }
 
     // ---- meters / virtual time ------------------------------------------
     MeterTable& meters() { return meters_; }
@@ -118,40 +109,15 @@ public:
     const net::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- statistics -----------------------------------------------------------------
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return flows_.hits(); }
+    std::uint64_t misses() const { return flows_.misses(); }
     std::uint64_t lost() const { return lost_; } // misses with no upcall handler
 
     // Masks currently in the table (diagnostic; the paper's megaflow
     // discussions are about keeping this small).
-    std::size_t mask_count() const { return subtables_.size(); }
+    std::size_t mask_count() const { return flows_.mask_count(); }
 
 private:
-    // One installed flow, held by shared_ptr: a lookup result stays
-    // valid while its packet executes, even when execution re-enters
-    // flow_put, which replaces the flow or grows its table.
-    struct Flow {
-        net::FlowKey key; // masked
-        OdpActions actions;
-    };
-    using FlowRef = std::shared_ptr<const Flow>;
-
-    struct Subtable {
-        explicit Subtable(const net::FlowMask& m) : plan(m), mask(m) {}
-
-        net::MaskPlan plan;
-        net::SlotTable<FlowRef> flows;
-        net::FlowMask mask;
-    };
-
-    struct LookupResult {
-        FlowRef flow; // null on a miss
-        int probes = 0;
-    };
-
-    // Returns an owning reference: executing the flow's actions can
-    // re-enter flow_put and replace the flow or grow its table.
-    OVSX_HOT LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
     // One classifier pass, as Linux's ovs_dp_process_packet: parse,
     // look up, then execute the flow's actions or upcall the miss with
     // the packet's in_port. receive() runs it on every admitted packet
@@ -164,16 +130,14 @@ private:
     Kernel& kernel_;
     std::map<std::uint32_t, Vport> ports_;
     std::uint32_t next_port_no_ = 1;
-    std::vector<Subtable> subtables_; // ordered most-specific first
+    MegaflowCache flows_; // ordered most specific mask first
     UpcallHandler upcall_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    std::vector<net::Packet> punted_;
     std::uint64_t lost_ = 0;
     int recursion_ = 0;
     MeterTable meters_;
     sim::Nanos now_ = 0;
     net::IntConfig int_cfg_;
-    std::uint64_t san_scope_;
 };
 
 } // namespace ovsx::kern

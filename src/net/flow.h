@@ -147,8 +147,8 @@ struct FlowMask {
     static FlowMask none();  // match-all (no bits significant)
 };
 
-// Audit identity of a masked flow-table entry in the san table audits
-// of the megaflow cache and the kernel flow table: the masked key hashed
+// Audit identity of a masked flow-table entry in the megaflow cache's
+// san table audit: the masked key hashed
 // with the mask (FlowKey bytes are fully defined, so it is
 // deterministic). It hashes two full keys, so callers compute it only
 // under san::hardened().
@@ -158,7 +158,7 @@ inline std::uint64_t flow_audit_key(const FlowKey& masked, const FlowMask& mask)
 }
 
 // A FlowMask compiled for the probe of one tuple-space-search subtable
-// (megaflow cache, kernel flow table, ofproto classifier). It lists
+// (megaflow cache, ofproto classifier). It lists
 // only the mask's non-zero 64-bit lanes: a churn-workload mask covers
 // 4-5 of the key's 13. hash() is bit-identical to masked_hash(key) with
 // basis 0, so net::SlotTable homes, shard routes and everything keyed

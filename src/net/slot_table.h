@@ -1,5 +1,5 @@
 // The slot table under every tuple-space-search subtable (megaflow
-// cache, kernel flow table, ofproto classifier): one flat open-addressed
+// cache, ofproto classifier): one flat open-addressed
 // array of {hash, value} slots. It holds the entries of one mask, each
 // with its 64-bit masked hash, and leaves the key comparison to the
 // caller, who knows the mask.

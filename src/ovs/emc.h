@@ -5,39 +5,21 @@
 //
 // Ownership: as in OVS, every PMD owns its EMC (DpifNetdev::Pmd), and
 // only the thread running that PMD touches it, so the table takes no
-// lock. The flows it points at belong to the same PMD's megaflow cache:
-// entry pointers returned by lookup() stay valid through shared
-// ownership (CachedFlowPtr), and a flow the megaflow cache unlinks is
-// evicted at its next probe through its `dead` flag.
+// lock. The flows it points at are CachedFlows of the same PMD's
+// megaflow cache (kern/megaflow.h): entry pointers returned by lookup()
+// stay valid through shared ownership (CachedFlowPtr), and a flow the
+// megaflow cache unlinks is evicted at its next probe through its
+// `dead` flag.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "kern/odp.h"
 #include "net/flow.h"
+#include "ovs/megaflow.h"
 #include "sync/annotations.h"
 
 namespace ovsx::ovs {
-
-// A cached datapath flow: the masked key it represents plus its actions.
-struct CachedFlow {
-    net::FlowKey masked_key;
-    net::FlowMask mask;
-    kern::OdpActions actions;
-    std::uint64_t hits = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t hits_at_last_sweep = 0; // revalidator idle detection
-    // Tombstone, set when the megaflow cache that holds the flow
-    // unlinks or replaces it, and read by the same PMD's EMC. One thread
-    // runs both; the flag stays atomic so a revalidator on its own
-    // thread could set it.
-    std::atomic<bool> dead{false};
-};
-
-using CachedFlowPtr = std::shared_ptr<CachedFlow>;
 
 class Emc {
 public:

@@ -621,6 +621,51 @@ TEST(MegaflowModel, RerankExpireRemoveMatchTheModel) { megaflow_matches_model(tr
 // tables double several times, before and after the removals.
 TEST(MegaflowModel, ChurnScaleTablesMatchTheModel) { megaflow_matches_model(true, 45000); }
 
+// The kernel module's probe order: order_most_specific_first() puts
+// the masks in order of exact bytes, most first, whatever order they
+// came in, and a later rerank() still orders them by hits.
+TEST(MegaflowModel, MostSpecificFirstThenRerankByHits)
+{
+    net::FlowMask m1;
+    m1.bits.in_port = 0xffffffff;
+    net::FlowMask m2 = m1;
+    m2.bits.nw_dst = 0xffffffff;
+    net::FlowMask m3 = m2;
+    m3.bits.tp_dst = 0xffff;
+    net::FlowKey key;
+    key.in_port = 1;
+    key.nw_dst = ipv4(10, 0, 0, 2);
+    key.tp_dst = 80;
+    net::FlowKey wide = key; // only m1's flow matches it
+    wide.nw_dst = ipv4(9, 9, 9, 9);
+
+    ovs::MegaflowCache cache;
+    cache.insert(key, m1, {kern::OdpAction::output(1)});
+    cache.insert(key, m2, {kern::OdpAction::output(2)});
+    cache.insert(key, m3, {kern::OdpAction::output(3)});
+    auto probe_order = [&] {
+        std::vector<net::FlowMask> order;
+        cache.for_each_entry(
+            [&](const ovs::CachedFlow&, const net::FlowMask& m) { order.push_back(m); });
+        return order;
+    };
+    auto answer = [&](const net::FlowKey& k) {
+        const auto res = cache.lookup(k);
+        return std::pair{res.flow ? res.flow->actions[0].port : 0u, res.probes};
+    };
+    EXPECT_EQ(probe_order(), (std::vector<net::FlowMask>{m1, m2, m3})); // as inserted
+
+    cache.order_most_specific_first();
+    EXPECT_EQ(probe_order(), (std::vector<net::FlowMask>{m3, m2, m1}));
+    EXPECT_EQ(answer(key), std::pair(3u, 1));
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(answer(wide), std::pair(1u, 3));
+
+    cache.rerank(); // hits since the last rerank: m1 3, m3 1, m2 0
+    EXPECT_EQ(probe_order(), (std::vector<net::FlowMask>{m1, m3, m2}));
+    EXPECT_EQ(answer(key), std::pair(1u, 1));
+    EXPECT_EQ(answer(wide), std::pair(1u, 1));
+}
+
 // ---- datapath wiring ---------------------------------------------------
 
 TEST(DpifSharding, AddPmdAutoReshards)

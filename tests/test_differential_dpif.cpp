@@ -165,6 +165,36 @@ TEST(DifferentialFault, FlippedOutputPortInEbpfCaught)
     EXPECT_LE(report.reproducer->steps.size(), 5u);
 }
 
+// Only the rules a packet reaches can explain its divergence: an eBPF
+// fault on a plain output rule must surface although the ruleset also
+// holds a Meter rule, which eBPF cannot express, that no packet reaches.
+TEST(DifferentialFault, UnreachedMeterRuleDoesNotExplainAnEbpfFault)
+{
+    DiffRuleset rs;
+    DiffRule plain = rule(10, {kern::OdpAction::output(2)});
+    plain.mask.bits.nw_proto = 0xff;
+    plain.match.nw_proto = 17;
+    rs.rules.push_back(std::move(plain));
+    DiffRule metered = rule(20, {kern::OdpAction::meter(1), kern::OdpAction::output(2)});
+    metered.mask.bits.tp_dst = 0xffff;
+    metered.match.tp_dst = 9999;
+    rs.rules.push_back(std::move(metered));
+
+    DifferentialHarness harness(rs);
+    harness.set_fault(DpKind::Ebpf, [](kern::OdpActions& actions) {
+        for (auto& a : actions) {
+            if (a.type == kern::OdpAction::Type::Output) a.port = 3;
+        }
+    });
+
+    std::vector<DiffPacket> seq;
+    seq.push_back({0, udp(1000, 80)});
+    seq.push_back({0, udp(1000, 80)});
+    const DiffReport report = harness.run(seq);
+    EXPECT_EQ(report.unexplained.size(), 2u) << report.summary();
+    EXPECT_TRUE(report.explained.empty()) << report.summary();
+}
+
 // ---- pinned regressions from divergences this harness surfaced ---------
 
 // The eBPF program used to accept any IPv4 frame and read the L4 ports at
@@ -241,6 +271,25 @@ TEST(DifferentialRegression, MeterDropsAgreeBetweenNetdevAndKernel)
     for (int i = 0; i < 20; ++i) seq.push_back({0, udp(1000, 80)});
     const DiffReport report = harness.run(seq);
     EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// The kernel module used to run a userspace() action as a miss upcall,
+// whose handler translated and executed the flow again, once per level
+// down to the recursion limit: nine copies of one packet on the wire.
+// Every provider now outputs once, and the punt needs no explanation.
+TEST(DifferentialRegression, UserspaceActionAgreesOnEveryProvider)
+{
+    DiffRuleset rs;
+    rs.rules.push_back(rule(10, {kern::OdpAction::output(2), kern::OdpAction::userspace()}));
+
+    std::vector<DiffPacket> seq;
+    for (std::uint16_t i = 0; i < 4; ++i) {
+        seq.push_back({0, udp(static_cast<std::uint16_t>(1000 + i % 2), 80)});
+    }
+    DifferentialHarness harness(rs);
+    const DiffReport report = harness.run(seq);
+    EXPECT_TRUE(report.unexplained.empty()) << report.summary();
+    EXPECT_TRUE(report.explained.empty()) << report.summary();
 }
 
 // Conntrack edge cases must classify identically in the userspace and

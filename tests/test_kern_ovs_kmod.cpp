@@ -503,6 +503,97 @@ TEST_F(KmodTest, RecirculatedHitTracesAndChargesItsProbe)
     EXPECT_EQ(flow[1].ts, tx[0].ts);
 }
 
+// The kernel probes the most specific mask first, whatever order the
+// masks arrive in: a key that only the most specific mask's flow
+// matches hits on the first probe.
+TEST_F(KmodTest, MostSpecificMaskIsProbedFirst)
+{
+    ScopedTrace trace;
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    const net::FlowKey key = net::parse_flow(probe);
+    net::FlowMask m1;
+    m1.bits.in_port = 0xffffffff;
+    net::FlowMask m2 = m1;
+    m2.bits.nw_dst = 0xffffffff;
+    net::FlowMask m3 = m2;
+    m3.bits.tp_dst = 0xffff;
+    net::FlowKey other_port = key;
+    other_port.in_port = p1;
+    dp->flow_put(other_port, m1, {OdpAction::drop()});
+    net::FlowKey other_dst = key;
+    other_dst.nw_dst = ipv4(9, 9, 9, 9);
+    dp->flow_put(other_dst, m2, {OdpAction::drop()});
+    dp->flow_put(key, m3, {OdpAction::output(p1)});
+    ASSERT_EQ(dp->mask_count(), 3u);
+
+    net::Packet pkt = udp64();
+    const std::uint32_t id = obs::tracer().next_packet_id();
+    pkt.meta().trace_id = id;
+    nic0->rx_from_wire(std::move(pkt));
+    EXPECT_EQ(out1.size(), 1u);
+    const std::vector<obs::TraceEvent> flow = spans(id, obs::Hop::KernelFlow);
+    ASSERT_EQ(flow.size(), 1u);
+    EXPECT_STREQ(flow[0].verdict, "hit");
+    EXPECT_EQ(flow[0].a, 1u); // one probe
+}
+
+// A userspace() action is an action upcall (Linux's output_userspace):
+// the packet is punted once, and the miss handler does not translate
+// and execute it again.
+TEST_F(KmodTest, UserspaceActionPuntsOnce)
+{
+    ScopedTrace trace;
+    int handler_calls = 0;
+    dp->set_upcall_handler([&](std::uint32_t, net::Packet&& pkt, const net::FlowKey& key,
+                               sim::ExecContext& ctx) {
+        ++handler_calls;
+        const OdpActions actions = {OdpAction::output(p1), OdpAction::userspace()};
+        dp->flow_put(key, tuple_mask(), actions);
+        dp->execute(std::move(pkt), actions, ctx);
+    });
+
+    net::Packet pkt = udp64();
+    const std::uint32_t id = obs::tracer().next_packet_id();
+    pkt.meta().trace_id = id;
+    nic0->rx_from_wire(std::move(pkt));
+    EXPECT_EQ(handler_calls, 1);
+    EXPECT_EQ(out1.size(), 1u);
+    ASSERT_EQ(dp->punted().size(), 1u);
+    const std::vector<obs::TraceEvent> punt = spans(id, obs::Hop::Action);
+    ASSERT_EQ(punt.size(), 1u);
+    EXPECT_STREQ(punt[0].verdict, "userspace-punt");
+}
+
+// DpifNetdevTest.MeterDropsExcess on the kernel module, which counts
+// and traces each meter drop as the userspace datapath does.
+TEST_F(KmodTest, MeterDropsExcess)
+{
+    ScopedTrace trace;
+    dp->meters().set(1, {.rate_kbps = 0, .rate_pps = 1000, .burst = 2});
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    dp->flow_put(net::parse_flow(probe), tuple_mask(),
+                 {OdpAction::meter(1), OdpAction::output(p1)});
+    std::vector<std::uint32_t> ids;
+    for (int i = 0; i < 5; ++i) {
+        net::Packet pkt = udp64();
+        ids.push_back(obs::tracer().next_packet_id());
+        pkt.meta().trace_id = ids.back();
+        nic0->rx_from_wire(std::move(pkt));
+    }
+    EXPECT_EQ(out1.size(), 2u); // burst of 2, rest dropped by the meter
+    EXPECT_EQ(dp->meters().dropped(1), 3u);
+    EXPECT_EQ(nic0->softirq_ctx(0).counter(std::string("meter.drop")), 3u);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::vector<obs::TraceEvent> meter = spans(ids[i], obs::Hop::Meter);
+        ASSERT_EQ(meter.size(), i < 2 ? 0u : 1u) << "packet " << i;
+        if (i < 2) continue;
+        EXPECT_STREQ(meter[0].verdict, "drop");
+        EXPECT_EQ(meter[0].a, 1u); // the meter id
+    }
+}
+
 // The churn benchmark's table shape at scale (churn_flows.h): ~20k
 // flows over eight masks, many masked keys installed more than once,
 // then every third draw's flow deleted (about 40 % of the flows, as

@@ -13,8 +13,10 @@
 //                       (the connection-table core and both conntracks
 //                       over it, ebpf map, netlink cache, dpif_ebpf
 //                       shadow) that lack an OVSX_GUARDED_BY
-//                       annotation. The per-PMD caches (EMC, megaflow)
-//                       are owned by one thread and are not listed.
+//                       annotation. The EMC and the megaflow cache
+//                       (each PMD's, and the kernel module's flow
+//                       table) are owned by one thread and are not
+//                       listed.
 //   unchecked-accessor  raw header_at<> packet accessors outside
 //                       src/net/ and src/san/ — everything above the
 //                       net layer must go through the checked parse
