@@ -70,10 +70,12 @@ std::uint64_t flow_entry_digest(const net::FlowKey& masked, const net::FlowMask&
                                 const kern::OdpActions& actions)
 {
     std::uint64_t h = masked.hash(mask.bits.hash(0x6d61736bULL));
-    for (const auto& a : actions) {
+    for (kern::ActionCursor c = actions.cursor(); !c.done(); c.next()) {
+        // The attribute's canonical bytes: a set_field holds its masked
+        // value, so two rewrites differ exactly when their effect does.
         std::uint64_t ah = 1469598103934665603ULL;
-        for (const char c : a.to_string()) {
-            ah ^= static_cast<unsigned char>(c);
+        for (const std::uint8_t b : c.attr_bytes()) {
+            ah ^= b;
             ah *= 1099511628211ULL;
         }
         h = (h ^ ah) * 0x9e3779b97f4a7c15ULL;
@@ -211,9 +213,9 @@ std::string explain_expected_divergence(const DiffRuleset& ruleset, const net::F
     if (first) reachable.push_back(first);
 
     auto enqueue_recircs = [&](const DiffRule* r) {
-        for (const auto& a : r->actions) {
-            if (a.type == kern::OdpAction::Type::Recirc && seen_recirc.insert(a.recirc_id).second) {
-                pending.push_back(a.recirc_id);
+        for (kern::ActionCursor c = r->actions.cursor(); !c.done(); c.next()) {
+            if (c.attr() == kern::ActionAttr::Recirc && seen_recirc.insert(c.recirc_id()).second) {
+                pending.push_back(c.recirc_id());
             }
         }
     };
@@ -233,9 +235,10 @@ std::string explain_expected_divergence(const DiffRuleset& ruleset, const net::F
     // The eBPF datapath drops a packet whose own pipeline, the rules
     // reachable from its key, holds an action it cannot express.
     for (const auto* r : reachable) {
-        for (const auto& a : r->actions) {
-            using Type = kern::OdpAction::Type;
-            if (a.type == Type::Recirc || a.type == Type::SetTunnel || a.type == Type::Meter) {
+        for (kern::ActionCursor c = r->actions.cursor(); !c.done(); c.next()) {
+            using kern::ActionAttr;
+            if (c.attr() == ActionAttr::Recirc || c.attr() == ActionAttr::SetTunnel ||
+                c.attr() == ActionAttr::Meter) {
                 return "ebpf-unsupported-action";
             }
         }
@@ -502,7 +505,13 @@ DifferentialHarness::make_instance(DpKind kind) const
         const DiffRule* rule = ruleset_.evaluate(key);
         kern::OdpActions actions =
             rule ? rule->actions : kern::OdpActions{kern::OdpAction::drop()};
-        if (fault) fault(actions);
+        if (fault) {
+            // The fault edits a decoded copy, which is encoded back.
+            std::vector<kern::OdpAction> decoded(actions.begin(), actions.end());
+            fault(decoded);
+            actions.clear();
+            actions.insert(actions.end(), decoded.begin(), decoded.end());
+        }
         if (raw->kind == DpKind::Ebpf) {
             try {
                 raw->dpif->flow_put(key, ovs::DpifEbpf::required_mask(), actions);

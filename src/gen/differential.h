@@ -125,8 +125,9 @@ struct DiffOptions {
 
 // Fault injection: mutates the translated actions for one datapath
 // before they are installed/executed — used to prove the harness
-// catches a mis-translated action with a small reproducer.
-using ActionMutator = std::function<void(kern::OdpActions&)>;
+// catches a mis-translated action with a small reproducer. It edits
+// the list decoded, and the harness encodes the result.
+using ActionMutator = std::function<void(std::vector<kern::OdpAction>&)>;
 
 class DifferentialHarness {
 public:

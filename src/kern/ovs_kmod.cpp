@@ -174,6 +174,8 @@ void OvsKernelDatapath::process(net::Packet&& pkt, sim::ExecContext& ctx)
     pkt.meta().latency_ns += probe_cost;
     if (res.flow) {
         OVSX_COVERAGE_CTX(ctx, "kdp.hit");
+        ++res.flow->hits; // ovs_flow_stats_update
+        res.flow->bytes += pkt.size();
         if (pkt.meta().trace_id) {
             obs::trace(pkt.meta().trace_id, obs::Hop::KernelFlow, pkt.meta().latency_ns,
                        "hit", res.probes);
@@ -298,45 +300,48 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
     obs::PmdPerf* perf = ctx.perf();
     obs::PerfStageScope act_scope(perf, obs::PerfStage::Actions);
 
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-        const OdpAction& act = actions[i];
-        switch (act.type) {
+    for (ActionCursor c = actions.cursor(); !c.done(); c.next()) {
+        switch (c.attr()) {
         case OdpAction::Type::Output: {
-            const bool last = (i + 1 == actions.size());
-            if (last) {
-                do_output(std::move(pkt), act.port, ctx);
+            if (c.last()) {
+                do_output(std::move(pkt), c.port(), ctx);
                 return;
             }
             net::Packet clone = pkt; // multicast/mirror copy
             ctx.charge(costs.copy(static_cast<std::int64_t>(pkt.size())));
-            do_output(std::move(clone), act.port, ctx);
+            do_output(std::move(clone), c.port(), ctx);
             break;
         }
         case OdpAction::Type::PushVlan:
-            net::push_vlan(pkt, act.vlan_tci);
+            net::push_vlan(pkt, c.vlan_tci());
             break;
         case OdpAction::Type::PopVlan:
             net::pop_vlan(pkt);
             break;
-        case OdpAction::Type::SetField:
-            net::apply_rewrite(pkt, act.set_value, act.set_mask);
+        case OdpAction::Type::SetField: {
+            net::FlowKey value;
+            net::FlowMask mask;
+            c.set_field(&value, &mask);
+            net::apply_rewrite(pkt, value, mask);
             ctx.charge(costs.kdp_base / 4);
             break;
+        }
         case OdpAction::Type::SetTunnel:
-            pkt.meta().tunnel = act.tunnel;
+            pkt.meta().tunnel = c.tunnel();
             break;
         case OdpAction::Type::Ct: {
             obs::PerfStageScope ct_scope(perf, obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
-            kernel_.conntrack().process(pkt, key, act.ct, ctx, now_);
+            const CtSpec spec = c.ct();
+            kernel_.conntrack().process(pkt, key, spec, ctx, now_);
             if (pkt.meta().trace_id) {
                 obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns, "",
-                           act.ct.zone, pkt.meta().ct_state);
+                           spec.zone, pkt.meta().ct_state);
             }
             break;
         }
         case OdpAction::Type::Recirc:
-            pkt.meta().recirc_id = act.recirc_id;
+            pkt.meta().recirc_id = c.recirc_id();
             ctx.charge(costs.kdp_base / 2); // recirculation re-entry
             pkt.meta().latency_ns += costs.kdp_base / 2;
             process(std::move(pkt), ctx);
@@ -344,11 +349,11 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
         case OdpAction::Type::Meter:
             // Token-bucket policing, same semantics as the userspace
             // datapath (kern/meter.h).
-            if (!meters_.admit(act.meter_id, pkt.size(), now_)) {
+            if (!meters_.admit(c.meter_id(), pkt.size(), now_)) {
                 OVSX_COVERAGE_CTX(ctx, "meter.drop");
                 if (pkt.meta().trace_id) {
                     obs::trace(pkt.meta().trace_id, obs::Hop::Meter, pkt.meta().latency_ns,
-                               "drop", act.meter_id);
+                               "drop", c.meter_id());
                 }
                 return;
             }
@@ -363,6 +368,11 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
             punted_.push_back(std::move(pkt));
             return;
         case OdpAction::Type::Drop:
+        // OpenFlow-only kinds, which ofproto translates away: no
+        // datapath list holds one.
+        case OdpAction::Type::GotoTable:
+        case OdpAction::Type::CtResume:
+        case OdpAction::Type::Controller:
             return;
         }
     }

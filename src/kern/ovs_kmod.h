@@ -65,6 +65,9 @@ public:
     bool flow_del(const net::FlowKey& key, const net::FlowMask& mask);
     void flow_flush();
     std::size_t flow_count() const;
+    // The revalidator's idle sweep: removes the flows no packet hit
+    // since the previous sweep. Returns flows removed.
+    std::size_t expire_idle() { return flows_.expire_idle(); }
     // Every installed flow, for per-entry end-state diffing.
     std::vector<OdpFlowEntry> flow_dump() const;
     // The flow table itself: the differential harness digests end state

@@ -8,6 +8,7 @@
 // — exactly what makes exact-match caches and tuple-space search fast.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -82,6 +83,47 @@ struct FlowKey {
 
 // No implicit padding anywhere: raw-memory hash/equality are well-defined.
 static_assert(std::has_unique_object_representations_v<FlowKey>);
+
+// The fields of FlowKey in layout order, padding included: ofproto's
+// match-field statistic and the set_field printer name them from here.
+struct FlowField {
+    enum class Kind : std::uint8_t { Int, Ipv4, Mac, Ipv6, Pad };
+    const char* name;
+    std::uint8_t offset;
+    std::uint8_t len;
+    Kind kind;
+};
+
+inline constexpr FlowField kFlowFields[] = {
+    {"tun_id", offsetof(FlowKey, tun_id), 8, FlowField::Kind::Int},
+    {"tun_src", offsetof(FlowKey, tun_src), 4, FlowField::Kind::Ipv4},
+    {"tun_dst", offsetof(FlowKey, tun_dst), 4, FlowField::Kind::Ipv4},
+    {"in_port", offsetof(FlowKey, in_port), 4, FlowField::Kind::Int},
+    {"recirc_id", offsetof(FlowKey, recirc_id), 4, FlowField::Kind::Int},
+    {"ct_mark", offsetof(FlowKey, ct_mark), 4, FlowField::Kind::Int},
+    {"ct_zone", offsetof(FlowKey, ct_zone), 2, FlowField::Kind::Int},
+    {"ct_state", offsetof(FlowKey, ct_state), 1, FlowField::Kind::Int},
+    {"pad0", offsetof(FlowKey, pad0), 1, FlowField::Kind::Pad},
+    {"dl_src", offsetof(FlowKey, dl_src), 6, FlowField::Kind::Mac},
+    {"dl_dst", offsetof(FlowKey, dl_dst), 6, FlowField::Kind::Mac},
+    {"dl_type", offsetof(FlowKey, dl_type), 2, FlowField::Kind::Int},
+    {"vlan_tci", offsetof(FlowKey, vlan_tci), 2, FlowField::Kind::Int},
+    {"nw_src", offsetof(FlowKey, nw_src), 4, FlowField::Kind::Ipv4},
+    {"nw_dst", offsetof(FlowKey, nw_dst), 4, FlowField::Kind::Ipv4},
+    {"nw_proto", offsetof(FlowKey, nw_proto), 1, FlowField::Kind::Int},
+    {"nw_tos", offsetof(FlowKey, nw_tos), 1, FlowField::Kind::Int},
+    {"nw_ttl", offsetof(FlowKey, nw_ttl), 1, FlowField::Kind::Int},
+    {"nw_frag", offsetof(FlowKey, nw_frag), 1, FlowField::Kind::Int},
+    {"ipv6_src", offsetof(FlowKey, ipv6_src), 16, FlowField::Kind::Ipv6},
+    {"ipv6_dst", offsetof(FlowKey, ipv6_dst), 16, FlowField::Kind::Ipv6},
+    {"tp_src", offsetof(FlowKey, tp_src), 2, FlowField::Kind::Int},
+    {"tp_dst", offsetof(FlowKey, tp_dst), 2, FlowField::Kind::Int},
+    {"tcp_flags", offsetof(FlowKey, tcp_flags), 1, FlowField::Kind::Int},
+    {"icmp_type", offsetof(FlowKey, icmp_type), 1, FlowField::Kind::Int},
+    {"icmp_code", offsetof(FlowKey, icmp_code), 1, FlowField::Kind::Int},
+    {"pad1", offsetof(FlowKey, pad1), 1, FlowField::Kind::Pad},
+    {"pad2", offsetof(FlowKey, pad2), 4, FlowField::Kind::Pad},
+};
 
 namespace detail {
 

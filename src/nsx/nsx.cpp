@@ -373,7 +373,7 @@ void NsxAgent::install_egress()
         Match m;
         m.key.dl_dst = net::MacAddr::broadcast();
         m.mask.bits.dl_dst = net::MacAddr::broadcast();
-        std::vector<OfAction> actions;
+        ovs::OfActions actions;
         for (const auto& vm : config_.vms) {
             if (vm.vni == vni && vm.of_port != 0) {
                 actions.push_back(OfAction::output(vm.of_port));

@@ -398,37 +398,41 @@ void DpifEbpf::execute(net::Packet&& pkt, const kern::OdpActions& actions,
 {
     obs::PerfStageScope act_scope(ctx.perf(), obs::PerfStage::Actions);
     using Type = kern::OdpAction::Type;
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-        const kern::OdpAction& act = actions[i];
-        switch (act.type) {
+    for (kern::ActionCursor c = actions.cursor(); !c.done(); c.next()) {
+        switch (c.attr()) {
         case Type::Output:
-            if (i + 1 == actions.size()) {
-                do_output(std::move(pkt), act.port, ctx);
+            if (c.last()) {
+                do_output(std::move(pkt), c.port(), ctx);
                 return;
             } else {
                 net::Packet clone = pkt;
                 ctx.charge(kernel_.costs().copy(static_cast<std::int64_t>(pkt.size())));
-                do_output(std::move(clone), act.port, ctx);
+                do_output(std::move(clone), c.port(), ctx);
             }
             break;
         case Type::PushVlan:
-            net::push_vlan(pkt, act.vlan_tci);
+            net::push_vlan(pkt, c.vlan_tci());
             break;
         case Type::PopVlan:
             net::pop_vlan(pkt);
             break;
-        case Type::SetField:
-            net::apply_rewrite(pkt, act.set_value, act.set_mask);
+        case Type::SetField: {
+            net::FlowKey value;
+            net::FlowMask mask;
+            c.set_field(&value, &mask);
+            net::apply_rewrite(pkt, value, mask);
             break;
+        }
         case Type::Ct: {
             // eBPF conntrack via maps — functional but charged at eBPF cost.
             obs::PerfStageScope ct_scope(ctx.perf(), obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
-            kernel_.conntrack().process(pkt, key, act.ct, ctx, now_);
+            const kern::CtSpec spec = c.ct();
+            kernel_.conntrack().process(pkt, key, spec, ctx, now_);
             ctx.charge(static_cast<sim::Nanos>(120.0 * kernel_.costs().ebpf_insn));
             if (pkt.meta().trace_id) {
                 obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns, "",
-                           act.ct.zone, pkt.meta().ct_state);
+                           spec.zone, pkt.meta().ct_state);
             }
             break;
         }
@@ -447,6 +451,11 @@ void DpifEbpf::execute(net::Packet&& pkt, const kern::OdpActions& actions,
             }
             return;
         case Type::Drop:
+        // OpenFlow-only kinds, which ofproto translates away: no
+        // datapath list holds one.
+        case Type::GotoTable:
+        case Type::CtResume:
+        case Type::Controller:
             return;
         }
     }

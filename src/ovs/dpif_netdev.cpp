@@ -640,21 +640,20 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
     using Type = kern::OdpAction::Type;
     obs::PmdPerf* perf = ctx.perf();
     obs::PerfStageScope act_scope(perf, obs::PerfStage::Actions);
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-        const kern::OdpAction& act = actions[i];
-        switch (act.type) {
+    for (kern::ActionCursor c = actions.cursor(); !c.done(); c.next()) {
+        switch (c.attr()) {
         case Type::Output: {
-            if (i + 1 == actions.size()) {
-                output(std::move(pkt), act.port, ctx);
+            if (c.last()) {
+                output(std::move(pkt), c.port(), ctx);
                 return;
             }
             net::Packet clone = pkt;
             ctx.charge(costs_.copy(static_cast<std::int64_t>(pkt.size())));
-            output(std::move(clone), act.port, ctx);
+            output(std::move(clone), c.port(), ctx);
             break;
         }
         case Type::PushVlan:
-            net::push_vlan(pkt, act.vlan_tci);
+            net::push_vlan(pkt, c.vlan_tci());
             ctx.charge(costs_.copy(4));
             break;
         case Type::PopVlan:
@@ -662,30 +661,33 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
             ctx.charge(costs_.copy(4));
             break;
         case Type::SetField: {
-            const int fields = net::apply_rewrite(pkt, act.set_value, act.set_mask);
+            net::FlowKey value;
+            net::FlowMask mask;
+            c.set_field(&value, &mask);
+            const int fields = net::apply_rewrite(pkt, value, mask);
             ctx.charge(static_cast<sim::Nanos>(fields) * 8);
             break;
         }
         case Type::SetTunnel:
-            pkt.meta().tunnel = act.tunnel;
+            pkt.meta().tunnel = c.tunnel();
             break;
         case Type::Ct: {
             obs::PerfStageScope ct_scope(perf, obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
-            ct_.process(pkt, key, act.ct, ctx, now_);
+            ct_.process(pkt, key, c.ct(), ctx, now_);
             break;
         }
         case Type::Recirc:
-            pkt.meta().recirc_id = act.recirc_id;
+            pkt.meta().recirc_id = c.recirc_id();
             pipeline(std::move(pkt), ctx, depth + 1);
             return;
         case Type::Meter:
-            if (!meters_.admit(act.meter_id, pkt.size(), now_)) {
+            if (!meters_.admit(c.meter_id(), pkt.size(), now_)) {
                 ++dropped_;
                 OVSX_COVERAGE_CTX(ctx, "meter.drop");
                 if (pkt.meta().trace_id) {
                     obs::trace(pkt.meta().trace_id, obs::Hop::Meter, pkt.meta().latency_ns,
-                               "drop", act.meter_id);
+                               "drop", c.meter_id());
                 }
                 return;
             }
@@ -698,6 +700,11 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
             punted_.push_back(std::move(pkt));
             return;
         case Type::Drop:
+        // OpenFlow-only kinds, which ofproto translates away: no
+        // datapath list holds one.
+        case Type::GotoTable:
+        case Type::CtResume:
+        case Type::Controller:
             return;
         }
     }

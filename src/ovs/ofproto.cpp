@@ -91,6 +91,67 @@ OfAction OfAction::drop()
     return a;
 }
 
+void OfAction::encode(kern::ActionBuf& b) const
+{
+    using kern::ActionAttr;
+    namespace attr = kern::attr;
+    switch (type) {
+    case Type::Output: attr::u32(b, ActionAttr::Output, port); break;
+    case Type::SetField: attr::set_field(b, set_value, set_mask); break;
+    case Type::PushVlan: attr::push_vlan(b, vlan_tci); break;
+    case Type::PopVlan: attr::empty(b, ActionAttr::PopVlan); break;
+    case Type::SetTunnel: attr::set_tunnel(b, tunnel); break;
+    case Type::Ct:
+        attr::ct(b, ct);
+        if (ct_table >= 0) {
+            attr::table(b, ActionAttr::CtResume, static_cast<std::uint8_t>(ct_table));
+        }
+        break;
+    case Type::GotoTable: attr::table(b, ActionAttr::GotoTable, table); break;
+    case Type::Meter: attr::u32(b, ActionAttr::Meter, meter_id); break;
+    case Type::Controller: attr::empty(b, ActionAttr::Controller); break;
+    case Type::Drop: attr::empty(b, ActionAttr::Drop); break;
+    }
+}
+
+OfAction OfAction::decode(const kern::ActionCursor& c)
+{
+    using kern::ActionAttr;
+    switch (c.attr()) {
+    case ActionAttr::Output: return output(c.port());
+    case ActionAttr::SetField: {
+        OfAction a;
+        a.type = Type::SetField;
+        c.set_field(&a.set_value, &a.set_mask);
+        return a;
+    }
+    case ActionAttr::PushVlan: return push_vlan(c.vlan_tci());
+    case ActionAttr::PopVlan: return pop_vlan();
+    case ActionAttr::SetTunnel: return set_tunnel(c.tunnel());
+    case ActionAttr::Ct: {
+        kern::ActionCursor resume = c;
+        resume.next();
+        const bool resumes = !resume.done() && resume.attr() == ActionAttr::CtResume;
+        return conntrack(c.ct(), resumes ? resume.table() : -1);
+    }
+    case ActionAttr::GotoTable: return goto_table(c.table());
+    case ActionAttr::Meter: return meter(c.meter_id());
+    case ActionAttr::Controller: return controller();
+    case ActionAttr::Drop: return drop();
+    case ActionAttr::CtResume: // never the first attribute of an OpenFlow action
+    case ActionAttr::Recirc:
+    case ActionAttr::Userspace: break;
+    }
+    return drop();
+}
+
+void OfAction::skip(kern::ActionCursor& c)
+{
+    const bool ct = c.attr() == kern::ActionAttr::Ct;
+    c.next();
+    if (ct && !c.done() && c.attr() == kern::ActionAttr::CtResume) c.next();
+}
+
 Ofproto::Ofproto() = default;
 
 void Ofproto::add_rule(OfRule rule)
@@ -117,38 +178,15 @@ std::size_t Ofproto::table_count() const
 
 int Ofproto::distinct_match_fields() const
 {
-    // Count FlowKey byte positions used by at least one rule's mask —
-    // grouped into logical fields by known offsets is overkill; we count
-    // distinct *fields* using a fixed field table.
-    struct Field {
-        std::size_t off;
-        std::size_t len;
-    };
-    static const Field kFields[] = {
-        {offsetof(net::FlowKey, tun_id), 8},   {offsetof(net::FlowKey, tun_src), 4},
-        {offsetof(net::FlowKey, tun_dst), 4},  {offsetof(net::FlowKey, in_port), 4},
-        {offsetof(net::FlowKey, recirc_id), 4},{offsetof(net::FlowKey, ct_mark), 4},
-        {offsetof(net::FlowKey, ct_zone), 2},  {offsetof(net::FlowKey, ct_state), 1},
-        {offsetof(net::FlowKey, dl_src), 6},   {offsetof(net::FlowKey, dl_dst), 6},
-        {offsetof(net::FlowKey, dl_type), 2},  {offsetof(net::FlowKey, vlan_tci), 2},
-        {offsetof(net::FlowKey, nw_src), 4},   {offsetof(net::FlowKey, nw_dst), 4},
-        {offsetof(net::FlowKey, nw_proto), 1}, {offsetof(net::FlowKey, nw_tos), 1},
-        {offsetof(net::FlowKey, nw_ttl), 1},   {offsetof(net::FlowKey, nw_frag), 1},
-        {offsetof(net::FlowKey, ipv6_src), 16},{offsetof(net::FlowKey, ipv6_dst), 16},
-        {offsetof(net::FlowKey, tp_src), 2},   {offsetof(net::FlowKey, tp_dst), 2},
-        {offsetof(net::FlowKey, tcp_flags), 1},{offsetof(net::FlowKey, icmp_type), 1},
-        {offsetof(net::FlowKey, icmp_code), 1},
-    };
+    // Count the FlowKey fields at least one rule's mask covers.
     std::set<std::size_t> used;
     for (const auto& rule : rules_) {
         const auto* m = reinterpret_cast<const std::uint8_t*>(&rule->match.mask.bits);
-        for (const auto& f : kFields) {
-            if (used.contains(f.off)) continue;
-            for (std::size_t i = 0; i < f.len; ++i) {
-                if (m[f.off + i]) {
-                    used.insert(f.off);
-                    break;
-                }
+        for (const net::FlowField& f : net::kFlowFields) {
+            if (f.kind == net::FlowField::Kind::Pad || used.contains(f.offset)) continue;
+            if (std::any_of(m + f.offset, m + f.offset + f.len,
+                            [](std::uint8_t b) { return b != 0; })) {
+                used.insert(f.offset);
             }
         }
     }
@@ -233,62 +271,52 @@ XlateResult Ofproto::xlate(const net::FlowKey& key) const
         ++rule->n_matched;
         ++res.rules_matched;
 
+        // Datapath-kind attributes go to the result as they are.
         bool advanced = false;
-        for (const OfAction& act : rule->actions) {
-            switch (act.type) {
-            case OfAction::Type::Output:
-                res.actions.push_back(kern::OdpAction::output(act.port));
+        kern::ActionCursor ct; // the last Ct, which a CtResume follows
+        for (kern::ActionCursor c = rule->actions.cursor(); !c.done() && !advanced; c.next()) {
+            using kern::ActionAttr;
+            switch (c.attr()) {
+            case ActionAttr::SetField:
+                c.rewrite(&working); // keep classifying against the rewritten fields
+                res.actions.append(c.attr_bytes());
                 break;
-            case OfAction::Type::SetField:
-                res.actions.push_back(kern::OdpAction::set_field(act.set_value, act.set_mask));
-                working = [&] {
-                    // Keep classifying against the rewritten fields.
-                    net::FlowKey w = working;
-                    const auto* v = reinterpret_cast<const std::uint8_t*>(&act.set_value);
-                    const auto* m = reinterpret_cast<const std::uint8_t*>(&act.set_mask.bits);
-                    auto* out = reinterpret_cast<std::uint8_t*>(&w);
-                    for (std::size_t i = 0; i < sizeof(net::FlowKey); ++i) {
-                        out[i] = static_cast<std::uint8_t>((out[i] & ~m[i]) | (v[i] & m[i]));
-                    }
-                    return w;
-                }();
+            case ActionAttr::PushVlan:
+                working.vlan_tci = static_cast<std::uint16_t>(c.vlan_tci() | 0x1000);
+                res.actions.append(c.attr_bytes());
                 break;
-            case OfAction::Type::PushVlan:
-                res.actions.push_back(kern::OdpAction::push_vlan(act.vlan_tci));
-                working.vlan_tci = static_cast<std::uint16_t>(act.vlan_tci | 0x1000);
-                break;
-            case OfAction::Type::PopVlan:
-                res.actions.push_back(kern::OdpAction::pop_vlan());
+            case ActionAttr::PopVlan:
                 working.vlan_tci = 0;
+                res.actions.append(c.attr_bytes());
                 break;
-            case OfAction::Type::SetTunnel:
-                res.actions.push_back(kern::OdpAction::set_tunnel(act.tunnel));
+            case ActionAttr::Ct:
+                ct = c;
+                res.actions.append(c.attr_bytes());
                 break;
-            case OfAction::Type::Ct: {
-                res.actions.push_back(kern::OdpAction::conntrack(act.ct));
-                if (act.ct_table >= 0) {
-                    const std::uint32_t rid =
-                        recirc_id_for(static_cast<std::uint8_t>(act.ct_table), act.ct.zone);
-                    res.actions.push_back(kern::OdpAction::recirc(rid));
-                    return res; // translation resumes on the recirculated upcall
-                }
+            case ActionAttr::Output:
+            case ActionAttr::SetTunnel:
+            case ActionAttr::Meter:
+                res.actions.append(c.attr_bytes());
                 break;
+            case ActionAttr::CtResume: {
+                const std::uint32_t rid = recirc_id_for(c.table(), ct.ct().zone);
+                res.actions.push_back(kern::OdpAction::recirc(rid));
+                return res; // translation resumes on the recirculated upcall
             }
-            case OfAction::Type::GotoTable:
-                table_id = act.table;
+            case ActionAttr::GotoTable:
+                table_id = c.table();
                 advanced = true;
                 break;
-            case OfAction::Type::Meter:
-                res.actions.push_back(kern::OdpAction::meter(act.meter_id));
-                break;
-            case OfAction::Type::Controller:
+            case ActionAttr::Controller:
                 res.actions.push_back(kern::OdpAction::userspace());
                 break;
-            case OfAction::Type::Drop:
+            case ActionAttr::Drop:
                 res.dropped = true;
                 return res;
+            case ActionAttr::Recirc:
+            case ActionAttr::Userspace:
+                break; // datapath-only: never in a rule
             }
-            if (advanced) break;
         }
         if (!advanced) break; // no goto: pipeline ends here
     }

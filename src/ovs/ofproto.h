@@ -75,13 +75,24 @@ struct OfAction {
     static OfAction meter(std::uint32_t id);
     static OfAction controller();
     static OfAction drop();
+
+    // The codec OfActions uses: the datapath kinds encode as their ODP
+    // attributes, a ct() that resumes in a table as a Ct attribute
+    // followed by CtResume, and goto_table and controller() as the
+    // OpenFlow-only attributes.
+    void encode(kern::ActionBuf& b) const;
+    static OfAction decode(const kern::ActionCursor& c);
+    static void skip(kern::ActionCursor& c);
 };
+
+// A rule's actions (ovs-vswitchd's ofpacts), in the attribute encoding.
+using OfActions = kern::ActionList<OfAction>;
 
 struct OfRule {
     std::uint8_t table = 0;
     std::int32_t priority = 0;
     Match match;
-    std::vector<OfAction> actions;
+    OfActions actions;
     std::uint64_t cookie = 0;
     mutable std::uint64_t n_matched = 0; // xlate hits
 };

@@ -124,7 +124,7 @@ TEST(DifferentialFault, FlippedRewriteCaughtWithTinyReproducer)
     DifferentialHarness harness(rs, opts);
     // The kernel translation writes the wrong TTL — a one-line action
     // encoding bug of the kind differential testing exists to catch.
-    harness.set_fault(DpKind::Kernel, [](kern::OdpActions& actions) {
+    harness.set_fault(DpKind::Kernel, [](std::vector<kern::OdpAction>& actions) {
         for (auto& a : actions) {
             if (a.type == kern::OdpAction::Type::SetField) a.set_value.nw_ttl = 9;
         }
@@ -141,6 +141,50 @@ TEST(DifferentialFault, FlippedRewriteCaughtWithTinyReproducer)
     EXPECT_EQ(report.reproducer->seed, 42u);
 }
 
+// The end-state check digests each flow's canonical action bytes, so a
+// kernel flow that differs from netdev's only in a set_field value is a
+// flow-table divergence naming both values. Here a later rewrite of the
+// same field keeps the difference off the wire, so nothing else sees it.
+TEST(DifferentialFault, SetFieldValueDifferenceIsAFlowTableDivergence)
+{
+    net::FlowKey ttl9, ttl5;
+    ttl9.nw_ttl = 9;
+    ttl5.nw_ttl = 5;
+    net::FlowMask ttl;
+    ttl.bits.nw_ttl = 0xff;
+    DiffRuleset rs;
+    DiffRule r = rule(10, {kern::OdpAction::set_field(ttl9, ttl),
+                           kern::OdpAction::set_field(ttl5, ttl), kern::OdpAction::output(2)});
+    r.mask.bits.nw_proto = 0xff;
+    r.match.nw_proto = 17;
+    rs.rules.push_back(std::move(r));
+
+    DiffOptions opts;
+    opts.minimize = false; // end-state divergences have no packet step
+    DifferentialHarness harness(rs, opts);
+    harness.set_fault(DpKind::Kernel, [](std::vector<kern::OdpAction>& actions) {
+        for (auto& a : actions) {
+            if (a.type == kern::OdpAction::Type::SetField) {
+                a.set_value.nw_ttl = 7; // the first rewrite only
+                break;
+            }
+        }
+    });
+
+    std::vector<DiffPacket> seq;
+    seq.push_back({0, udp(1000, 80)});
+    seq.push_back({1, udp(1001, 80)});
+    const DiffReport report = harness.run(seq);
+    ASSERT_EQ(report.unexplained.size(), 1u) << report.summary();
+    const Divergence& d = report.unexplained[0];
+    EXPECT_EQ(d.step, seq.size());
+    EXPECT_NE(d.detail.find("flow tables differ"), std::string::npos) << d.detail;
+    EXPECT_NE(d.detail.find("set(nw_ttl=9),set(nw_ttl=5),output(2)"), std::string::npos)
+        << d.detail;
+    EXPECT_NE(d.detail.find("set(nw_ttl=7),set(nw_ttl=5),output(2)"), std::string::npos)
+        << d.detail;
+}
+
 TEST(DifferentialFault, FlippedOutputPortInEbpfCaught)
 {
     DiffRuleset rs;
@@ -150,7 +194,7 @@ TEST(DifferentialFault, FlippedOutputPortInEbpfCaught)
     rs.rules.push_back(std::move(r));
 
     DifferentialHarness harness(rs);
-    harness.set_fault(DpKind::Ebpf, [](kern::OdpActions& actions) {
+    harness.set_fault(DpKind::Ebpf, [](std::vector<kern::OdpAction>& actions) {
         for (auto& a : actions) {
             if (a.type == kern::OdpAction::Type::Output) a.port = 3;
         }
@@ -181,7 +225,7 @@ TEST(DifferentialFault, UnreachedMeterRuleDoesNotExplainAnEbpfFault)
     rs.rules.push_back(std::move(metered));
 
     DifferentialHarness harness(rs);
-    harness.set_fault(DpKind::Ebpf, [](kern::OdpActions& actions) {
+    harness.set_fault(DpKind::Ebpf, [](std::vector<kern::OdpAction>& actions) {
         for (auto& a : actions) {
             if (a.type == kern::OdpAction::Type::Output) a.port = 3;
         }
@@ -438,7 +482,7 @@ TEST(DifferentialFault, CorruptedCtMarkCaughtByEndStateDiff)
     DiffOptions opts;
     opts.minimize = false; // end-state divergences have no packet step
     DifferentialHarness harness(rs, opts);
-    harness.set_fault(DpKind::Ebpf, [](kern::OdpActions& actions) {
+    harness.set_fault(DpKind::Ebpf, [](std::vector<kern::OdpAction>& actions) {
         for (auto& a : actions) {
             if (a.type == kern::OdpAction::Type::Ct) a.ct.mark = 6;
         }
@@ -764,7 +808,7 @@ TEST(BurstTwins, EndStateDivergenceNamesTheFlow)
     for (const DpKind kind : kAllKinds) {
         DifferentialHarness harness(rs);
         auto upcalls = std::make_shared<int>(0);
-        harness.set_fault(kind, [upcalls](kern::OdpActions& actions) {
+        harness.set_fault(kind, [upcalls](std::vector<kern::OdpAction>& actions) {
             if ((*upcalls)++ > 0) return;
             for (auto& a : actions) {
                 if (a.type == kern::OdpAction::Type::Output) a.port = 3;

@@ -91,6 +91,39 @@ TEST_F(KmodTest, InstalledFlowForwards)
     EXPECT_EQ(dp->flow_count(), 1u);
 }
 
+// A hit updates its flow's stats, as Linux's ovs_flow_stats_update
+// does, so the revalidator's idle sweep keeps a flow packets still hit.
+TEST_F(KmodTest, HitsUpdateFlowStatsAndKeepABusyFlowThroughIdleSweeps)
+{
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    dp->flow_put(net::parse_flow(probe), tuple_mask(), {OdpAction::output(p1)});
+
+    std::uint64_t sent = 0;
+    auto send = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            net::Packet pkt = udp64();
+            sent += pkt.size();
+            nic0->rx_from_wire(std::move(pkt));
+        }
+    };
+    // 100 hits, half before each of two sweeps.
+    send(50);
+    EXPECT_EQ(dp->expire_idle(), 0u);
+    send(50);
+    EXPECT_EQ(dp->expire_idle(), 0u);
+
+    ASSERT_EQ(dp->flow_count(), 1u);
+    dp->flows().for_each_entry([&](const CachedFlow& f, const net::FlowMask&) {
+        EXPECT_EQ(f.hits, 100u);
+        EXPECT_EQ(f.bytes, sent);
+    });
+    EXPECT_EQ(out1.size(), 100u);
+    // An idle flow still goes at the next sweep.
+    EXPECT_EQ(dp->expire_idle(), 1u);
+    EXPECT_EQ(dp->flow_count(), 0u);
+}
+
 TEST_F(KmodTest, UpcallHandlerInstallsFlowLikeVswitchd)
 {
     // Model the ovs-vswitchd slow path: on miss, install the flow and

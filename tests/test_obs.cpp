@@ -1334,7 +1334,7 @@ TEST(ObsTraceIntegration, ForcedMismatchDumpsPerProviderTrace)
     gen::DifferentialHarness harness(ruleset, {.n_ports = 2, .compare_ebpf = false});
     // Mis-translate the kernel datapath's actions: output to the wrong
     // port. Every packet diverges.
-    harness.set_fault(gen::DpKind::Kernel, [](kern::OdpActions& actions) {
+    harness.set_fault(gen::DpKind::Kernel, [](std::vector<kern::OdpAction>& actions) {
         for (auto& a : actions) {
             if (a.type == kern::OdpAction::Type::Output) a.port = 1;
         }

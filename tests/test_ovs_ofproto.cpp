@@ -378,9 +378,9 @@ public:
     // Actions of rule number `id`: a meter naming the rule, then an
     // output, a drop, or a goto (after an optional rewrite) to a later
     // table, which may have no rules.
-    std::vector<OfAction> actions(std::uint32_t id, std::uint8_t table)
+    OfActions actions(std::uint32_t id, std::uint8_t table)
     {
-        std::vector<OfAction> acts = {OfAction::meter(id)};
+        OfActions acts = {OfAction::meter(id)};
         const std::uint64_t kind = rng_.below(10);
         if (kind < 4 || table >= kLastTable) {
             acts.push_back(OfAction::output(id % 16));
@@ -417,11 +417,7 @@ void expect_same_xlate(const XlateResult& got, const XlateResult& want,
 {
     EXPECT_EQ(kern::actions_to_string(got.actions), kern::actions_to_string(want.actions))
         << key.to_string();
-    ASSERT_EQ(got.actions.size(), want.actions.size());
-    for (std::size_t i = 0; i < got.actions.size(); ++i) {
-        EXPECT_EQ(got.actions[i].set_value, want.actions[i].set_value) << key.to_string();
-        EXPECT_EQ(got.actions[i].set_mask, want.actions[i].set_mask) << key.to_string();
-    }
+    EXPECT_TRUE(got.actions == want.actions) << key.to_string();
     EXPECT_EQ(got.wildcards, want.wildcards) << key.to_string();
     EXPECT_EQ(got.tables_visited, want.tables_visited) << key.to_string();
     EXPECT_EQ(got.rules_matched, want.rules_matched) << key.to_string();
