@@ -79,9 +79,8 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
     // ICMP errors are RELATED to the connection their payload cites
     // (dest-unreachable for a tracked UDP flow, etc.); an error citing
     // nothing we track is invalid. `tuple` is the cited inner tuple.
-    Ref ref;
     if (icmp_error) {
-        CtEntry* rel = lookup_routed(tuple, home, ref);
+        CtEntry* rel = lookup_routed(tuple, home);
         if (!rel) return finish_invalid();
         res.state |= net::kCtStateRelated;
         res.entry = rel;
@@ -92,7 +91,7 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
     }
 
     const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
-    if (CtEntry* hit = lookup_routed(tuple, home, ref)) {
+    if (CtEntry* hit = lookup_routed(tuple, home)) {
         CtEntry& e = *hit;
         const bool is_reply = (tuple == e.reply) && !(e.reply == e.orig);
         if (is_reply) {
@@ -103,14 +102,14 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
         if (spec.commit && !e.confirmed) e.confirmed = true;
         if (spec.commit && spec.set_mark) e.mark = spec.mark;
         e.packets++;
-        touch_routed(ref, e, now);
+        touch_routed(e, now);
         res.entry = &e;
         pkt.meta().ct_mark = e.mark;
         if (e.nat) apply_nat(pkt, e, is_reply, ctx);
         if (is_rst) {
             // RST tears the connection down: the next SYN on this tuple
             // starts a fresh NEW connection.
-            erase_routed(ref);
+            erase_routed(e);
             res.entry = nullptr;
         }
         pkt.meta().ct_state = res.state;

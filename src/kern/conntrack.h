@@ -38,8 +38,9 @@ struct CtResult {
 // ICMP RELATED and its virtual charges. Its locks read
 // "kern.ct.shard.<i>" and "kern.ct.zones", its table "kern.ct".
 //
-// CtResult.entry and find() return interior pointers stable only until
-// the next mutating call; snapshot() copies for longer-lived use.
+// CtResult.entry and find() return entries stable until the connection
+// is erased (RST, expiry, flush, reshard); snapshot() copies for
+// longer-lived use.
 class Conntrack : public CtTable {
 public:
     explicit Conntrack(const sim::CostModel& costs = sim::CostModel::baseline(),

@@ -83,9 +83,7 @@ CtTable::CtTable(const CtTableNames& names, std::uint32_t shards)
             sync::LockGuard guard(s->mu);
             conns += s->conns.size();
             index += s->index.size();
-            for (const auto& [id, e] : s->conns) {
-                if (e.nat) ++nat;
-            }
+            nat += count_nat(*s);
         }
         obs::Value v = obs::Value::object();
         v.set("connections", static_cast<std::uint64_t>(conns));
@@ -132,27 +130,43 @@ void CtTable::reshard(std::uint32_t n)
     // Drain every entry, sorted by id so the rebuilt indices and wheels
     // are filed in the original insertion order — end state stays
     // deterministic across reshard histories.
-    std::vector<std::pair<std::uint64_t, CtEntry>> entries;
+    std::vector<CtEntry> entries;
     {
         AllShardsGuard all(*this);
         for (const auto& s : shards_) {
-            for (auto& [id, e] : s->conns) entries.emplace_back(id, e);
-            s->index.clear();
-            s->conns.clear();
-            s->wheel.clear();
+            s->conns.for_each(
+                [&](std::uint64_t, const std::unique_ptr<CtEntry>& e) { entries.push_back(*e); });
         }
     }
     std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+              [](const CtEntry& a, const CtEntry& b) { return a.id < b.id; });
     build_shards(target);
-    for (auto& [id, e] : entries) {
-        const std::uint32_t owner = shard_of(e.orig);
-        Shard& osh = *shards_[owner];
-        e.wheel_bucket = osh.wheel.enqueue(id, e.last_seen);
-        osh.index.emplace(e.orig, Ref{owner, id});
-        if (!(e.reply == e.orig)) shards_[shard_of(e.reply)]->index.emplace(e.reply, Ref{owner, id});
-        osh.conns.emplace(id, std::move(e));
+    for (const CtEntry& old : entries) {
+        auto owned = std::make_unique<CtEntry>(old);
+        CtEntry& e = *owned;
+        e.shard = shard_of(e.orig);
+        e.orig_indexed = e.reply_indexed = false;
+        Shard& osh = *shards_[e.shard];
+        e.wheel_bucket = osh.wheel.enqueue(e.id, e.last_seen);
+        osh.conns.insert(id_hash(e.id), std::move(owned));
+        index_routed(e);
     }
+}
+
+std::size_t CtTable::count_nat(const Shard& s)
+{
+    std::size_t n = 0;
+    s.conns.for_each([&](std::uint64_t, const std::unique_ptr<CtEntry>& e) {
+        if (e->nat) ++n;
+    });
+    return n;
+}
+
+CtEntry* CtTable::find_conn(const Shard& s, std::uint64_t id)
+{
+    const std::unique_ptr<CtEntry>* e =
+        s.conns.find(id_hash(id), [&](const std::unique_ptr<CtEntry>& c) { return c->id == id; });
+    return e ? e->get() : nullptr;
 }
 
 std::size_t CtTable::shard_size(std::uint32_t s) const
@@ -167,9 +181,7 @@ std::size_t CtTable::nat_binding_count() const
     std::size_t n = 0;
     for (const auto& s : shards_) {
         sync::LockGuard guard(s->mu);
-        for (const auto& [id, e] : s->conns) {
-            if (e.nat) ++n;
-        }
+        n += count_nat(*s);
     }
     return n;
 }
@@ -189,8 +201,8 @@ void CtTable::flush()
     AllShardsGuard all(*this);
     for (const auto& s : shards_) {
         OVSX_SAN_ACCESS_AT(s.get(), names_.table, true);
-        s->index.clear();
-        s->conns.clear();
+        s->index = {};
+        s->conns = {};
         s->wheel.clear();
     }
     {
@@ -210,9 +222,7 @@ void CtTable::san_check(san::Site site) const
     std::size_t conns = 0, nat = 0;
     for (const auto& s : shards_) {
         conns += s->conns.size();
-        for (const auto& [id, e] : s->conns) {
-            if (e.nat) ++nat;
-        }
+        nat += count_nat(*s);
     }
     san::audit_expect_size(san_scope_, names_.entry_ledger, conns, site);
     san::audit_expect_size(san_scope_, names_.nat_ledger, nat, site);
@@ -221,25 +231,18 @@ void CtTable::san_check(san::Site site) const
 bool CtTable::local_path_ok(const CtTuple& lookup, bool icmp_error, const net::FlowKey& key,
                             const CtSpec& spec, std::uint32_t home) const
 {
-    Shard& s = *shards_[home];
-    auto idx = s.index.find(lookup);
+    const CtEntry* hit = probe_index(*shards_[home], lookup);
     if (icmp_error) {
         // RELATED lookups only read the cited entry: local unless the
         // hit refers to a connection owned by another shard.
-        return idx == s.index.end() || idx->second.shard == home;
+        return !hit || hit->shard == home;
     }
     const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
-    if (idx != s.index.end()) {
-        const Ref ref = idx->second;
-        if (ref.shard != home) return false;
-        if (is_rst) {
-            // Teardown erases both index directions; the NAT-translated
-            // reply may live in another shard.
-            const auto it = s.conns.find(ref.id);
-            if (it == s.conns.end()) return false;
-            if (shard_of(it->second.reply) != home) return false;
-        }
-        return true;
+    if (hit) {
+        if (hit->shard != home) return false;
+        // Teardown erases both index directions; the NAT-translated
+        // reply may live in another shard.
+        return !is_rst || shard_of(hit->reply) == home;
     }
     if (is_rst) return true; // miss + RST → INVALID, touches no state
     if (!(spec.nat.enabled && spec.commit)) {
@@ -263,40 +266,71 @@ std::uint16_t CtTable::alloc_nat_port_routed(const CtTuple& tuple, const NatSpec
     const std::uint16_t hi = std::max(nat.port_max, lo);
     for (std::uint32_t p = lo; p <= hi; ++p) {
         const CtTuple cand = nat_reply_tuple(tuple, nat, static_cast<std::uint16_t>(p));
-        const Shard& csh = *shards_[shard_of(cand)];
-        if (csh.index.find(cand) == csh.index.end()) return static_cast<std::uint16_t>(p);
+        if (!probe_index(*shards_[shard_of(cand)], cand)) return static_cast<std::uint16_t>(p);
     }
     return 0;
+}
+
+void CtTable::index_routed(CtEntry& e)
+{
+    auto claim = [&](const CtTuple& t) {
+        Shard& s = *shards_[shard_of(t)];
+        if (probe_index(s, t)) return false;
+        s.index.insert(CtTuple::Hash{}(t), &e);
+        return true;
+    };
+    // The flags are set after each claim, so the reply's probe never
+    // matches the entry's own orig slot.
+    e.orig_indexed = claim(e.orig);
+    if (!(e.reply == e.orig)) e.reply_indexed = claim(e.reply);
+}
+
+void CtTable::unlink_routed(CtEntry& e)
+{
+    // Drops the slot of `t` whichever connection holds it, as the
+    // two-map index erased by key: a tuple some other connection
+    // indexed first loses that connection's slot too.
+    auto unindex = [&](const CtTuple& t) {
+        CtEntry* held = shards_[shard_of(t)]->index.erase(
+            CtTuple::Hash{}(t), [&](const CtEntry* x) { return holds(*x, t); });
+        if (!held) return;
+        // An entry indexes its reply only when it differs from its orig.
+        if (held->orig == t) {
+            held->orig_indexed = false;
+        } else {
+            held->reply_indexed = false;
+        }
+    };
+    unindex(e.orig);
+    if (!(e.reply == e.orig)) unindex(e.reply);
+    shards_[e.shard]->conns.erase(id_hash(e.id), [&](const std::unique_ptr<CtEntry>& c) {
+        return c.get() == &e;
+    });
 }
 
 CtEntry& CtTable::insert_routed(std::uint32_t home, const CtEntry& entry, sim::Nanos now)
 {
     Shard& tsh = *shards_[home];
-    const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    auto [it, ok] = tsh.conns.emplace(id, entry);
-    (void)ok;
-    CtEntry& e = it->second;
-    e.wheel_bucket = tsh.wheel.enqueue(id, now);
-    san::audit_add(san_scope_, names_.entry_ledger, id, OVSX_SITE);
-    if (e.nat) san::audit_add(san_scope_, names_.nat_ledger, id, OVSX_SITE);
-    tsh.index.emplace(e.orig, Ref{home, id});
-    if (!(e.reply == e.orig)) shards_[shard_of(e.reply)]->index.emplace(e.reply, Ref{home, id});
+    auto owned = std::make_unique<CtEntry>(entry);
+    CtEntry& e = *owned;
+    e.shard = home;
+    e.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    e.wheel_bucket = tsh.wheel.enqueue(e.id, now);
+    san::audit_add(san_scope_, names_.entry_ledger, e.id, OVSX_SITE);
+    if (e.nat) san::audit_add(san_scope_, names_.nat_ledger, e.id, OVSX_SITE);
+    tsh.conns.insert(id_hash(e.id), std::move(owned));
+    index_routed(e);
     return e;
 }
 
-void CtTable::erase_routed(const Ref& ref)
+void CtTable::erase_routed(CtEntry& e)
 {
-    Shard& osh = *shards_[ref.shard];
-    auto it = osh.conns.find(ref.id);
-    if (it == osh.conns.end()) return;
-    shards_[shard_of(it->second.orig)]->index.erase(it->second.orig);
-    shards_[shard_of(it->second.reply)]->index.erase(it->second.reply);
-    release_zone_slot(it->second.orig.zone);
-    san::audit_remove(san_scope_, names_.entry_ledger, ref.id, OVSX_SITE);
-    if (it->second.nat) san::audit_remove(san_scope_, names_.nat_ledger, ref.id, OVSX_SITE);
-    osh.conns.erase(it);
+    release_zone_slot(e.orig.zone);
+    san::audit_remove(san_scope_, names_.entry_ledger, e.id, OVSX_SITE);
+    if (e.nat) san::audit_remove(san_scope_, names_.nat_ledger, e.id, OVSX_SITE);
     // The wheel node (if any) stays behind as a stale tombstone; the
     // expiry liveness check drops it.
+    unlink_routed(e);
 }
 
 bool CtTable::reserve_zone_slot(std::uint16_t zone)
@@ -335,33 +369,28 @@ std::size_t CtTable::expire_idle(sim::Nanos cutoff)
     std::size_t removed = 0;
     std::size_t visited = 0;
     // Entries due for expiry whose reply index lives in another shard:
-    // erasing them needs more than this shard's lock, so they are
-    // collected and re-checked under a global acquisition below.
-    std::vector<Ref> cross;
+    // erasing them needs more than this shard's lock, so their
+    // {shard, id} are collected and re-checked under a global
+    // acquisition below.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> cross;
     for (std::uint32_t si = 0; si < nshards_; ++si) {
         Shard& s = *shards_[si];
         sync::LockGuard guard(s.mu);
         OVSX_SAN_ACCESS_AT(&s, names_.table, true);
         const Wheel::ExpireStats st = s.wheel.expire(cutoff, [&](std::uint64_t id,
                                                                  std::uint64_t bucket) {
-            auto it = s.conns.find(id);
-            if (it == s.conns.end()) return Wheel::Verdict::Stale; // entry already gone
-            CtEntry& e = it->second;
-            if (e.wheel_bucket != bucket) return Wheel::Verdict::Stale; // refiled since
-            if (e.last_seen >= cutoff) return Wheel::Verdict::Keep;     // boundary survivor
-            if (shard_of(e.reply) != si) {
-                cross.push_back(Ref{si, id});
+            CtEntry* e = find_conn(s, id);
+            if (!e) return Wheel::Verdict::Stale;                        // entry already gone
+            if (e->wheel_bucket != bucket) return Wheel::Verdict::Stale; // refiled since
+            if (e->last_seen >= cutoff) return Wheel::Verdict::Keep;     // boundary survivor
+            if (shard_of(e->reply) != si) {
+                cross.emplace_back(si, id);
                 return Wheel::Verdict::Stale; // node dropped; erased in pass 2
             }
-            // Erase the NAT-translated reply tuple, not orig.reversed():
+            // Erases the NAT-translated reply tuple, not orig.reversed():
             // for NATed connections they differ, and a stale reply index
             // entry would pin the allocated port forever.
-            s.index.erase(e.orig);
-            s.index.erase(e.reply);
-            release_zone_slot(e.orig.zone);
-            san::audit_remove(san_scope_, names_.entry_ledger, id, OVSX_SITE);
-            if (e.nat) san::audit_remove(san_scope_, names_.nat_ledger, id, OVSX_SITE);
-            s.conns.erase(it);
+            erase_routed(*e);
             ++removed;
             return Wheel::Verdict::Expired;
         });
@@ -370,18 +399,16 @@ std::size_t CtTable::expire_idle(sim::Nanos cutoff)
     if (!cross.empty()) {
         AllShardsGuard all(*this);
         for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), names_.table, true);
-        for (const Ref& ref : cross) {
-            Shard& osh = *shards_[ref.shard];
-            auto it = osh.conns.find(ref.id);
-            if (it == osh.conns.end()) continue;
-            CtEntry& e = it->second;
-            if (e.last_seen >= cutoff) {
+        for (const auto& [si, id] : cross) {
+            CtEntry* e = find_conn(*shards_[si], id);
+            if (!e) continue;
+            if (e->last_seen >= cutoff) {
                 // Refreshed between the passes; its wheel node was
                 // dropped above, so file it again.
-                e.wheel_bucket = osh.wheel.enqueue(ref.id, e.last_seen);
+                e->wheel_bucket = shards_[si]->wheel.enqueue(id, e->last_seen);
                 continue;
             }
-            erase_routed(ref);
+            erase_routed(*e);
             ++removed;
         }
     }
@@ -415,26 +442,13 @@ void CtTable::tick(sim::Nanos now)
 
 const CtEntry* CtTable::find(const CtTuple& tuple) const
 {
-    const std::uint32_t s = shard_of(tuple);
-    {
-        sync::LockGuard guard(shards_[s]->mu);
-        OVSX_SAN_ACCESS_AT(shards_[s].get(), names_.table, false);
-        auto idx = shards_[s]->index.find(tuple);
-        if (idx == shards_[s]->index.end()) return nullptr;
-        if (idx->second.shard == s) {
-            auto it = shards_[s]->conns.find(idx->second.id);
-            return it == shards_[s]->conns.end() ? nullptr : &it->second;
-        }
-    }
-    // The index entry refers to a connection owned by another shard
-    // (NAT-translated reply direction): resolve ref → entry under a
-    // consistent global acquisition.
-    AllShardsGuard all(*this);
-    auto idx = shards_[s]->index.find(tuple);
-    if (idx == shards_[s]->index.end()) return nullptr;
-    Shard& osh = *shards_[idx->second.shard];
-    auto it = osh.conns.find(idx->second.id);
-    return it == osh.conns.end() ? nullptr : &it->second;
+    // The slot points at the entry itself, even one another shard owns
+    // (a NAT-translated reply): that entry is erased only under this
+    // shard's lock too, so this lock alone makes the read safe.
+    Shard& s = *shards_[shard_of(tuple)];
+    sync::LockGuard guard(s.mu);
+    OVSX_SAN_ACCESS_AT(&s, names_.table, false);
+    return probe_index(s, tuple);
 }
 
 bool CtTable::set_mark(const CtTuple& tuple, std::uint32_t mark)
@@ -442,57 +456,59 @@ bool CtTable::set_mark(const CtTuple& tuple, std::uint32_t mark)
     const std::uint32_t s = shard_of(tuple);
     {
         sync::LockGuard guard(shards_[s]->mu);
-        auto idx = shards_[s]->index.find(tuple);
-        if (idx == shards_[s]->index.end()) return false;
-        if (idx->second.shard == s) {
+        CtEntry* e = probe_index(*shards_[s], tuple);
+        if (!e) return false;
+        if (e->shard == s) {
             OVSX_SAN_ACCESS_AT(shards_[s].get(), names_.table, true);
-            shards_[s]->conns[idx->second.id].mark = mark;
+            e->mark = mark;
             return true;
         }
     }
+    // The connection is owned by another shard (NAT-translated reply
+    // direction), whose lock guards its mark: write it under every lock.
     AllShardsGuard all(*this);
-    auto idx = shards_[s]->index.find(tuple);
-    if (idx == shards_[s]->index.end()) return false;
-    OVSX_SAN_ACCESS_AT(shards_[idx->second.shard].get(), names_.table, true);
-    shards_[idx->second.shard]->conns[idx->second.id].mark = mark;
+    CtEntry* e = probe_index(*shards_[s], tuple);
+    if (!e) return false;
+    OVSX_SAN_ACCESS_AT(shards_[e->shard].get(), names_.table, true);
+    e->mark = mark;
     return true;
 }
 
 bool CtTable::test_seam_leak_entry(const CtTuple& tuple)
 {
     AllShardsGuard all(*this);
-    Shard& tsh = *shards_[shard_of(tuple)];
-    auto idx = tsh.index.find(tuple);
-    if (idx == tsh.index.end()) return false;
-    const Ref ref = idx->second;
-    Shard& osh = *shards_[ref.shard];
-    auto it = osh.conns.find(ref.id);
-    if (it == osh.conns.end()) return false;
+    CtEntry* e = probe_index(*shards_[shard_of(tuple)], tuple);
+    if (!e) return false;
     // Deliberately skip the audit_remove calls: the entry vanishes from
     // the table while the ledgers still claim it — san_check must flag
     // the mismatch regardless of which shard held the entry.
-    shards_[shard_of(it->second.orig)]->index.erase(it->second.orig);
-    shards_[shard_of(it->second.reply)]->index.erase(it->second.reply);
-    osh.conns.erase(it);
+    unlink_routed(*e);
     return true;
 }
 
 std::vector<CtSnapshotEntry> CtTable::snapshot() const
 {
     // One shard lock at a time: a dump under churn never freezes the
-    // whole table. Sorting by orig tuple afterwards makes the merged
-    // view byte-identical to the single-map rendering.
-    std::vector<CtSnapshotEntry> out;
+    // whole table. Sorting by orig tuple afterwards, then by id for
+    // connections that share one, makes the merged view the same at
+    // any shard count.
+    std::vector<std::pair<std::uint64_t, CtSnapshotEntry>> rows;
     for (const auto& s : shards_) {
         sync::LockGuard guard(s->mu);
         OVSX_SAN_ACCESS_AT(s.get(), names_.table, false);
-        out.reserve(out.size() + s->conns.size());
-        for (const auto& [id, e] : s->conns) {
-            out.push_back(
-                {e.orig, e.reply, e.confirmed, e.seen_reply, e.nat.has_value(), e.mark, e.packets});
-        }
+        rows.reserve(rows.size() + s->conns.size());
+        s->conns.for_each([&](std::uint64_t, const std::unique_ptr<CtEntry>& e) {
+            rows.push_back({e->id,
+                            {e->orig, e->reply, e->confirmed, e->seen_reply, e->nat.has_value(),
+                             e->mark, e->packets}});
+        });
     }
-    std::sort(out.begin(), out.end());
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+        return std::tie(a.second.orig, a.first) < std::tie(b.second.orig, b.first);
+    });
+    std::vector<CtSnapshotEntry> out;
+    out.reserve(rows.size());
+    for (auto& [id, row] : rows) out.push_back(std::move(row));
     return out;
 }
 

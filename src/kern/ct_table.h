@@ -11,6 +11,15 @@
 // snapshots, the san walk and the appctl reporters. Each tracker passes
 // its own observable names (CtTableNames), so locks, memory/show,
 // shards/show and audit ledgers read exactly as before.
+//
+// Both per-shard tables are net::SlotTables, the flat store under the
+// megaflow and OpenFlow classifiers. The tuple index holds one
+// {hash, CtEntry*} slot for each indexed direction of a connection, as
+// Linux keeps two nf_conntrack_tuple_hash per nf_conn and OVS a
+// conn_key_node per direction in one cmap, so a ct() lookup is one
+// probe and one entry read. The connection store owns each entry in
+// its own heap block, keyed by connection id; only insert, erase,
+// wheel expiry, reshard and the dumps touch it.
 #pragma once
 
 #include <atomic>
@@ -25,6 +34,7 @@
 #include "kern/odp.h" // CtSpec / NatSpec
 #include "kern/timer_wheel.h"
 #include "net/flow.h"
+#include "net/slot_table.h"
 #include "obs/coverage.h"
 #include "san/lockset.h"
 #include "san/report.h"
@@ -119,7 +129,17 @@ struct CtEntry {
     bool confirmed = false; // committed by a ct(commit) action
     bool seen_reply = false;
     std::uint8_t tcp_flags_seen = 0; // OR of TCP flags (userspace tracker only)
+    // Whether the direction holds its tuple's index slot: a tuple some
+    // other connection indexed first stays that connection's. Each
+    // flag is its own byte, read and written only under the lock of
+    // the shard its tuple routes to.
+    bool orig_indexed = false;
+    bool reply_indexed = false;
     std::uint32_t mark = 0;
+    // The owning shard (its orig tuple's) and the connection id, set
+    // by the table when it files the entry.
+    std::uint32_t shard = 0;
+    std::uint64_t id = 0;
     std::optional<NatBinding> nat;
     std::uint64_t packets = 0;
     sim::Nanos last_seen = 0;
@@ -159,9 +179,15 @@ struct CtTableNames {
 // lock, nested inside the shard locks. End state is bit-identical at
 // any shard count.
 //
-// find() and the entries the state machines hand out are interior
-// pointers, stable only until the next mutating call; snapshot()
-// copies for longer-lived use.
+// An index slot may point at a connection another shard owns (a
+// NAT-translated reply). Such a connection is erased only under both
+// shards' locks, so a probe under one lock never reads a freed entry,
+// and it reads only the entry's tuples, fixed once filed, and the
+// indexed flag its own lock guards.
+//
+// find() and the entries the state machines hand out are stable until
+// the connection is erased, or the table flushed or resharded;
+// snapshot() copies for longer-lived use.
 class CtTable {
 public:
     static constexpr std::uint32_t kMaxShards = 64;
@@ -240,11 +266,6 @@ protected:
     CtTable(const CtTableNames& names, std::uint32_t shards);
     ~CtTable();
 
-    struct Ref { // index value: owning shard + connection id
-        std::uint32_t shard = 0;
-        std::uint64_t id = 0;
-    };
-
     // Runs `fn(home)` — one state machine's pass over the table — under
     // the locks that pass needs. `lookup` is the tuple of the first
     // index probe (the ICMP-cited inner tuple for ICMP errors, the
@@ -275,21 +296,18 @@ protected:
     // ---- routed helpers: only inside routed(), whose locks cover every
     // tuple they touch (hence no static analysis) ------------------------
 
-    // The connection `tuple` indexes (either direction), or nullptr.
-    CtEntry* lookup_routed(const CtTuple& tuple, std::uint32_t home, Ref& ref)
+    // The connection `tuple` indexes (either direction), or nullptr:
+    // one probe of the home shard's index.
+    OVSX_NO_ALLOC CtEntry* lookup_routed(const CtTuple& tuple, std::uint32_t home)
         OVSX_NO_THREAD_SAFETY_ANALYSIS
     {
-        Shard& s = *shards_[home];
-        const auto idx = s.index.find(tuple);
-        if (idx == s.index.end()) return nullptr;
-        ref = idx->second;
-        return &shards_[ref.shard]->conns[ref.id];
+        return probe_index(*shards_[home], tuple);
     }
     // Refiles a live connection seen at `now` on its shard's wheel.
-    void touch_routed(const Ref& ref, CtEntry& e, sim::Nanos now) OVSX_NO_THREAD_SAFETY_ANALYSIS
+    void touch_routed(CtEntry& e, sim::Nanos now) OVSX_NO_THREAD_SAFETY_ANALYSIS
     {
         e.last_seen = now;
-        e.wheel_bucket = shards_[ref.shard]->wheel.touch(ref.id, e.wheel_bucket, now);
+        e.wheel_bucket = shards_[e.shard]->wheel.touch(e.id, e.wheel_bucket, now);
     }
     // Deterministic NAT port allocation: the first port in the spec's
     // range whose translated reply tuple is untracked, or 0 when the
@@ -297,11 +315,13 @@ protected:
     std::uint16_t alloc_nat_port_routed(const CtTuple& tuple, const NatSpec& nat) const
         OVSX_NO_THREAD_SAFETY_ANALYSIS;
     // Files a new connection into shard `home` under a fresh id and
-    // indexes both directions. The zone slot must already be reserved.
+    // indexes each direction no other connection indexes yet. The zone
+    // slot must already be reserved.
     CtEntry& insert_routed(std::uint32_t home, const CtEntry& entry, sim::Nanos now)
         OVSX_NO_THREAD_SAFETY_ANALYSIS;
-    // Erases a connection, both index directions and its zone slot.
-    void erase_routed(const Ref& ref) OVSX_NO_THREAD_SAFETY_ANALYSIS;
+    // Erases a connection, the index slots of both its tuples and its
+    // zone slot, and frees the entry.
+    void erase_routed(CtEntry& e) OVSX_NO_THREAD_SAFETY_ANALYSIS;
 
     // Checks the zone limit and counts the new connection in one
     // acquisition, so concurrent creators cannot overshoot the limit.
@@ -320,14 +340,48 @@ private:
         }
 
         sync::Mutex mu;
-        // Both tuple directions index into one connection entry
-        // (possibly in another shard for NAT-translated replies); the
-        // reply direction carries the NAT translation, so it is NOT
-        // orig.reversed() for NATed connections.
-        std::unordered_map<CtTuple, Ref, CtTuple::Hash> index OVSX_GUARDED_BY(mu);
-        std::unordered_map<std::uint64_t, CtEntry> conns OVSX_GUARDED_BY(mu);
+        // One {CtTuple::Hash, entry} slot per indexed direction whose
+        // tuple routes here: the entry may belong to another shard (a
+        // NAT-translated reply), and the reply direction carries the
+        // NAT translation, so it is NOT orig.reversed() for NATed
+        // connections.
+        net::SlotTable<CtEntry*> index OVSX_GUARDED_BY(mu);
+        // The connections this shard owns, keyed by id_hash(id).
+        net::SlotTable<std::unique_ptr<CtEntry>> conns OVSX_GUARDED_BY(mu);
         TimerWheel<std::uint64_t> wheel OVSX_GUARDED_BY(mu);
     };
+
+    // Whether `e` holds the index slot of `tuple`. The tuple compares
+    // first, so only the flag of the direction that equals `tuple`, the
+    // one the probing shard's lock guards, is read.
+    static bool holds(const CtEntry& e, const CtTuple& tuple)
+    {
+        return (e.orig == tuple && e.orig_indexed) || (e.reply == tuple && e.reply_indexed);
+    }
+    // The connection holding the index slot of `tuple` in shard `s` (the
+    // shard `tuple` routes to), or nullptr. A miss reads slots only.
+    OVSX_NO_ALLOC static CtEntry* probe_index(const Shard& s, const CtTuple& tuple)
+        OVSX_NO_THREAD_SAFETY_ANALYSIS
+    {
+        CtEntry* const* slot =
+            s.index.find(CtTuple::Hash{}(tuple), [&](const CtEntry* e) { return holds(*e, tuple); });
+        return slot ? *slot : nullptr;
+    }
+    // The store key of connection `id`: a bijective mix, so ids that
+    // run in sequence still spread over the array.
+    static std::uint64_t id_hash(std::uint64_t id) { return CtTuple::Hash::mix(id); }
+    // The connection `id` in shard `s`, or nullptr (expired, torn down).
+    static CtEntry* find_conn(const Shard& s, std::uint64_t id) OVSX_NO_THREAD_SAFETY_ANALYSIS;
+    // NAT bindings among the connections shard `s` owns.
+    static std::size_t count_nat(const Shard& s) OVSX_NO_THREAD_SAFETY_ANALYSIS;
+
+    // Gives `e`'s tuples the index slots no other connection holds yet
+    // (an indexed tuple keeps its first connection).
+    void index_routed(CtEntry& e) OVSX_NO_THREAD_SAFETY_ANALYSIS;
+    // Drops the index slots of both of `e`'s tuples, whichever
+    // connection holds them, and frees `e`, leaving the zone counts and
+    // the audit ledgers alone.
+    void unlink_routed(CtEntry& e) OVSX_NO_THREAD_SAFETY_ANALYSIS;
 
     // Locks every shard in ascending index order. Shard mutexes are
     // constructed in index order, so their lock ids ascend with the

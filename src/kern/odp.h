@@ -82,6 +82,13 @@ enum class ActionAttr : std::uint8_t {
     Controller, // empty: becomes Userspace
 };
 
+// The depth of a datapath's punt queue: the packets Userspace actions
+// hand to ovs-vswitchd wait there. A punt that finds the queue full
+// drops its packet and counts it in the datapath's `lost`, as Linux
+// counts an action upcall that fails in n_lost, so a controller flow
+// under load holds a bounded number of packets.
+inline constexpr std::size_t kPuntQueueDepth = 128;
+
 // One action list in the attribute encoding: a byte buffer that keeps up
 // to kInline bytes in place (an output, ct plus recirc, ct plus output)
 // and longer lists in one heap block, so a flow or rule holding a short

@@ -361,6 +361,14 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
         case OdpAction::Type::Userspace:
             // An action upcall (Linux's output_userspace): ovs-vswitchd
             // takes the packet and does not execute it again.
+            if (punted_.size() >= kPuntQueueDepth) {
+                ++lost_;
+                if (pkt.meta().trace_id) {
+                    obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
+                               "punt-queue-full");
+                }
+                return;
+            }
             if (pkt.meta().trace_id) {
                 obs::trace(pkt.meta().trace_id, obs::Hop::Action, pkt.meta().latency_ns,
                            "userspace-punt");

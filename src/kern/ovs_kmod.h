@@ -80,7 +80,8 @@ public:
     void set_upcall_handler(UpcallHandler handler) { upcall_ = std::move(handler); }
     // Packets punted by an explicit Userspace action: an action upcall
     // (Linux's OVS_PACKET_CMD_ACTION), which ovs-vswitchd receives
-    // without executing it again.
+    // without executing it again. At most kPuntQueueDepth wait; a punt
+    // beyond that is dropped and counted in lost().
     std::vector<net::Packet>& punted() { return punted_; }
 
     // ---- meters / virtual time ------------------------------------------
@@ -114,7 +115,9 @@ public:
     // ---- statistics -----------------------------------------------------------------
     std::uint64_t hits() const { return flows_.hits(); }
     std::uint64_t misses() const { return flows_.misses(); }
-    std::uint64_t lost() const { return lost_; } // misses with no upcall handler
+    // Misses with no upcall handler, and punts that found the punt
+    // queue full.
+    std::uint64_t lost() const { return lost_; }
 
     // Masks currently in the table (diagnostic; the paper's megaflow
     // discussions are about keeping this small).

@@ -148,13 +148,16 @@ void PmdPerf::end_iteration(std::uint64_t packets)
     if (!in_iteration_) return;
     in_iteration_ = false;
 
-    PerfIterationRecord rec;
+    // Built in place in the flight ring, every field written (the slot
+    // still holds the record of kPerfFlightDepth iterations ago).
+    PerfIterationRecord& rec = ring_[ring_next_];
     rec.iter = ++iterations_;
     rec.tsc_start = iter_tsc_start_;
     rec.cycles = tsc_ - iter_tsc_start_;
     rec.packets = packets;
     rec.upcalls = iter_upcalls_;
     rec.doorbells = iter_doorbells_;
+    rec.suspicious = false;
     for (std::size_t i = 0; i < kPerfStages; ++i) {
         rec.stage_cycles[i] = stage_cycles_[i] - iter_stage_start_[i];
     }
@@ -201,7 +204,6 @@ void PmdPerf::end_iteration(std::uint64_t packets)
         ewma_up_primed_ ? kPerfEwmaAlpha * up + (1 - kPerfEwmaAlpha) * ewma_upcalls_ : up);
     ewma_up_primed_ = true;
 
-    ring_[ring_next_] = rec;
     ring_next_ = (ring_next_ + 1) % kPerfFlightDepth;
     ring_len_ = std::min(ring_len_ + 1, kPerfFlightDepth);
 

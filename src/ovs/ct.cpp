@@ -85,16 +85,15 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
     // errors citing nothing we track are invalid. Mirrors
     // kern::Conntrack::process so all datapaths classify identically.
     // `tuple` is the cited inner tuple.
-    Ref ref;
     if (icmp_error) {
-        const CtEntry* rel = lookup_routed(tuple, home, ref);
+        const CtEntry* rel = lookup_routed(tuple, home);
         if (!rel) return finish(state | net::kCtStateInvalid);
         pkt.meta().ct_mark = rel->mark;
         return finish(state | net::kCtStateRelated);
     }
 
     const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
-    if (CtEntry* hit = lookup_routed(tuple, home, ref)) {
+    if (CtEntry* hit = lookup_routed(tuple, home)) {
         CtEntry& e = *hit;
         const bool is_reply = (tuple == e.reply) && !(e.reply == e.orig);
         if (is_reply) {
@@ -106,12 +105,12 @@ std::uint8_t UserspaceConntrack::process_routed(net::Packet& pkt, const net::Flo
         if (spec.commit && spec.set_mark) e.mark = spec.mark;
         if (key.nw_proto == 6) e.tcp_flags_seen |= key.tcp_flags;
         e.packets++;
-        touch_routed(ref, e, now);
+        touch_routed(e, now);
         pkt.meta().ct_mark = e.mark;
         if (e.nat) apply_nat(pkt, e, is_reply, ctx);
         if (is_rst) {
             // RST tears the connection down; the next SYN starts NEW.
-            erase_routed(ref);
+            erase_routed(e);
         }
         return finish(state);
     }

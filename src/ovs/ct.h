@@ -29,9 +29,8 @@ using kern::CtTuple;
 
 // The userspace state machine over the shared connection table. Its
 // locks read "ovs.uct.shard.<i>" and "ovs.uct.zones", its table
-// "ovs.uct". find() returns an interior pointer stable only until the
-// next mutating call, the same contract as kern::Conntrack; snapshot()
-// copies.
+// "ovs.uct". find() returns an entry stable until the connection is
+// erased, the same contract as kern::Conntrack; snapshot() copies.
 class UserspaceConntrack : public kern::CtTable {
 public:
     explicit UserspaceConntrack(const sim::CostModel& costs = sim::CostModel::baseline(),

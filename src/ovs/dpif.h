@@ -56,7 +56,9 @@ public:
     // ---- introspection ---------------------------------------------------
     // Classifier totals of this instance. A recirculation pass counts as
     // one more hit or miss. `lost` is OVS's n_lost: misses dropped
-    // because no upcall handler is set (other drops are not counted).
+    // because no upcall handler is set, and Userspace-action punts that
+    // found the punt queue full (kern::kPuntQueueDepth); other drops
+    // are not counted.
     struct Stats {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;

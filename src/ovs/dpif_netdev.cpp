@@ -693,6 +693,15 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
             }
             break;
         case Type::Userspace:
+            if (punted_.size() >= kern::kPuntQueueDepth) {
+                ++lost_;
+                ++dropped_;
+                if (pkt.meta().trace_id) {
+                    obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
+                               "punt-queue-full");
+                }
+                return;
+            }
             if (pkt.meta().trace_id) {
                 obs::trace(pkt.meta().trace_id, obs::Hop::Action, pkt.meta().latency_ns,
                            "userspace-punt");

@@ -141,7 +141,9 @@ public:
     };
     const std::vector<RebalanceEvent>& rebalance_events() const { return rebalance_events_; }
 
-    // Packets punted by an explicit Userspace action.
+    // Packets punted by an explicit Userspace action. At most
+    // kern::kPuntQueueDepth wait; a punt beyond that is dropped and
+    // counted in stats().lost.
     std::vector<net::Packet>& punted() { return punted_; }
 
     // Revalidation sweep, lane by lane: expires idle megaflows, drops
@@ -247,7 +249,7 @@ private:
     sim::Nanos now_ = 0;
     std::uint64_t upcall_count_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t lost_ = 0; // misses with no upcall handler
+    std::uint64_t lost_ = 0; // misses with no upcall handler, punts to a full queue
     // Instance-local EMC+megaflow hit total (stats().hits); the global
     // coverage counters aggregate across instances.
     std::uint64_t stats_hits_ = 0;

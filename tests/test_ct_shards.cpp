@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -410,6 +413,442 @@ TEST(CtShardSan, UserspaceLeakCaughtAtAnyShardCount)
 {
     leaked_entry_is_caught<ovs::UserspaceConntrack>(1);
     leaked_entry_is_caught<ovs::UserspaceConntrack>(4);
+}
+
+// ---- conntrack table: both trackers against a reference model --------
+
+// Reference model of the connection table and the state machine both
+// trackers run over it, as a plain two-map table: the connections by
+// id, and one std::map from tuple to id. A new connection indexes its
+// reply tuple only if no connection holds it yet (an indexed tuple
+// keeps its first connection), an erase drops both of its tuples by
+// key, whichever connection holds them, and a reshard re-indexes every
+// connection in id order.
+class CtTableModel {
+public:
+    struct Conn {
+        kern::CtTuple orig;
+        kern::CtTuple reply;
+        bool confirmed = false;
+        bool seen_reply = false;
+        std::uint32_t mark = 0;
+        std::optional<kern::NatBinding> nat;
+        std::uint64_t packets = 0;
+        sim::Nanos last_seen = 0;
+    };
+
+    // How often each path ran, so a run can show it covered them all.
+    struct Paths {
+        std::size_t related = 0;
+        std::size_t teardown = 0;    // RST on a tracked connection
+        std::size_t zone_full = 0;
+        std::size_t exhausted = 0;   // NAT port range exhausted
+        std::size_t reply_taken = 0; // reply tuple already indexed
+        std::size_t expired = 0;
+    };
+
+    void set_zone_limit(std::uint16_t zone, std::size_t limit) { zone_limits_[zone] = limit; }
+    void set_idle_timeout(sim::Nanos timeout) { idle_timeout_ = timeout; }
+    const Paths& paths() const { return paths_; }
+
+    // The CS_* bits process() writes for a packet whose lookup tuple is
+    // `tuple` (the cited inner tuple of an ICMP error).
+    std::uint8_t process(const kern::CtTuple& tuple, bool icmp_error, bool rst,
+                         const kern::CtSpec& spec, sim::Nanos now)
+    {
+        constexpr std::uint8_t kInvalid = net::kCtStateTracked | net::kCtStateInvalid;
+        const auto hit = index_.find(tuple);
+        if (icmp_error) {
+            if (hit == index_.end()) return kInvalid;
+            ++paths_.related;
+            return net::kCtStateTracked | net::kCtStateRelated;
+        }
+        if (hit != index_.end()) {
+            const std::uint64_t id = hit->second;
+            Conn& c = conns_.at(id);
+            std::uint8_t state = net::kCtStateTracked;
+            if (tuple == c.reply && !(c.reply == c.orig)) {
+                c.seen_reply = true;
+                state |= net::kCtStateReply;
+            }
+            state |= c.confirmed ? net::kCtStateEstablished : net::kCtStateNew;
+            if (spec.commit) c.confirmed = true;
+            if (spec.commit && spec.set_mark) c.mark = spec.mark;
+            ++c.packets;
+            c.last_seen = now;
+            if (rst) {
+                ++paths_.teardown;
+                erase(id);
+            }
+            return state;
+        }
+        if (rst) return kInvalid;
+        std::size_t& count = zone_counts_[spec.zone];
+        const auto lim = zone_limits_.find(spec.zone);
+        if (lim != zone_limits_.end() && lim->second != 0 && count >= lim->second) {
+            ++paths_.zone_full;
+            return kInvalid;
+        }
+        Conn c;
+        c.orig = tuple;
+        c.reply = tuple.reversed();
+        c.confirmed = spec.commit;
+        if (spec.commit && spec.set_mark) c.mark = spec.mark;
+        c.packets = 1;
+        c.last_seen = now;
+        if (spec.nat.enabled && spec.commit) {
+            kern::NatBinding nat{spec.nat.snat, spec.nat.ip, 0};
+            if (spec.nat.port_min != 0) {
+                for (std::uint32_t p = spec.nat.port_min;
+                     p <= std::max(spec.nat.port_max, spec.nat.port_min); ++p) {
+                    const auto port = static_cast<std::uint16_t>(p);
+                    if (!index_.contains(kern::nat_reply_tuple(tuple, spec.nat, port))) {
+                        nat.port = port;
+                        break;
+                    }
+                }
+                if (nat.port == 0) {
+                    ++paths_.exhausted;
+                    return kInvalid;
+                }
+            }
+            c.nat = nat;
+            c.reply = kern::nat_reply_tuple(tuple, spec.nat, nat.port);
+        }
+        ++count;
+        const std::uint64_t id = next_id_++;
+        index_.emplace(c.orig, id);
+        if (!(c.reply == c.orig) && !index_.emplace(c.reply, id).second) ++paths_.reply_taken;
+        conns_.emplace(id, c);
+        return net::kCtStateTracked | net::kCtStateNew;
+    }
+
+    bool set_mark(const kern::CtTuple& tuple, std::uint32_t mark)
+    {
+        const auto hit = index_.find(tuple);
+        if (hit == index_.end()) return false;
+        conns_.at(hit->second).mark = mark;
+        return true;
+    }
+
+    // CtTable::tick: at most one pass per wheel quantum, which expires
+    // every connection idle since before the cutoff.
+    void tick(sim::Nanos now)
+    {
+        const std::uint64_t bucket = static_cast<std::uint64_t>(now) >> Wheel::kDefaultTickShift;
+        if (bucket == last_tick_bucket_) return;
+        last_tick_bucket_ = bucket;
+        if (idle_timeout_ == 0 || now < idle_timeout_) return;
+        std::vector<std::uint64_t> idle;
+        for (const auto& [id, c] : conns_) {
+            if (c.last_seen < now - idle_timeout_) idle.push_back(id);
+        }
+        for (const std::uint64_t id : idle) erase(id);
+        paths_.expired += idle.size();
+    }
+
+    void reshard()
+    {
+        index_.clear();
+        for (const auto& [id, c] : conns_) {
+            index_.emplace(c.orig, id);
+            if (!(c.reply == c.orig)) index_.emplace(c.reply, id);
+        }
+    }
+
+    const Conn* find(const kern::CtTuple& tuple) const
+    {
+        const auto hit = index_.find(tuple);
+        return hit == index_.end() ? nullptr : &conns_.at(hit->second);
+    }
+
+    std::vector<kern::CtSnapshotEntry> snapshot() const
+    {
+        std::vector<kern::CtSnapshotEntry> out;
+        for (const auto& [id, c] : conns_) {
+            out.push_back({c.orig, c.reply, c.confirmed, c.seen_reply, c.nat.has_value(), c.mark,
+                           c.packets});
+        }
+        return out;
+    }
+
+    std::size_t connections() const { return conns_.size(); }
+    std::size_t index_entries() const { return index_.size(); }
+    std::size_t nat_bindings() const
+    {
+        return static_cast<std::size_t>(std::count_if(
+            conns_.begin(), conns_.end(), [](const auto& kv) { return kv.second.nat.has_value(); }));
+    }
+    std::size_t zone_count(std::uint16_t zone) const
+    {
+        const auto it = zone_counts_.find(zone);
+        return it == zone_counts_.end() ? 0 : it->second;
+    }
+    // A connection's tuples, for the traffic generator.
+    std::vector<const Conn*> live() const
+    {
+        std::vector<const Conn*> out;
+        for (const auto& [id, c] : conns_) out.push_back(&c);
+        return out;
+    }
+
+private:
+    void erase(std::uint64_t id)
+    {
+        const Conn& c = conns_.at(id);
+        index_.erase(c.orig);
+        index_.erase(c.reply);
+        std::size_t& count = zone_counts_[c.orig.zone];
+        if (count > 0) --count;
+        conns_.erase(id);
+    }
+
+    std::map<std::uint64_t, Conn> conns_;
+    std::map<kern::CtTuple, std::uint64_t> index_;
+    std::map<std::uint16_t, std::size_t> zone_counts_;
+    std::map<std::uint16_t, std::size_t> zone_limits_;
+    std::uint64_t next_id_ = 1;
+    sim::Nanos idle_timeout_ = 0;
+    std::uint64_t last_tick_bucket_ = ~std::uint64_t{0};
+    Paths paths_;
+};
+
+net::Packet ct_model_packet(const kern::CtTuple& t, std::uint8_t tcp_flags)
+{
+    if (t.proto == 6) {
+        net::TcpSpec spec;
+        spec.src_ip = t.src;
+        spec.dst_ip = t.dst;
+        spec.src_port = t.sport;
+        spec.dst_port = t.dport;
+        spec.flags = tcp_flags;
+        net::Packet p = net::build_tcp(spec);
+        p.meta().in_port = 1;
+        return p;
+    }
+    return udp_packet(t.src, t.dst, t.sport, t.dport);
+}
+
+// An ICMP port-unreachable from the cited packet's destination, citing
+// a packet of tuple `t`.
+net::Packet ct_model_icmp_error(const kern::CtTuple& t)
+{
+    net::IcmpSpec err;
+    err.src_ip = t.dst;
+    err.dst_ip = t.src;
+    err.type = 3;
+    err.code = 3;
+    net::Packet p = net::build_icmp_error(err, ct_model_packet(t, net::kTcpSyn));
+    p.meta().in_port = 1;
+    return p;
+}
+
+// Drives `steps` seeded operations through a tracker at `shards` shards
+// and through the model, and compares them after every step: the state
+// bits, find() for every tuple seen so far, snapshot(), the memory/show
+// counts, size, NAT bindings and zone counts. The traffic is a small
+// universe (three hosts, three ports, TCP and UDP, two zones), so tuples
+// recur: new connections, replies, repeats with commit and mark, RSTs,
+// ICMP errors citing seen tuples, SNAT and DNAT with and without port
+// ranges (one- and two-port ranges, which exhaust), table set_mark,
+// tick expiry, a zone limit, and a reshard halfway. A scripted prefix
+// first makes a NAT reply tuple that an earlier connection already
+// indexes, then tears the later connection down, which drops the
+// earlier one's slot.
+template <typename Tracker>
+void ct_table_matches_model(std::uint32_t shards, std::uint64_t seed, std::size_t steps)
+{
+    Tracker ct{};
+    ct.reshard(shards);
+    CtTableModel model;
+    constexpr sim::Nanos kIdle = 2'000'000;
+    ct.set_idle_timeout(kIdle);
+    model.set_idle_timeout(kIdle);
+    ct.set_zone_limit(1, 12);
+    model.set_zone_limit(1, 12);
+    sim::ExecContext ctx{"test", sim::CpuClass::User};
+    sim::Rng rng(seed);
+
+    const std::uint32_t hosts[] = {ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2), ipv4(10, 0, 1, 1)};
+    const std::uint16_t ports[] = {1000, 1001, 80};
+    const std::uint32_t nat_ips[] = {ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2), ipv4(203, 0, 113, 9)};
+    std::set<kern::CtTuple> seen;
+    sim::Nanos now = 0;
+    std::string where;
+
+    auto check = [&] {
+        for (const kern::CtTuple& t : seen) {
+            const kern::CtEntry* got = ct.find(t);
+            const CtTableModel::Conn* want = model.find(t);
+            ASSERT_EQ(got != nullptr, want != nullptr) << where << " find " << t.to_string();
+            if (!got) continue;
+            ASSERT_EQ(got->orig, want->orig) << where << " find " << t.to_string();
+            ASSERT_EQ(got->reply, want->reply) << where << " find " << t.to_string();
+            ASSERT_EQ(got->confirmed, want->confirmed) << where;
+            ASSERT_EQ(got->seen_reply, want->seen_reply) << where;
+            ASSERT_EQ(got->mark, want->mark) << where;
+            ASSERT_EQ(got->packets, want->packets) << where;
+            ASSERT_EQ(got->nat.has_value(), want->nat.has_value()) << where;
+            if (got->nat) {
+                ASSERT_EQ(got->nat->snat, want->nat->snat) << where;
+                ASSERT_EQ(got->nat->ip, want->nat->ip) << where;
+                ASSERT_EQ(got->nat->port, want->nat->port) << where;
+            }
+        }
+        // Connections that share an orig tuple may list in either order.
+        auto canonical = [](std::vector<kern::CtSnapshotEntry> v) {
+            std::vector<std::string> out;
+            for (const auto& e : v) out.push_back(e.to_string());
+            std::sort(out.begin(), out.end());
+            return out;
+        };
+        ASSERT_EQ(canonical(ct.snapshot()), canonical(model.snapshot())) << where;
+        const obs::Value mem = obs::memory_show();
+        const obs::Value* table = mem.find(TrackerNames<Tracker>::table);
+        ASSERT_NE(table, nullptr);
+        ASSERT_EQ(table->find("connections")->as_uint(), model.connections()) << where;
+        ASSERT_EQ(table->find("index_entries")->as_uint(), model.index_entries()) << where;
+        ASSERT_EQ(table->find("nat_bindings")->as_uint(), model.nat_bindings()) << where;
+        ASSERT_EQ(ct.size(), model.connections()) << where;
+        ASSERT_EQ(ct.nat_binding_count(), model.nat_bindings()) << where;
+        ASSERT_EQ(ct.zone_count(0), model.zone_count(0)) << where;
+        ASSERT_EQ(ct.zone_count(1), model.zone_count(1)) << where;
+    };
+    // One packet through both, tracker first; the lookup tuple is the
+    // packet's own, or the cited one for an ICMP error.
+    auto send = [&](const kern::CtTuple& t, bool icmp_error, std::uint8_t flags,
+                    const kern::CtSpec& spec) {
+        net::Packet pkt = icmp_error ? ct_model_icmp_error(t) : ct_model_packet(t, flags);
+        const net::FlowKey key = net::parse_flow(pkt);
+        ct.process(pkt, key, spec, ctx, now);
+        const bool rst = !icmp_error && t.proto == 6 && (flags & net::kTcpRst) != 0;
+        const std::uint8_t want = model.process(t, icmp_error, rst, spec, now);
+        ASSERT_EQ(pkt.meta().ct_state, want) << where << " " << t.to_string();
+        seen.insert(t);
+        if (const auto* c = model.find(t)) {
+            seen.insert(c->orig);
+            seen.insert(c->reply);
+        }
+    };
+    auto tuple = [&](std::uint32_t src, std::uint32_t dst, std::uint16_t sport,
+                     std::uint16_t dport, std::uint8_t proto, std::uint16_t zone) {
+        return kern::CtTuple{src, dst, sport, dport, proto, zone};
+    };
+
+    // Scripted: A = server 10.0.1.1:80 -> client 10.0.0.1:1000. B, from
+    // 10.0.0.2:1000 to the server, SNATs to 10.0.0.1 with no port range,
+    // so B's reply tuple is A's orig: A keeps it. B's RST then erases
+    // both of B's tuples by key, A's slot with them, and C opens on A's
+    // orig tuple beside A.
+    kern::CtSpec commit;
+    commit.commit = true;
+    kern::CtSpec snat = commit;
+    snat.nat = kern::NatSpec::src(hosts[0], 0, 0);
+    const kern::CtTuple a = tuple(hosts[2], hosts[0], 80, 1000, 6, 0);
+    const kern::CtTuple b = tuple(hosts[1], hosts[2], 1000, 80, 6, 0);
+    where = "script A";
+    send(a, false, net::kTcpSyn, commit);
+    check();
+    where = "script B";
+    send(b, false, net::kTcpSyn, snat);
+    ASSERT_EQ(model.find(a)->orig, a); // A keeps the tuple B's reply repeats
+    check();
+    where = "script B reply";
+    send(a, false, net::kTcpAck, kern::CtSpec{}); // A's orig direction again
+    check();
+    where = "script B RST";
+    send(b, false, net::kTcpRst, kern::CtSpec{});
+    ASSERT_EQ(model.find(a), nullptr); // erased by key with B
+    check();
+    where = "script C";
+    send(a, false, net::kTcpSyn, commit);
+    ASSERT_EQ(model.connections(), 2u); // A and C share an orig tuple
+    check();
+
+    const std::uint32_t mid_shards = shards == 1 ? 8 : shards / 4;
+    for (std::size_t step = 0; step < steps; ++step) {
+        where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+        now += static_cast<sim::Nanos>(rng.below(40'000));
+        if (step == steps / 2) {
+            ct.reshard(mid_shards);
+            model.reshard();
+        }
+        kern::CtSpec spec;
+        spec.zone = static_cast<std::uint16_t>(rng.below(2));
+        spec.commit = rng.below(4) != 0;
+        if (rng.below(4) == 0) {
+            spec.set_mark = true;
+            spec.mark = static_cast<std::uint32_t>(1 + rng.below(1000));
+        }
+        if (rng.below(3) == 0) {
+            const std::uint32_t ip = nat_ips[rng.below(3)];
+            std::uint16_t lo = 0, hi = 0;
+            if (rng.below(2) == 0) {
+                lo = rng.below(2) == 0 ? 1000 : 40000;
+                hi = static_cast<std::uint16_t>(lo + rng.below(2));
+            }
+            spec.nat = rng.below(2) == 0 ? kern::NatSpec::src(ip, lo, hi)
+                                         : kern::NatSpec::dst(ip, lo, hi);
+        }
+        const std::uint8_t flags = rng.below(8) == 0 ? net::kTcpRst : net::kTcpAck;
+        const auto live = model.live();
+        const std::uint64_t op = rng.below(100);
+        if (op < 40 || live.empty()) {
+            // A packet anywhere in the universe: new or already tracked.
+            const std::size_t s = rng.below(3);
+            const std::size_t d = (s + 1 + rng.below(2)) % 3;
+            const kern::CtTuple t =
+                tuple(hosts[s], hosts[d], ports[rng.below(3)], ports[rng.below(3)],
+                      rng.below(2) == 0 ? 6 : 17, spec.zone);
+            send(t, false, flags, spec);
+        } else if (op < 85) {
+            // A tracked connection's reply (the NAT-translated tuple) or
+            // orig direction.
+            const CtTableModel::Conn* c = live[rng.below(live.size())];
+            const kern::CtTuple t = op < 65 ? c->reply : c->orig;
+            spec.zone = t.zone;
+            send(t, false, flags, spec);
+        } else if (op < 93) {
+            // An ICMP error citing a seen tuple (tracked or not).
+            auto it = seen.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(rng.below(seen.size())));
+            spec.zone = it->zone;
+            send(*it, true, 0, spec);
+        } else {
+            auto it = seen.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(rng.below(seen.size())));
+            const auto mark = static_cast<std::uint32_t>(rng.below(1000));
+            ASSERT_EQ(ct.set_mark(*it, mark), model.set_mark(*it, mark)) << where;
+        }
+        ct.tick(now);
+        model.tick(now);
+        check();
+    }
+    const CtTableModel::Paths& paths = model.paths();
+    EXPECT_GT(paths.related, 0u);
+    EXPECT_GT(paths.teardown, 0u);
+    EXPECT_GT(paths.zone_full, 0u);
+    EXPECT_GT(paths.exhausted, 0u);
+    EXPECT_GT(paths.reply_taken, 1u); // the script's, and the generator's
+    EXPECT_GT(paths.expired, 0u);
+}
+
+template <typename Tracker> void ct_table_matches_model_at_every_shard_count()
+{
+    for (const std::uint32_t shards : {1u, 4u, 16u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        ct_table_matches_model<Tracker>(shards, 20261020 + shards, 1500);
+    }
+}
+
+TEST(CtTableModel, KernelTrackerMatchesTheModel)
+{
+    ct_table_matches_model_at_every_shard_count<kern::Conntrack>();
+}
+
+TEST(CtTableModel, UserspaceTrackerMatchesTheModel)
+{
+    ct_table_matches_model_at_every_shard_count<ovs::UserspaceConntrack>();
 }
 
 // ---- megaflow: the cache against a reference model ---------------------

@@ -598,6 +598,25 @@ TEST_F(KmodTest, UserspaceActionPuntsOnce)
     EXPECT_STREQ(punt[0].verdict, "userspace-punt");
 }
 
+// The punt queue is bounded: ten times its depth through a controller
+// flow [output(p1), userspace] still forwards every packet, keeps
+// kPuntQueueDepth of them for ovs-vswitchd, and counts the rest in
+// lost(), as Linux counts a failed action upcall in n_lost.
+TEST_F(KmodTest, PuntQueueIsBoundedAndOverflowIsLost)
+{
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    dp->flow_put(net::parse_flow(probe), tuple_mask(),
+                 {OdpAction::output(p1), OdpAction::userspace()});
+
+    constexpr std::size_t kSent = 10 * kPuntQueueDepth;
+    for (std::size_t i = 0; i < kSent; ++i) nic0->rx_from_wire(udp64());
+    EXPECT_EQ(out1.size(), kSent);
+    EXPECT_EQ(dp->punted().size(), kPuntQueueDepth);
+    EXPECT_EQ(dp->lost(), kSent - kPuntQueueDepth);
+    EXPECT_EQ(dp->hits(), kSent);
+}
+
 // DpifNetdevTest.MeterDropsExcess on the kernel module, which counts
 // and traces each meter drop as the userspace datapath does.
 TEST_F(KmodTest, MeterDropsExcess)

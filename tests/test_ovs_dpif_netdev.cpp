@@ -203,6 +203,25 @@ TEST_F(DpifNetdevTest, UserspaceActionPunts)
     EXPECT_TRUE(out1.empty());
 }
 
+// The punt queue is bounded: ten times its depth through a controller
+// flow [output(p1), userspace] still forwards every packet, keeps
+// kern::kPuntQueueDepth of them for ovs-vswitchd, and counts the rest
+// in stats().lost.
+TEST_F(DpifNetdevTest, PuntQueueIsBoundedAndOverflowIsLost)
+{
+    dpif->flow_put(key_on_port(p0), port_mask(),
+                   {kern::OdpAction::output(p1), kern::OdpAction::userspace()});
+    constexpr std::size_t kSent = 10 * kern::kPuntQueueDepth;
+    for (std::size_t i = 0; i < kSent; ++i) {
+        nic0->rx_from_wire(udp64());
+        dpif->pmd_poll_once(pmd);
+    }
+    EXPECT_EQ(out1.size(), kSent);
+    EXPECT_EQ(dpif->punted().size(), kern::kPuntQueueDepth);
+    EXPECT_EQ(dpif->stats().lost, kSent - kern::kPuntQueueDepth);
+    EXPECT_EQ(dpif->stats().misses, 0u);
+}
+
 TEST_F(DpifNetdevTest, TunnelEncapDecapAcrossDpifs)
 {
     // This host encapsulates into Geneve; verify outer headers, then feed

@@ -9,7 +9,8 @@
 //                       etc. anywhere outside src/sync/. Every lock must
 //                       be an ovsx::sync wrapper or the lockset checker
 //                       and the capability annotations are blind to it.
-//   guarded-by-missing  container members of the shared-table headers
+//   guarded-by-missing  container members (std containers and
+//                       net::SlotTable) of the shared-table headers
 //                       (the connection-table core and both conntracks
 //                       over it, ebpf map, netlink cache, dpif_ebpf
 //                       shadow) that lack an OVSX_GUARDED_BY
@@ -216,7 +217,7 @@ const char* const kSharedTableHeaders[] = {
 };
 
 const char* const kContainerTokens[] = {
-    "std::vector<", "std::unordered_map<", "std::map<", "std::deque<", "std::list<",
+    "std::vector<", "std::unordered_map<", "std::map<", "std::deque<", "std::list<", "SlotTable<",
 };
 
 void rule_guarded_by(const SourceFile& f, const std::string& code, std::vector<Finding>& out)
@@ -616,6 +617,17 @@ int self_test()
         });
         expect(count_rule(fs, "guarded-by-missing") == 1, "guarded-by fires exactly once");
         expect(fs.at(0).detail == "table_", "guarded-by names the member");
+    }
+    // guarded-by-missing covers slot tables, the conntrack shards' store.
+    {
+        const auto fs = run_rules({
+            {"src/kern/ct_table.h", "struct Shard {\n"
+                                    "    net::SlotTable<CtEntry*> index;\n"
+                                    "    net::SlotTable<int*> ok OVSX_GUARDED_BY(mu);\n"
+                                    "};\n"},
+        });
+        expect(count_rule(fs, "guarded-by-missing") == 1 && fs.at(0).detail == "index",
+               "guarded-by covers slot tables");
     }
     // unchecked-accessor: fires above the net layer only.
     {
